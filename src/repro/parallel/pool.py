@@ -20,7 +20,7 @@ per-token α.  The pool amortises all of it:
 * **Kernel plans persist.**  Because the worker's unpickled ``CompiledScan``
   object survives across jobs, the AOT kernel templates and region plans of
   :mod:`repro.runtime.kernels` stay warm too: after the first run a pipeline
-  block costs one closure call per statement per slab.
+  block costs one cached view bind and one call of the generated kernel.
 
 Failure semantics: any failed run — including a worker process dying
 mid-request — marks the pool *broken* and raises the typed

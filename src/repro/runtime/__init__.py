@@ -26,7 +26,6 @@ from repro.runtime.kernels import (
     ENGINE_ENV,
     ENGINES,
     KERNEL_STATS,
-    LEGACY_ENGINE_ENV,
     SKEW_ENV,
     PlanRunner,
     default_engine,
@@ -42,7 +41,6 @@ __all__ = [
     "ENGINE_ENV",
     "ENGINES",
     "KERNEL_STATS",
-    "LEGACY_ENGINE_ENV",
     "SKEW_ENV",
     "ArraySnapshot",
     "PlanRunner",

@@ -30,7 +30,7 @@ def execute_interpreted(
 
     By default each unmasked statement runs through its ahead-of-time kernel
     (:func:`repro.runtime.kernels.statement_kernel` — cached per statement,
-    one closure call instead of a tree walk); ``engine="interp"`` or
+    one generated-kernel call instead of a tree walk); ``engine="interp"`` or
     ``REPRO_ENGINE=interp`` keeps the original tree-walking path.  Statements
     the kernel layer cannot express fall back statement-by-statement.
     """

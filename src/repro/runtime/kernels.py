@@ -1,48 +1,55 @@
-"""Ahead-of-time statement kernels: compile the plan once, run slabs cheap.
+"""Ahead-of-time statement kernels: generate the code once, bind regions cheap.
 
 :func:`~repro.runtime.vectorized.execute_vectorized` is an interpreter: every
 carried iteration re-walks the expression tree, re-builds shifted
 :class:`~repro.zpl.regions.Region` objects, re-derives numpy slices through
 ``ZArray._slices`` and re-runs the ``np.shares_memory`` aliasing check.  All
-of that is loop-invariant — the same arrays, shifts and slab geometry flow
-through every iteration — so this module hoists it to *compile time*:
+of that is loop-invariant, so this module hoists each piece to the outermost
+level it is invariant at:
 
-* a :class:`KernelTemplate` is derived once per :class:`CompiledScan`
-  (cached by object identity, evicted with the plan) and holds everything
-  that does not depend on the executed region;
-* ``template.instantiate(region)`` specialises each statement into a
-  closed-over callable with **pre-resolved numpy slice tuples**: parallel
-  dimensions become fixed slices, looped dimensions become one integer add
-  per access.  Storage coverage is validated once, the
-  ``values.copy()``-or-not aliasing question is decided once
-  (:func:`statement_needs_copy`), and mask/contraction plumbing is wired
-  up front;
-* instantiated :class:`KernelPlan` objects are cached per region inside the
-  template (the autotuner, the benchmarks and the pipelined workers execute
-  the same handful of block regions thousands of times) and validated
-  against the arrays' current storage bindings, so rebinding storage — as
+* **template -> source.**  A :class:`KernelTemplate` is derived once per
+  :class:`CompiledScan` (cached by object identity, evicted with the plan).
+  It lowers the statement list to the *source of one straight-line Python
+  function* (:class:`_Emitter`), compiled once and independent of the
+  executed region: the loop nest over the carried dimensions, one ufunc call
+  per expression node, the root ufunc of a statement writing straight into
+  the target row through ``out=``, ``np.where`` mask blending, contracted
+  temporaries as locals, and the ``values.copy()``-or-not aliasing decision
+  (:func:`statement_needs_copy`) already taken.  The text stays on
+  :attr:`KernelTemplate.source` and in :mod:`linecache`, so tracebacks and
+  profilers show real lines.
+* **region -> views.**  ``template.instantiate(region)`` only *binds*: per
+  distinct ``(array, offset)`` access it validates storage coverage and
+  slices one view — parallel dimensions sliced, carried dimensions moved to
+  the front, pre-offset by the shift and pre-reversed for a descending
+  traversal — so iteration ``k`` reads row ``v[k]`` with no arithmetic.  The
+  bound :class:`KernelPlan` objects are cached per region inside the template
+  (the autotuner, the simulator and the pipelined workers execute the same
+  block regions thousands of times) and validated against the arrays'
+  current storage bindings, so rebinding storage — as
   :class:`~repro.parallel.sharedmem.AttachedArrays` does — transparently
-  recompiles while in-place restores (:class:`~repro.runtime.interp.ArraySnapshot`)
+  rebinds while in-place restores (:class:`~repro.runtime.interp.ArraySnapshot`)
   keep hitting the cache.
+* **iteration -> nothing but ufunc calls.**  What is left inside the loop is
+  one integer index per view and one C call per expression node.
 
 Multi-dependence wavefronts get a second plan family: when two or more
 looped dimensions are non-parallel (Needleman-Wunsch, Smith-Waterman,
 multi-direction recurrences) the flat plans above degenerate into an
 O(n·m) point loop, so the template additionally derives a hyperplane
-schedule (:mod:`repro.compiler.skew`) and, when one is legal, instantiates
-a :class:`SkewedPlan`: per covering region it precomputes the
-gather/scatter index tables of every hyperplane (anti-diagonal for
-τ = (1, 1)) and executes one fused numpy kernel per hyperplane per
-statement — O(n+m) interpreter iterations instead of O(n·m), with masks
-and contraction routed through the same tables.
+schedule (:mod:`repro.compiler.skew`) and, when one is legal, generates a
+*skewed* kernel from the same emitter: per covering region the bind
+precomputes the index tables of every hyperplane (anti-diagonal for
+τ = (1, 1)) and the kernel gathers and scatters one whole plane per
+statement through them — O(n+m) interpreter iterations instead of O(n·m),
+with masks and contraction spelled exactly as in the flat family.
 
 The engine selection contract is shared by every consumer: ``"kernel"``
 (the default) runs plans from here, auto-selecting the skewed family when
 legal; ``"flat"`` keeps the kernel plans but never skews; ``"interp"`` is
 the escape hatch back to the tree-walking engines.  ``REPRO_ENGINE``
-flips the default (``REPRO_KERNELS`` is its deprecated alias, warned
-once), ``REPRO_SKEW=0`` disables skewing globally.  Blocks the kernel
-layer cannot express (stray parallel operators) fall back silently —
+flips the default, ``REPRO_SKEW=0`` disables skewing globally.  Blocks the
+kernel layer cannot express (stray parallel operators) fall back silently —
 behaviour is identical either way, only the constant factor changes.
 
 :func:`plan_fingerprint` names a lowered plan by *structure* (region, loop
@@ -56,12 +63,12 @@ caches without shipping object identity.
 from __future__ import annotations
 
 import hashlib
+import linecache
+import math
 import os
 import time
-import warnings
 import weakref
-from itertools import product
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -81,10 +88,6 @@ from repro.zpl.statements import Assign
 #: ``flat`` (kernel plans, no skewing) or ``interp`` (tree-walking engines).
 ENGINE_ENV = "REPRO_ENGINE"
 
-#: Deprecated alias of :data:`ENGINE_ENV` (pre-skew spelling); honoured with
-#: a one-time :class:`DeprecationWarning` when ``REPRO_ENGINE`` is unset.
-LEGACY_ENGINE_ENV = "REPRO_KERNELS"
-
 #: Hyperplane-skewing kill switch: ``0``/``false``/``off`` turn every
 #: ``kernel`` selection (explicit or default) into ``flat``.
 SKEW_ENV = "REPRO_SKEW"
@@ -94,29 +97,21 @@ ENGINES = ("kernel", "flat", "interp")
 
 _OFF_VALUES = ("0", "false", "off", "no", "interp")
 
-#: Instantiated plans kept per template (regions are small keys; the workers
-#: cycle through a bounded set of block regions).
-PLAN_CACHE_CAP = 64
+#: Flat plans kept per template.  A plan is a tuple of views, so the cap only
+#: has to exceed the block regions one decomposition cycles through (a p=16
+#: simulator sweep of Tomcatv 129^2 touches 460).
+PLAN_CACHE_CAP = 1024
 
-_legacy_env_warned = False
+#: Skewed plans kept per template: each owns index tables of one integer per
+#: looped coordinate per point, so far fewer are worth keeping.
+SKEW_PLAN_CACHE_CAP = 64
 
 
 def _env_engine() -> str | None:
     """The engine named by the environment, or ``None`` when unset."""
-    global _legacy_env_warned
     value = os.environ.get(ENGINE_ENV)
     if value is None:
-        value = os.environ.get(LEGACY_ENGINE_ENV)
-        if value is None:
-            return None
-        if not _legacy_env_warned:
-            _legacy_env_warned = True
-            warnings.warn(
-                f"{LEGACY_ENGINE_ENV} is deprecated; set "
-                f"{ENGINE_ENV}={{kernel,flat,interp}} instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
+        return None
     value = value.strip().lower()
     if value in _OFF_VALUES:
         return "interp"
@@ -231,243 +226,254 @@ def _supported_expr(node: Node, rank: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Access compilation: pre-resolved numpy slice tuples
+# Code generation: one straight-line function per template and plan family
 # ---------------------------------------------------------------------------
-def _make_selector(entries: list) -> Callable[[tuple], tuple]:
-    """``idx -> slice tuple`` from per-dimension entries.
+#: Root operators whose ufunc may write the target row through ``out=``:
+#: exactly rounded arithmetic only, so the stored bits cannot depend on which
+#: inner loop numpy picks for the output's strides.
+_OUT_OPS = frozenset(("+", "-", "*", "/", "max", "min", "abs"))
 
-    Each entry is either a fixed :class:`slice` (parallel dimension) or a
-    ``(position, constant)`` pair meaning ``slice(v, v + 1)`` with
-    ``v = idx[position] + constant`` (looped dimension).  The common rank-2
-    single-looped-dimension shapes get dedicated closures so the hot path is
-    one integer add and one tuple build.
+_COMPARISONS = frozenset(("<", "<=", ">", ">=", "==", "!="))
+
+
+class _Emitter:
+    """Lowers a statement list to the source of one region-independent function.
+
+    The function's signature is ``kernel(N, V)``.  ``V`` is the tuple of
+    region-bound *slots* the emitter asked for, in :attr:`slots` order: one
+    pre-sliced storage view per distinct ``(array, offset)`` access, the
+    coordinate table of every dimension an :class:`IndexExpr` names, and the
+    slab shape when a contracted temporary must be broadcast.  Flat kernels
+    take the trip counts as ``N``, loop ``k0, k1, ...`` over them and bind
+    each view's row once per iteration (``r3 = v3[k0]`` — a live view, so
+    later statements see earlier stores); skewed kernels take the hyperplane
+    index tables as ``N`` and gather/scatter ``v3[I]`` at the point of use.
+    Everything else — expression trees, mask blending, contraction, the
+    copy-or-not decision — is spelled identically for both families.
     """
-    variable = [
-        (k, e[0], e[1]) for k, e in enumerate(entries) if not isinstance(e, slice)
-    ]
-    if not variable:
-        fixed = tuple(entries)
-        return lambda idx, fixed=fixed: fixed
-    if len(variable) == 1 and len(entries) == 2:
-        k, p, c = variable[0]
-        if k == 0:
-            s1 = entries[1]
-            def selector(idx, p=p, c=c, s1=s1):
-                v = idx[p] + c
-                return (slice(v, v + 1), s1)
-        else:
-            s0 = entries[0]
-            def selector(idx, p=p, c=c, s0=s0):
-                v = idx[p] + c
-                return (s0, slice(v, v + 1))
-        return selector
-    if len(variable) == 1 and len(entries) == 1:
-        _, p, c = variable[0]
-        def selector(idx, p=p, c=c):
-            v = idx[p] + c
-            return (slice(v, v + 1),)
-        return selector
-    template = tuple(e if isinstance(e, slice) else None for e in entries)
-    var = tuple(variable)
-    def selector(idx, template=template, var=var):
-        out = list(template)
-        for k, p, c in var:
-            v = idx[p] + c
-            out[k] = slice(v, v + 1)
-        return tuple(out)
-    return selector
 
-
-class _PlanBuilder:
-    """Builds the per-statement closures of one :class:`KernelPlan`."""
-
-    def __init__(
-        self,
-        region: Region,
-        pos: dict[int, int],
-        slab_shape: tuple[int, ...],
-        contracted_ids: frozenset[int],
-    ):
-        self.region = region
-        self.pos = pos
-        self.slab_shape = slab_shape
+    def __init__(self, looped: tuple[int, ...], rank: int,
+                 contracted_ids: frozenset[int], skewed: bool):
+        self.looped = looped
+        self.rank = rank
         self.contracted_ids = contracted_ids
-        self.buffers: dict[int, np.ndarray] = {}
-        self.binding: list[tuple[ZArray, np.ndarray]] = []
+        self.skewed = skewed
+        self.slots: list[tuple] = []
+        self._slot_of: dict[tuple, int] = {}
+        self.namespace: dict[str, object] = {
+            "where": np.where, "broadcast_to": np.broadcast_to,
+            "asarray": np.asarray, "inf": math.inf, "nan": math.nan,
+        }
+        #: id(contracted array) -> local name, once a statement defined it:
+        #: a read earlier in the iteration still reads storage.
+        self.locals: dict[int, str] = {}
+        self.body: list[str] = []
 
-    def _bind(self, array: ZArray) -> np.ndarray:
-        if not any(a is array for a, _ in self.binding):
-            self.binding.append((array, array._data))
-        return array._data
+    def _slot(self, key: tuple, spec: tuple) -> int:
+        j = self._slot_of.get(key)
+        if j is None:
+            j = self._slot_of[key] = len(self.slots)
+            self.slots.append(spec)
+        return j
 
-    def _entries(self, array: ZArray, offset: Sequence[int]) -> list:
-        offset = tuple(offset)
-        shifted = self.region.shift(offset)
-        if not array._storage_region.covers(shifted):
-            raise ArrayError(
-                f"region {shifted!r} is outside the storage of {array!r} "
-                f"(storage {array._storage_region!r}); declare more fluff or "
-                f"initialise the border first"
-            )
-        base = array._storage_region.lo
-        entries: list = []
-        for d in range(self.region.rank):
-            off = offset[d]
-            p = self.pos.get(d)
-            if p is not None:
-                entries.append((p, off - base[d]))
-            else:
-                lo, hi = self.region.range(d)
-                entries.append(slice(lo + off - base[d], hi + off - base[d] + 1))
-        return entries
+    def _view(self, array: ZArray, offset: tuple[int, ...]) -> int:
+        return self._slot(("view", id(array), offset), ("view", array, offset))
 
-    def _read(self, array: ZArray, offset: Sequence[int]) -> Callable:
-        data = self._bind(array)
-        selector = _make_selector(self._entries(array, offset))
-        return lambda idx, data=data, selector=selector: data[selector(idx)]
+    def _read(self, j: int) -> str:
+        return f"v{j}[I]" if self.skewed else f"r{j}"
 
-    # -- expression compilation --------------------------------------------
-    def expr(self, node: Node) -> Callable:
+    def _store(self, j: int, value: str) -> None:
+        target = f"v{j}[I]" if self.skewed else f"r{j}[...]"
+        self.body.append(f"{target} = {value}")
+
+    def _call(self, node: BinOp | UnOp | Where, extra: str = "") -> str:
+        fn = np.where if isinstance(node, Where) else node._fn
+        self.namespace[fn.__name__] = fn
+        args = ", ".join(self.expr(child) for child in node.children())
+        return f"{fn.__name__}({args}{extra})"
+
+    def expr(self, node: Node) -> str:
         if isinstance(node, Const):
-            value = node.value
-            return lambda idx, value=value: value
+            return repr(node.value)
         if isinstance(node, Ref):
-            return self._ref(node)
-        if isinstance(node, BinOp):
-            fn = node._fn
-            left = self.expr(node.left)
-            right = self.expr(node.right)
-            return lambda idx, fn=fn, left=left, right=right: fn(
-                left(idx), right(idx)
-            )
-        if isinstance(node, UnOp):
-            fn = node._fn
-            operand = self.expr(node.operand)
-            return lambda idx, fn=fn, operand=operand: fn(operand(idx))
-        if isinstance(node, Where):
-            cond = self.expr(node.cond)
-            if_true = self.expr(node.if_true)
-            if_false = self.expr(node.if_false)
-            return lambda idx, c=cond, t=if_true, f=if_false: np.where(
-                c(idx), t(idx), f(idx)
-            )
+            local = self.locals.get(id(node.array))
+            if local is not None:
+                return local
+            return self._read(self._view(node.array, tuple(node.offset)))
+        if isinstance(node, (BinOp, UnOp, Where)):
+            return self._call(node)
         if isinstance(node, IndexExpr):
-            return self._index(node)
+            coords = f"v{self._slot(('coords', node.dim), ('coords', node.dim))}"
+            if node.dim not in self.looped:
+                return coords
+            k = self.looped.index(node.dim)
+            return f"{coords}[I[{k}]]" if self.skewed else f"{coords}[k{k}]"
         raise MachineError(
             f"kernel builder cannot express {type(node).__name__} nodes"
         )
 
-    def _ref(self, node: Ref) -> Callable:
-        aid = id(node.array)
-        read = self._read(node.array, node.offset)
-        if aid in self.contracted_ids:
-            buffers = self.buffers
-            def read_contracted(idx, buffers=buffers, aid=aid, read=read):
-                buf = buffers.get(aid)
-                return buf if buf is not None else read(idx)
-            return read_contracted
-        return read
+    def _dense(self, node: Node) -> bool:
+        """True when ``node`` surely yields a float64 array of the slab shape."""
+        if isinstance(node, Ref):
+            return node.array.dtype == np.float64
+        if isinstance(node, BinOp) and node.op in _COMPARISONS:
+            return False
+        if isinstance(node, Where):
+            return self._dense(node.if_true) or self._dense(node.if_false)
+        return any(self._dense(child) for child in node.children())
 
-    def _index(self, node: IndexExpr) -> Callable:
-        p = self.pos.get(node.dim)
-        if p is not None:
-            return lambda idx, p=p: float(idx[p])
-        lo, hi = self.region.range(node.dim)
-        coords = np.arange(lo, hi + 1, dtype=float)
-        shape = [1] * self.region.rank
-        shape[node.dim] = coords.size
-        values = np.broadcast_to(coords.reshape(shape), self.slab_shape).copy()
-        return lambda idx, values=values: values
-
-    # -- statement compilation ---------------------------------------------
-    def statement(self, stmt: Assign) -> Callable:
-        expr_fn = self.expr(stmt.expr)
-        zero = (0,) * self.region.rank
+    def statement(self, stmt: Assign, needs_copy: bool) -> None:
+        expr = stmt.expr
         tid = id(stmt.target)
         if tid in self.contracted_ids:
-            buffers = self.buffers
-            shape = self.slab_shape
-            def run_contracted(idx, expr_fn=expr_fn, buffers=buffers, tid=tid,
-                               shape=shape):
-                buffers[tid] = np.broadcast_to(
-                    np.asarray(expr_fn(idx), dtype=float), shape
-                )
-            return run_contracted
-        tdata = self._bind(stmt.target)
-        tsel = _make_selector(self._entries(stmt.target, zero))
+            value = self.expr(expr)
+            if not self._dense(expr):
+                shape = f"v{self._slot(('shape',), ('shape',))}"
+                if self.skewed:
+                    shape = f"(I[0].size,) + {shape}"
+                value = f"broadcast_to(asarray({value}, dtype=float), {shape})"
+            name = self.locals.setdefault(tid, f"c{len(self.locals)}")
+            self.body.append(f"{name} = {value}")
+            return
+        zero = (0,) * self.rank
+        t = self._view(stmt.target, zero)
         if stmt.mask is not None:
-            mread = self._read(stmt.mask, zero)
-            def run_masked(idx, expr_fn=expr_fn, mread=mread, tdata=tdata,
-                           tsel=tsel):
-                values = expr_fn(idx)
-                keep = mread(idx) != 0
-                sel = tsel(idx)
-                tdata[sel] = np.where(keep, values, tdata[sel])
-            return run_masked
-        if statement_needs_copy(stmt, self.contracted_ids):
-            def run_copy(idx, expr_fn=expr_fn, tdata=tdata, tsel=tsel):
-                values = expr_fn(idx)
-                if isinstance(values, np.ndarray):
-                    values = values.copy()
-                tdata[tsel(idx)] = values
-            return run_copy
-        def run(idx, expr_fn=expr_fn, tdata=tdata, tsel=tsel):
-            tdata[tsel(idx)] = expr_fn(idx)
-        return run
+            keep = self._read(self._view(stmt.mask, zero))
+            self._store(
+                t, f"where({keep} != 0, {self.expr(expr)}, {self._read(t)})"
+            )
+        elif needs_copy:
+            self._store(t, f"{self.expr(expr)}.copy()")
+        elif (
+            not self.skewed
+            and stmt.target.dtype == np.float64
+            and isinstance(expr, (BinOp, UnOp))
+            and expr.op in _OUT_OPS
+        ):
+            self.body.append(self._call(expr, f", out=r{t}"))
+        else:
+            self._store(t, self.expr(expr))
+
+    def source(self, tag: str) -> str:
+        lines = [f"def kernel(N, V):  # {tag}"]
+        if self.slots:
+            names = "".join(f"v{j}, " for j in range(len(self.slots)))
+            lines.append(f"    ({names}) = V")
+        body = self.body
+        if self.skewed:
+            lines.append("    for I in N:")
+            depth = 2
+        else:
+            loops = range(len(self.looped))
+            if loops:
+                lines.append("    (" + "".join(f"n{k}, " for k in loops) + ") = N")
+            lines += ["    " * (k + 1) + f"for k{k} in range(n{k}):" for k in loops]
+            depth = len(loops) + 1
+            row = "[" + ", ".join(f"k{k}" for k in loops) + "]" if loops else ""
+            body = [
+                f"r{j} = v{j}{row}"
+                for j, slot in enumerate(self.slots) if slot[0] == "view"
+            ] + body
+        pad = "    " * depth
+        return "\n".join(lines + [pad + line for line in body]) + "\n"
+
+
+class _Kernel(NamedTuple):
+    """One generated function plus what a region bind must hand it."""
+
+    fn: Callable
+    source: str
+    slots: tuple[tuple, ...]
 
 
 class KernelPlan:
-    """One region's compiled statement kernels, plus the bindings they froze."""
+    """One region's bound kernel: the generated function and its slot values.
 
-    __slots__ = ("looped_ranges", "stmt_fns", "buffers", "binding")
+    ``trips`` is the trip-count tuple of a flat plan or the hyperplane index
+    tables of a skewed one; ``binding`` records the storage buffers the views
+    were sliced from.
+    """
 
-    def __init__(
-        self,
-        looped_ranges: tuple[range, ...],
-        stmt_fns: tuple[Callable, ...],
-        buffers: dict[int, np.ndarray],
-        binding: tuple[tuple[ZArray, np.ndarray], ...],
-    ):
-        self.looped_ranges = looped_ranges
-        self.stmt_fns = stmt_fns
-        self.buffers = buffers
+    __slots__ = ("fn", "trips", "views", "binding")
+
+    def __init__(self, fn: Callable, trips: tuple, views: tuple,
+                 binding: tuple[tuple[ZArray, np.ndarray], ...]):
+        self.fn = fn
+        self.trips = trips
+        self.views = views
         self.binding = binding
 
+    @property
+    def n_planes(self) -> int:
+        """Hyperplanes swept per run (skewed plans)."""
+        return len(self.trips)
+
     def valid(self) -> bool:
-        """True while every closed-over storage buffer is still the array's.
+        """True while every sliced storage buffer is still the array's.
 
         In-place restores keep plans valid; rebinding ``_data`` (shared-memory
-        attachment, manual replacement) invalidates, forcing a rebuild.
+        attachment, manual replacement) invalidates, forcing a rebind.
         """
         return all(array._data is data for array, data in self.binding)
 
     def run(self) -> None:
-        buffers = self.buffers
-        stmt_fns = self.stmt_fns
-        for idx in product(*self.looped_ranges):
-            buffers.clear()
-            for fn in stmt_fns:
-                fn(idx)
+        self.fn(self.trips, self.views)
 
 
 # ---------------------------------------------------------------------------
-# Hyperplane-skewed plans (multi-dependence wavefronts)
+# Region binding: pre-sliced views and hyperplane tables
 # ---------------------------------------------------------------------------
+def _bind_view(
+    array: ZArray,
+    offset: tuple[int, ...],
+    region: Region,
+    perm: tuple[int, ...],
+    reverse: tuple[int, ...],
+    binding: dict[int, tuple[ZArray, np.ndarray]],
+) -> np.ndarray:
+    """Storage of ``array`` over ``region`` shifted by ``offset``, as a view.
+
+    Axes come out in ``perm`` order (looped dimensions first), the
+    dimensions in ``reverse`` run backwards, so iteration ``k`` of a looped
+    dimension is plain index ``k`` whatever the shift and traversal sign.
+    """
+    data = binding.setdefault(id(array), (array, array._data))[1]
+    storage = array._storage_region
+    index = []
+    for d, ((lo, hi), (slo, shi)) in enumerate(zip(region.ranges, storage.ranges)):
+        lo += offset[d]
+        hi += offset[d]
+        if lo < slo or hi > shi:
+            raise ArrayError(
+                f"region {region.shift(offset)!r} is outside the storage of "
+                f"{array!r} (storage {storage!r}); declare more fluff or "
+                f"initialise the border first"
+            )
+        if d in reverse:
+            index.append(slice(hi - slo, lo - slo - 1 if lo > slo else None, -1))
+        else:
+            index.append(slice(lo - slo, hi - slo + 1))
+    return data[tuple(index)].transpose(perm)
+
+
 def hyperplane_tables(
     region: Region, loops, skew
 ) -> tuple[tuple[tuple[np.ndarray, ...], ...], np.ndarray]:
     """Partition a region's looped subspace into hyperplanes of equal τ·i.
 
-    Returns ``(planes, times)``: ``planes[p]`` is one tuple of coordinate
-    arrays — entry ``k`` holds the ``skew.dims[k]`` coordinate of every
-    iteration point on plane ``p`` — and ``times[p]`` is the plane's τ·i
-    value, strictly increasing.  Built fully vectorised: one meshgrid, one
-    stable argsort on the time key, one split at the time boundaries; the
-    per-plane arrays are views of the sorted buffers, so total index-table
-    storage is ``rank × n_points`` integers regardless of plane count.
+    Returns ``(planes, times)``: ``planes[p]`` is one tuple of index arrays
+    — entry ``k`` holds, for every iteration point on plane ``p``, its
+    ``skew.dims[k]`` coordinate *relative to the region's lower corner*, so
+    the same tables index every pre-sliced view of a plan — and ``times[p]``
+    is the plane's τ·i value on those relative coordinates, strictly
+    increasing.  Built fully vectorised: one meshgrid, one stable argsort on
+    the time key, one split at the time boundaries; the per-plane arrays are
+    views of the sorted buffers, so total index-table storage is
+    ``rank × n_points`` integers regardless of plane count.
     """
     axes = [
-        np.asarray(loops.indices(region, d), dtype=np.intp) for d in skew.dims
+        np.asarray(loops.indices(region, d), dtype=np.intp) - region.lo[d]
+        for d in skew.dims
     ]
     mesh = np.meshgrid(*axes, indexing="ij")
     coords = [m.ravel() for m in mesh]
@@ -485,238 +491,84 @@ def hyperplane_tables(
     return planes, t_sorted[starts]
 
 
-class _SkewedPlanBuilder:
-    """Builds the per-statement plane closures of one :class:`SkewedPlan`.
-
-    Mirrors :class:`_PlanBuilder` with the iteration index replaced by a
-    *plane number*: each access gathers (or scatters) every point of the
-    plane at once through a fancy-index tuple — the shared per-plane
-    coordinate tables plus one constant offset add per looped dimension,
-    then fixed slices over the parallel dimensions.  Execution works on a
-    transposed **view** of each array's storage (looped dimensions first, in
-    skew order), which keeps the advanced indices adjacent and leading so
-    the gathered value has shape ``(plane_len, *parallel_extents)`` and the
-    scatter writes straight through to base storage.
-    """
-
-    def __init__(
-        self,
-        region: Region,
-        skew,
-        loops,
-        contracted_ids: frozenset[int],
-    ):
-        self.region = region
-        self.skew = skew
-        self.dims = skew.dims
-        self.par_dims = tuple(
-            d for d in range(region.rank) if d not in skew.dims
-        )
-        self.perm = self.dims + self.par_dims
-        self.par_shape = tuple(region.extent(d) for d in self.par_dims)
-        self.contracted_ids = contracted_ids
-        self.planes, _ = hyperplane_tables(region, loops, skew)
-        self.plane_sizes = tuple(p[0].size for p in self.planes)
-        self.buffers: dict[int, np.ndarray] = {}
-        self.binding: list[tuple[ZArray, np.ndarray]] = []
-
-    def _bind(self, array: ZArray) -> np.ndarray:
-        if not any(a is array for a, _ in self.binding):
-            self.binding.append((array, array._data))
-        return array._data
-
-    def _tables(self, array: ZArray, offset: Sequence[int]):
-        """``(view, looped_consts, par_slices)`` for one shifted access."""
-        offset = tuple(offset)
-        shifted = self.region.shift(offset)
-        if not array._storage_region.covers(shifted):
-            raise ArrayError(
-                f"region {shifted!r} is outside the storage of {array!r} "
-                f"(storage {array._storage_region!r}); declare more fluff or "
-                f"initialise the border first"
-            )
-        base = array._storage_region.lo
-        view = self._bind(array).transpose(self.perm)
-        consts = tuple(offset[d] - base[d] for d in self.dims)
-        par_sel = tuple(
-            slice(
-                self.region.range(d)[0] + offset[d] - base[d],
-                self.region.range(d)[1] + offset[d] - base[d] + 1,
-            )
-            for d in self.par_dims
-        )
-        return view, consts, par_sel
-
-    def _selector(self, consts: tuple[int, ...], par_sel: tuple):
-        """``plane -> fancy-index tuple``: table views plus constant adds."""
-        planes = self.planes
-        if not any(consts):
-            return lambda p, planes=planes, s=par_sel: planes[p] + s
-        def select(p, planes=planes, consts=consts, s=par_sel):
-            return tuple(
-                c + off if off else c for c, off in zip(planes[p], consts)
-            ) + s
-        return select
-
-    def _read(self, array: ZArray, offset: Sequence[int]) -> Callable:
-        view, consts, par_sel = self._tables(array, offset)
-        select = self._selector(consts, par_sel)
-        return lambda p, view=view, select=select: view[select(p)]
-
-    # -- expression compilation --------------------------------------------
-    def expr(self, node: Node) -> Callable:
-        if isinstance(node, Const):
-            value = node.value
-            return lambda p, value=value: value
-        if isinstance(node, Ref):
-            return self._ref(node)
-        if isinstance(node, BinOp):
-            fn = node._fn
-            left = self.expr(node.left)
-            right = self.expr(node.right)
-            return lambda p, fn=fn, left=left, right=right: fn(
-                left(p), right(p)
-            )
-        if isinstance(node, UnOp):
-            fn = node._fn
-            operand = self.expr(node.operand)
-            return lambda p, fn=fn, operand=operand: fn(operand(p))
-        if isinstance(node, Where):
-            cond = self.expr(node.cond)
-            if_true = self.expr(node.if_true)
-            if_false = self.expr(node.if_false)
-            return lambda p, c=cond, t=if_true, f=if_false: np.where(
-                c(p), t(p), f(p)
-            )
-        if isinstance(node, IndexExpr):
-            return self._index(node)
-        raise MachineError(
-            f"kernel builder cannot express {type(node).__name__} nodes"
-        )
-
-    def _ref(self, node: Ref) -> Callable:
-        aid = id(node.array)
-        read = self._read(node.array, node.offset)
-        if aid in self.contracted_ids:
-            buffers = self.buffers
-            def read_contracted(p, buffers=buffers, aid=aid, read=read):
-                buf = buffers.get(aid)
-                return buf if buf is not None else read(p)
-            return read_contracted
-        return read
-
-    def _index(self, node: IndexExpr) -> Callable:
-        tail = (1,) * len(self.par_dims)
-        if node.dim in self.dims:
-            k = self.dims.index(node.dim)
-            planes = self.planes
-            def looped_index(p, planes=planes, k=k, tail=tail):
-                return planes[p][k].astype(float).reshape((-1,) + tail)
-            return looped_index
-        q = self.par_dims.index(node.dim)
-        lo, hi = self.region.range(node.dim)
-        shape = [1] * (1 + len(self.par_dims))
-        shape[1 + q] = hi - lo + 1
-        values = np.arange(lo, hi + 1, dtype=float).reshape(shape)
-        return lambda p, values=values: values
-
-    # -- statement compilation ---------------------------------------------
-    def statement(self, stmt: Assign) -> Callable:
-        expr_fn = self.expr(stmt.expr)
-        zero = (0,) * self.region.rank
-        tid = id(stmt.target)
-        if tid in self.contracted_ids:
-            buffers = self.buffers
-            sizes = self.plane_sizes
-            par_shape = self.par_shape
-            def run_contracted(p, expr_fn=expr_fn, buffers=buffers, tid=tid,
-                               sizes=sizes, par_shape=par_shape):
-                buffers[tid] = np.broadcast_to(
-                    np.asarray(expr_fn(p), dtype=float),
-                    (sizes[p],) + par_shape,
-                )
-            return run_contracted
-        view, consts, par_sel = self._tables(stmt.target, zero)
-        select = self._selector(consts, par_sel)
-        if stmt.mask is not None:
-            mread = self._read(stmt.mask, zero)
-            def run_masked(p, expr_fn=expr_fn, mread=mread, view=view,
-                           select=select):
-                values = expr_fn(p)
-                keep = mread(p) != 0
-                sel = select(p)
-                view[sel] = np.where(keep, values, view[sel])
-            return run_masked
-        if statement_needs_copy(stmt, self.contracted_ids):
-            # A fancy-index gather already copies, so only the contracted-
-            # source case (broadcast view over the defining statement's
-            # value) can still alias the target — keep the defensive copy.
-            def run_copy(p, expr_fn=expr_fn, view=view, select=select):
-                values = expr_fn(p)
-                if isinstance(values, np.ndarray):
-                    values = np.ascontiguousarray(values)
-                view[select(p)] = values
-            return run_copy
-        def run(p, expr_fn=expr_fn, view=view, select=select):
-            view[select(p)] = expr_fn(p)
-        return run
-
-
-class SkewedPlan:
-    """One region's hyperplane schedule: fused kernels plane by plane."""
-
-    __slots__ = ("n_planes", "stmt_fns", "buffers", "binding")
-
-    def __init__(
-        self,
-        n_planes: int,
-        stmt_fns: tuple[Callable, ...],
-        buffers: dict[int, np.ndarray],
-        binding: tuple[tuple[ZArray, np.ndarray], ...],
-    ):
-        self.n_planes = n_planes
-        self.stmt_fns = stmt_fns
-        self.buffers = buffers
-        self.binding = binding
-
-    def valid(self) -> bool:
-        """Same storage-binding contract as :meth:`KernelPlan.valid`."""
-        return all(array._data is data for array, data in self.binding)
-
-    def run(self) -> None:
-        buffers = self.buffers
-        stmt_fns = self.stmt_fns
-        for p in range(self.n_planes):
-            buffers.clear()
-            for fn in stmt_fns:
-                fn(p)
-
-
 class KernelTemplate:
-    """Per-``CompiledScan`` compile-time state plus the region-plan cache."""
+    """Per-plan compile-time state: generated kernels plus the region-plan cache."""
 
-    __slots__ = ("_source", "statements", "loops", "region", "contracted_ids",
-                 "supported", "skew", "plans")
+    __slots__ = ("_compiled", "statements", "loops", "region", "contracted",
+                 "contracted_ids", "looped", "supported", "skew", "plans",
+                 "_kernels")
 
-    def __init__(self, compiled: CompiledScan):
-        self._source = weakref.ref(compiled)
-        self.statements = compiled.statements
-        self.loops = compiled.loops
-        self.region = compiled.region
-        self.contracted_ids = frozenset(id(a) for a in compiled.contracted)
-        rank = compiled.region.rank
+    def __init__(self, statements, region: Region, loops=None, contracted=()):
+        self._compiled = None
+        self.statements = statements
+        self.loops = loops
+        self.region = region
+        self.contracted = contracted
+        self.contracted_ids = frozenset(id(a) for a in contracted)
+        #: Flat loop nest: the non-parallel dimensions, outermost first.
+        self.looped = () if loops is None else tuple(
+            d for d in loops.order if loops.classes[d] is not DimClass.PARALLEL
+        )
         self.supported = all(
-            _supported_expr(stmt.expr, rank) for stmt in self.statements
+            _supported_expr(stmt.expr, region.rank) for stmt in statements
         )
         #: Legal hyperplane schedule, or None (one looped dim, no legal τ,
-        #: or unsupported expressions).  Derived once per template.
-        self.skew = derive_skew(compiled) if self.supported else None
+        #: or unsupported expressions).  Set once by :func:`template_for`.
+        self.skew = None
         #: (region.ranges, skewed) -> plan, insertion-ordered (LRU eviction).
-        self.plans: dict[tuple, KernelPlan | SkewedPlan] = {}
+        self.plans: dict[tuple, KernelPlan] = {}
+        #: (skewed, copy flags) -> generated kernel.
+        self._kernels: dict[tuple, _Kernel] = {}
+
+    def kernel(self, skewed: bool = False) -> _Kernel:
+        """The generated kernel of one plan family (compiled once, cached).
+
+        The copy-or-not decisions are part of the text, so they key the
+        cache: storage rebound to something that aliases differently gets
+        its own kernel instead of a stale one.  The source is registered
+        with :mod:`linecache` under its ``<repro-kernel:…>`` file name, so
+        tracebacks and profilers show the generated lines; the entry goes
+        when the function does.
+        """
+        copies = tuple(
+            statement_needs_copy(stmt, self.contracted_ids)
+            for stmt in self.statements
+        )
+        key = (skewed, copies)
+        kern = self._kernels.get(key)
+        if kern is not None:
+            return kern
+        emitter = _Emitter(
+            self.skew.dims if skewed else self.looped, self.region.rank,
+            self.contracted_ids, skewed,
+        )
+        for stmt, needs_copy in zip(self.statements, copies):
+            emitter.statement(stmt, needs_copy)
+        digest = _fingerprint(
+            self.region, self.loops, self.statements, self.contracted
+        )
+        filename = (
+            f"<repro-kernel:{digest[:12]}:{'skewed' if skewed else 'flat'}"
+            f"@{id(self):x}.{len(self._kernels)}>"
+        )
+        source = emitter.source(filename)
+        exec(compile(source, filename, "exec"), emitter.namespace)
+        kern = _Kernel(emitter.namespace["kernel"], source, tuple(emitter.slots))
+        linecache.cache[filename] = (
+            len(source), None, source.splitlines(True), filename
+        )
+        weakref.finalize(kern.fn, linecache.cache.pop, filename, None)
+        self._kernels[key] = kern
+        return kern
+
+    @property
+    def source(self) -> str:
+        """Generated source of the kernel the default engine runs."""
+        return self.kernel(self.skew is not None).source
 
     def instantiate(
         self, region: Region, tracer=NULL_TRACER, skewed: bool = False
-    ) -> KernelPlan | SkewedPlan:
+    ) -> KernelPlan:
         key = (region.ranges, skewed)
         plan = self.plans.get(key)
         if plan is not None:
@@ -738,44 +590,68 @@ class KernelTemplate:
         KERNEL_STATS.plan_builds += 1
         if skewed:
             KERNEL_STATS.skew_plan_builds += 1
+        start = time.perf_counter()
+        plan = self._build(region, skewed)
         if tracer.enabled:
             tracer.count("kernel_plan_misses")
-            with tracer.span("kernel_compile", "compile", region=repr(region),
-                             skewed=skewed):
-                plan = self._build(region, skewed)
-        else:
-            plan = self._build(region, skewed)
+            tracer.add_span(
+                "kernel_compile", "compile", start, time.perf_counter(),
+                region=repr(region), skewed=skewed,
+                lines=self.kernel(skewed).source.count("\n"),
+            )
         self.plans[key] = plan
-        while len(self.plans) > PLAN_CACHE_CAP:
-            del self.plans[next(iter(self.plans))]
+        cap = SKEW_PLAN_CACHE_CAP if skewed else PLAN_CACHE_CAP
+        if len(self.plans) > cap:  # evict this family's least recently used
+            family = [k for k in self.plans if k[1] == skewed]
+            for stale in family[: len(family) - cap]:
+                del self.plans[stale]
         return plan
 
-    def _build(self, region: Region, skewed: bool = False):
-        loops = self.loops
+    def _build(self, region: Region, skewed: bool = False) -> KernelPlan:
+        """Bind one region: slice the views, fill the slots, count the trips."""
+        kern = self.kernel(skewed)
+        looped = self.skew.dims if skewed else self.looped
+        par = tuple(d for d in range(region.rank) if d not in looped)
+        perm = looped + par
+        reverse = () if skewed else tuple(
+            d for d in looped if self.loops.signs[d] < 0
+        )
+        binding: dict[int, tuple[ZArray, np.ndarray]] = {}
+        values = []
+        for kind, *spec in kern.slots:
+            if kind == "view":
+                view = _bind_view(*spec, region, perm, reverse, binding)
+                # out= and row stores need an array even with no parallel
+                # extent: keep a length-1 trailing axis on all-looped plans.
+                values.append(view if par or skewed else view[..., None])
+            elif kind == "shape":
+                values.append(
+                    tuple(region.extent(d) for d in par)
+                    or (() if skewed else (1,))
+                )
+            else:
+                values.append(self._coords(region, spec[0], par, reverse, skewed))
         if skewed:
-            builder = _SkewedPlanBuilder(
-                region, self.skew, loops, self.contracted_ids
-            )
-            stmt_fns = tuple(
-                builder.statement(stmt) for stmt in self.statements
-            )
-            return SkewedPlan(
-                len(builder.planes), stmt_fns, builder.buffers,
-                tuple(builder.binding),
-            )
-        looped_dims = [
-            d for d in loops.order if loops.classes[d] is not DimClass.PARALLEL
-        ]
-        pos = {d: k for k, d in enumerate(looped_dims)}
-        looped_ranges = tuple(loops.indices(region, d) for d in looped_dims)
-        slab_shape = tuple(
-            1 if d in pos else region.extent(d) for d in range(region.rank)
-        )
-        builder = _PlanBuilder(region, pos, slab_shape, self.contracted_ids)
-        stmt_fns = tuple(builder.statement(stmt) for stmt in self.statements)
+            trips, _ = hyperplane_tables(region, self.loops, self.skew)
+        else:
+            trips = tuple(region.extent(d) for d in looped)
         return KernelPlan(
-            looped_ranges, stmt_fns, builder.buffers, tuple(builder.binding)
+            kern.fn, trips, tuple(values), tuple(binding.values())
         )
+
+    @staticmethod
+    def _coords(region: Region, dim: int, par, reverse, skewed: bool):
+        """The slot value an ``IndexExpr`` on ``dim`` reads its floats from."""
+        lo, hi = region.range(dim)
+        if dim not in par and not skewed:
+            # ``coords[k]`` must stay a Python float, as the oracle's is.
+            return tuple(map(float, region.indices(dim, reverse=dim in reverse)))
+        coords = np.arange(lo, hi + 1, dtype=float)
+        if dim not in par:  # gathered through the plane's index table
+            return coords.reshape((-1,) + (1,) * len(par))
+        shape = [1] * len(par)
+        shape[par.index(dim)] = -1
+        return coords.reshape(((1,) if skewed else ()) + tuple(shape))
 
 
 #: id(CompiledScan) -> template; entries evicted when the plan is collected.
@@ -786,9 +662,14 @@ def template_for(compiled: CompiledScan) -> KernelTemplate:
     """The (cached) kernel template of a compiled plan."""
     key = id(compiled)
     cached = _TEMPLATES.get(key)
-    if cached is not None and cached._source() is compiled:
+    if cached is not None and cached._compiled() is compiled:
         return cached
-    template = KernelTemplate(compiled)
+    template = KernelTemplate(
+        compiled.statements, compiled.region, compiled.loops, compiled.contracted
+    )
+    template._compiled = weakref.ref(compiled)
+    if template.supported:
+        template.skew = derive_skew(compiled)
     KERNEL_STATS.template_builds += 1
     _TEMPLATES[key] = template
     weakref.finalize(compiled, _TEMPLATES.pop, key, None)
@@ -938,8 +819,8 @@ def plan_kind(compiled: CompiledScan, engine: str | None = None) -> str:
 # ---------------------------------------------------------------------------
 # Single-statement kernels (the interp fast path)
 # ---------------------------------------------------------------------------
-#: id(Assign) -> (weakref to stmt, KernelPlan-backed runner) for eager
-#: array-semantics statements.
+#: id(Assign) -> (weakref to stmt, bound plan) for eager array-semantics
+#: statements.
 _STMT_KERNELS: dict[int, tuple] = {}
 
 
@@ -947,32 +828,27 @@ def statement_kernel(stmt: Assign) -> Callable[[], None] | None:
     """An AOT kernel for one eager (array-semantics) statement, or ``None``.
 
     Pure array semantics means no looped dimensions: the whole region is one
-    slab, so the kernel is a single closure call.  Statements the builder
-    cannot express (parallel operators, primes) return ``None`` and the
-    caller keeps its tree-walking path.  Cached by statement identity,
-    invalidated when the target or operand storage is rebound.
+    slab, so the generated kernel is the statement's ufunc calls and nothing
+    else.  Statements the emitter cannot express (parallel operators,
+    primes) return ``None`` and the caller keeps its tree-walking path.
+    Cached by statement identity, invalidated when the target or operand
+    storage is rebound.
     """
     key = id(stmt)
     cached = _STMT_KERNELS.get(key)
     if cached is not None:
-        ref, plan, runner = cached
+        ref, plan = cached
         if ref() is stmt and plan.valid():
             KERNEL_STATS.plan_hits += 1
-            return runner
+            return plan.run
         del _STMT_KERNELS[key]
     if stmt.expr.has_prime() or not _supported_expr(stmt.expr, stmt.region.rank):
         return None
-    builder = _PlanBuilder(
-        stmt.region, {}, stmt.region.shape, frozenset()
-    )
-    fn = builder.statement(stmt)
-    plan = KernelPlan((), (fn,), builder.buffers, tuple(builder.binding))
-    def runner(fn=fn):
-        fn(())
+    plan = KernelTemplate((stmt,), stmt.region)._build(stmt.region)
     KERNEL_STATS.plan_builds += 1
-    _STMT_KERNELS[key] = (weakref.ref(stmt), plan, runner)
+    _STMT_KERNELS[key] = (weakref.ref(stmt), plan)
     weakref.finalize(stmt, _STMT_KERNELS.pop, key, None)
-    return runner
+    return plan.run
 
 
 # ---------------------------------------------------------------------------
@@ -988,6 +864,13 @@ def plan_fingerprint(compiled: CompiledScan) -> str:
     to the original while any structural change (region, loop nest, shifts,
     masks, contraction, storage shapes) changes the digest.
     """
+    return _fingerprint(
+        compiled.region, compiled.loops, compiled.statements, compiled.contracted
+    )
+
+
+def _fingerprint(region: Region, loops, statements, contracted) -> str:
+    """:func:`plan_fingerprint` on a plan's parts (``loops`` may be None)."""
     arrays: list[ZArray] = []
     index: dict[int, int] = {}
 
@@ -1018,17 +901,17 @@ def plan_fingerprint(compiled: CompiledScan) -> str:
         children = ",".join(sig(c) for c in node.children())
         return f"x{type(node).__name__}({children})"
 
-    loops = compiled.loops
     parts = [
-        f"R{compiled.region.ranges}",
+        f"R{region.ranges}",
+        "L-" if loops is None else
         f"L{loops.order}|{loops.signs}|{tuple(c.value for c in loops.classes)}",
     ]
-    for stmt in compiled.statements:
+    for stmt in statements:
         mask = "-" if stmt.mask is None else str(aidx(stmt.mask))
         parts.append(
             f"S{aidx(stmt.target)}|{mask}|{stmt.region.ranges}|{sig(stmt.expr)}"
         )
-    parts.append(f"C{tuple(sorted(aidx(a) for a in compiled.contracted))}")
+    parts.append(f"C{tuple(sorted(aidx(a) for a in contracted))}")
     parts.append(
         f"A{tuple((a.name, tuple(a._data.shape), a.dtype.str) for a in arrays)}"
     )

@@ -20,10 +20,10 @@ anti-dependences within the slab are respected because evaluation precedes
 assignment.
 
 By default the per-iteration interpretation is skipped entirely: the block is
-lowered once into ahead-of-time statement kernels (:mod:`repro.runtime.kernels`)
-with pre-resolved slice tuples and a compile-time aliasing decision, and the
+lowered once into a generated straight-line kernel (:mod:`repro.runtime.kernels`)
+over pre-sliced storage views with a compile-time aliasing decision, and the
 loop below only runs as the fallback/escape-hatch engine (``engine="interp"``
-or ``REPRO_KERNELS=0``).  Both paths are bit-identical by construction and by
+or ``REPRO_ENGINE=interp``).  Both paths are bit-identical by construction and by
 the property tests.
 """
 

@@ -1,10 +1,10 @@
 """The ``python -m repro.analyze`` command line.
 
-Includes the env-knob satellite: linting under the deprecated
-``REPRO_KERNELS`` alias and the ``REPRO_SKEW=0`` kill switch must behave
-identically — lint never executes a program, so it must never touch the
-kernel layer those knobs configure (``KERNEL_STATS`` stays frozen) and
-never mutate array storage.
+Includes the env-knob satellite: linting under ``REPRO_ENGINE``, the
+removed (now ignored) ``REPRO_KERNELS`` alias and the ``REPRO_SKEW=0`` kill
+switch must behave identically — lint never executes a program, so it must
+never touch the kernel layer those knobs configure (``KERNEL_STATS`` stays
+frozen) and never mutate array storage.
 """
 
 import json
@@ -14,7 +14,7 @@ import pytest
 
 from repro.analyze.cli import main
 from repro.analyze.diagnostics import validate_report
-from repro.runtime import KERNEL_STATS
+from repro.runtime import KERNEL_STATS, default_engine
 
 
 @pytest.fixture
@@ -108,7 +108,7 @@ def test_repro_examples_lint_clean():
 
 
 def test_lint_untouched_by_kernel_env_knobs(zpl_file, capsys, monkeypatch):
-    """REPRO_KERNELS (deprecated alias) and REPRO_SKEW=0 don't change lint.
+    """REPRO_ENGINE, the removed REPRO_KERNELS and REPRO_SKEW=0 don't change lint.
 
     Lint never executes: the kernel layer the knobs configure must stay
     completely cold (no template/plan builds, no fallbacks), and the output
@@ -118,7 +118,11 @@ def test_lint_untouched_by_kernel_env_knobs(zpl_file, capsys, monkeypatch):
     assert main(["lint", path, "--json"]) == 1
     baseline = capsys.readouterr().out
 
-    monkeypatch.setenv("REPRO_KERNELS", "interp")  # deprecated alias
+    monkeypatch.delenv("REPRO_ENGINE", raising=False)
+    monkeypatch.delenv("REPRO_SKEW", raising=False)
+    monkeypatch.setenv("REPRO_KERNELS", "interp")  # removed alias: ignored
+    assert default_engine() == "kernel"
+    monkeypatch.setenv("REPRO_ENGINE", "interp")
     monkeypatch.setenv("REPRO_SKEW", "0")  # skew kill switch
     KERNEL_STATS.reset()
     before = KERNEL_STATS.snapshot()

@@ -1,0 +1,251 @@
+"""The generated straight-line kernels: edges of the lowering, and its text.
+
+Every equivalence here is *bit* identity against the scalar loop-nest oracle
+(the bodies use exactly rounded arithmetic only, so nothing may differ), and
+against the tree-walking engine for storage the oracle treats differently.
+"""
+
+import linecache
+
+import numpy as np
+import pytest
+
+from repro import zpl
+from repro.apps import tomcatv
+from repro.compiler import compile_scan, compile_statements, contract
+from repro.errors import ArrayError
+from repro.machine import CRAY_T3E
+from repro.machine.schedules import pipelined_wavefront
+from repro.obs.trace import Tracer
+from repro.parallel.sharedmem import collect_arrays
+from repro.runtime import (
+    KERNEL_STATS,
+    execute_interpreted,
+    execute_loopnest,
+    execute_vectorized,
+    run_and_capture,
+)
+from repro.runtime.kernels import statement_kernel, template_for
+from repro.zpl.statements import Assign
+from tests.conftest import record_tomcatv_block
+
+
+def assert_matches_oracle(compiled, arrays, engines=("kernel", "flat")):
+    """Each engine bit-identical to the loop nest (and to ``interp``)."""
+    oracle = run_and_capture(execute_loopnest, compiled, arrays)
+    interp = run_and_capture(
+        lambda c: execute_vectorized(c, engine="interp"), compiled, arrays
+    )
+    contracted = {id(a) for a in compiled.contracted}
+    for engine in engines:
+        got = run_and_capture(
+            lambda c: execute_vectorized(c, engine=engine), compiled, arrays
+        )
+        for array, g, i, o in zip(arrays, got, interp, oracle):
+            where = f"array {array.name}, engine {engine}"
+            np.testing.assert_array_equal(g, i, err_msg=f"{where} vs interp")
+            if id(array) not in contracted:  # the oracle stores temporaries
+                np.testing.assert_array_equal(g, o, err_msg=f"{where} vs oracle")
+
+
+def uniform(shape, seed, name):
+    rng = np.random.default_rng(seed)
+    return zpl.from_numpy(rng.uniform(0.5, 1.5, size=shape), base=1, name=name)
+
+
+class TestLoweringEdges:
+    def test_negative_traversal_sign(self):
+        """Tomcatv back substitution: the bound views run backwards."""
+        state = tomcatv.build(17, seed=3)
+        tomcatv.coefficients_phase(state)
+        tomcatv.prepare_solve(state)
+        execute_vectorized(tomcatv.compile_forward(state))
+        compiled = tomcatv.compile_backward(state)
+        assert compiled.loops.signs[0] == -1
+        assert_matches_oracle(compiled, collect_arrays(compiled))
+
+    def test_rank1_recurrence_has_no_parallel_extent(self):
+        n = 9
+        a, b = uniform((n,), 1, "a"), uniform((n,), 2, "b")
+        with zpl.covering(zpl.Region.of((2, n))):
+            with zpl.scan(execute=False) as block:
+                a[...] = (a.p @ (-1,)) * 1.5 + b
+        compiled = compile_scan(block)
+        assert "out=" in template_for(compiled).kernel().source
+        assert_matches_oracle(compiled, [a, b])
+
+    def test_all_looped_rank2_recurrence(self):
+        n = 7
+        a = uniform((n, n), 4, "a")
+        with zpl.covering(zpl.Region.of((2, n), (2, n))):
+            with zpl.scan(execute=False) as block:
+                a[...] = (a.p @ zpl.NORTH) * 0.5 + (a.p @ zpl.WEST) * 0.25
+        compiled = compile_scan(block)
+        assert len(template_for(compiled).looped) == 2
+        assert_matches_oracle(compiled, [a])
+
+    def test_zero_looped_dims_statement_kernel(self):
+        n = 6
+        a = uniform((n, n), 5, "a")
+        R = zpl.Region.of((2, n - 1), (1, n - 1))
+        # an overlapping shifted source under an ``out=`` root
+        stmt = Assign(a, (a @ zpl.EAST) * 2.0 - (a @ zpl.NORTH), R)
+        snap = a._data.copy()
+        execute_interpreted([stmt], engine="interp")
+        expected = a._data.copy()
+        a._data[...] = snap
+        runner = statement_kernel(stmt)
+        assert runner is not None
+        runner()
+        np.testing.assert_array_equal(a._data, expected)
+
+    def test_root_ref_copy_with_overlapping_source(self):
+        n = 8
+        a = uniform((n, n), 6, "a")
+        stmt = Assign(a, a @ zpl.EAST, zpl.Region.of((1, n), (1, n - 1)))
+        compiled = compile_statements([stmt])
+        assert ".copy()" in template_for(compiled).kernel().source
+        assert_matches_oracle(compiled, [a])
+
+    def test_overlapping_source_under_out(self):
+        n = 8
+        a = uniform((n, n), 7, "a")
+        with zpl.covering(zpl.Region.of((2, n), (1, n - 1))):
+            with zpl.scan(execute=False) as block:
+                a[...] = (a.p @ zpl.NORTH) * 0.5 + (a @ zpl.EAST)
+        compiled = compile_scan(block)
+        assert "out=" in template_for(compiled).kernel().source
+        assert_matches_oracle(compiled, [a])
+
+    def test_masked_store(self):
+        n = 8
+        a = uniform((n, n), 8, "a")
+        mask = zpl.zeros(zpl.Region.square(1, n), name="m")
+        with zpl.covering(mask.region):
+            mask[...] = zpl.where(zpl.index(0) >= zpl.index(1), 1.0, 0.0)
+        with zpl.covering(zpl.Region.of((2, n), (1, n))), zpl.masked(mask):
+            with zpl.scan(execute=False) as block:
+                a[...] = (a.p @ zpl.NORTH) * 0.5 + 1.0
+        assert_matches_oracle(compile_scan(block), [a, mask])
+
+    def test_contracted_read_before_and_after_definition(self):
+        n = 8
+        a, t = uniform((n, n), 9, "a"), uniform((n, n), 10, "t")
+        x, y = uniform((n, n), 11, "x"), uniform((n, n), 12, "y")
+        with zpl.covering(zpl.Region.of((2, n), (1, n))):
+            with zpl.scan(execute=False) as block:
+                x[...] = t + (a.p @ zpl.NORTH)   # before: reads t's storage
+                t[...] = 2.0                     # a scalar: must broadcast
+                y[...] = t * x
+                t[...] = a * 0.5                 # dense: bound as it is
+                a[...] = t + y
+        compiled = contract(compile_scan(block), [t])
+        source = template_for(compiled).kernel().source
+        assert "c0 = broadcast_to(asarray(2.0, dtype=float)" in source
+        assert "c0 = multiply(" in source
+        assert_matches_oracle(compiled, [a, t, x, y])
+
+    def test_comparison_and_where_roots_into_float_target(self):
+        n = 7
+        a, b, c = (uniform((n, n), s, name) for s, name in ((13, "a"), (14, "b"), (15, "c")))
+        with zpl.covering(zpl.Region.of((2, n), (1, n))):
+            with zpl.scan(execute=False) as block:
+                c[...] = (a.p @ zpl.NORTH) < b
+                a[...] = zpl.where(c > 0.5, a.p @ zpl.NORTH, b) + c
+        compiled = compile_scan(block)
+        assert "less(" in template_for(compiled).kernel().source
+        assert_matches_oracle(compiled, [a, b, c])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64])
+    def test_non_float64_target_is_plainly_assigned(self, dtype):
+        n = 7
+        R = zpl.Region.square(1, n)
+        a = zpl.ZArray(R, name="a", dtype=dtype)
+        a._data[...] = np.arange(a._data.size).reshape(a._data.shape) % 5 + 1
+        b = uniform((n, n), 16, "b")
+        with zpl.covering(zpl.Region.of((2, n), (1, n))):
+            with zpl.scan(execute=False) as block:
+                a[...] = (a.p @ zpl.NORTH) * 2.0 + b
+        compiled = compile_scan(block)
+        assert "out=" not in template_for(compiled).kernel().source
+        assert_matches_oracle(compiled, [a, b])
+
+    def test_rank3_two_parallel_dims_and_index_exprs(self):
+        shape = (5, 4, 6)
+        a, b = uniform(shape, 17, "a"), uniform(shape, 18, "b")
+        with zpl.covering(zpl.Region.of((2, 5), (1, 3), (2, 6))):
+            with zpl.scan(execute=False) as block:
+                a[...] = (
+                    (a.p @ (-1, 0, 0)) * 0.5 + (b @ (0, 1, -1))
+                    + zpl.index(0) * 100.0 + zpl.index(1) * 10.0 + zpl.index(2)
+                )
+        compiled = compile_scan(block)
+        assert template_for(compiled).looped == (0,)
+        assert_matches_oracle(compiled, [a, b])
+
+    def test_index_exprs_on_skewed_plan(self):
+        n = 7
+        a = uniform((n, n), 19, "a")
+        with zpl.covering(zpl.Region.of((2, n), (2, n))):
+            with zpl.scan(execute=False) as block:
+                a[...] = (
+                    (a.p @ zpl.NORTH) * 0.5 + (a.p @ zpl.WEST) * 0.25
+                    + zpl.index(0) * 10.0 + zpl.index(1)
+                )
+        compiled = compile_scan(block)
+        assert template_for(compiled).skew is not None
+        assert_matches_oracle(compiled, [a])
+
+    def test_region_outside_storage_raises(self):
+        n = 6
+        a = zpl.ZArray(zpl.Region.square(1, n), name="a", fluff=0)
+        with zpl.covering(zpl.Region.of((2, n), (1, n))):
+            with zpl.scan(execute=False) as block:
+                a[...] = (a.p @ zpl.NORTH) + (a @ zpl.EAST)
+        with pytest.raises(ArrayError, match="outside the storage"):
+            execute_vectorized(compile_scan(block), engine="kernel")
+
+
+class TestGeneratedSource:
+    def test_source_is_registered_with_linecache(self):
+        block, _ = record_tomcatv_block(8)
+        compiled = compile_scan(block)
+        execute_vectorized(compiled)
+        template = template_for(compiled)
+        (plan,) = template.plans.values()
+        filename = plan.fn.__code__.co_filename
+        assert filename.startswith("<repro-kernel:")
+        assert "".join(linecache.getlines(filename)) == template.source
+        linecache.checkcache()  # must survive a cache validation sweep
+        assert linecache.getline(filename, 1).startswith("def kernel(N, V):")
+
+    def test_one_compile_serves_every_region(self):
+        block, _ = record_tomcatv_block(10)
+        compiled = compile_scan(block)
+        execute_vectorized(compiled)
+        execute_vectorized(compiled, within=compiled.region.slab(1, 3, 5))
+        template = template_for(compiled)
+        assert len({plan.fn for plan in template.plans.values()}) == 1
+        assert len(template.plans) == 2
+
+    def test_compile_span_carries_line_count(self):
+        block, _ = record_tomcatv_block(8)
+        compiled = compile_scan(block)
+        tracer = Tracer(proc=0)
+        execute_vectorized(compiled, tracer=tracer)
+        (span,) = [s for s in tracer.spans if s.name == "kernel_compile"]
+        assert span.args["lines"] == template_for(compiled).source.count("\n")
+        assert span.args["skewed"] is False
+
+
+class TestPlanCacheCapacity:
+    def test_simulator_sweep_fits_the_plan_cache(self):
+        """A p=16, b=8 sweep cycles 256 block regions: none may be evicted."""
+        block, _ = record_tomcatv_block(129)
+        compiled = compile_scan(block)
+        pipelined_wavefront(compiled, CRAY_T3E, 16, 8)
+        KERNEL_STATS.reset()
+        outcome = pipelined_wavefront(compiled, CRAY_T3E, 16, 8)
+        snap = KERNEL_STATS.snapshot()
+        assert snap["plan_builds"] == 0
+        assert snap["plan_hits"] == outcome.n_procs * outcome.n_chunks == 256

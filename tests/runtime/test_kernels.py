@@ -38,12 +38,8 @@ def kernel_vs_interp(compiled, arrays):
     return interp
 
 
-# The legacy REPRO_KERNELS spelling warns once per process; these tests
-# exercise it deliberately (test_skew_kernels.py asserts the warning).
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")
 class TestEngineSelection:
     def test_default_is_kernel(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNELS", raising=False)
         monkeypatch.delenv("REPRO_ENGINE", raising=False)
         monkeypatch.delenv("REPRO_SKEW", raising=False)
         assert default_engine() == "kernel"
@@ -51,11 +47,18 @@ class TestEngineSelection:
 
     @pytest.mark.parametrize("value", ["0", "false", "off", "interp"])
     def test_env_escape_hatch(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_KERNELS", value)
+        monkeypatch.setenv("REPRO_ENGINE", value)
         assert default_engine() == "interp"
 
+    @pytest.mark.parametrize("value", ["0", "interp", "flat"])
+    def test_removed_alias_is_ignored(self, monkeypatch, value):
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        monkeypatch.delenv("REPRO_SKEW", raising=False)
+        monkeypatch.setenv("REPRO_KERNELS", value)
+        assert default_engine() == "kernel"
+
     def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNELS", "0")
+        monkeypatch.setenv("REPRO_ENGINE", "0")
         assert resolve_engine("kernel") == "kernel"
 
     def test_unknown_engine_rejected(self):
@@ -66,7 +69,7 @@ class TestEngineSelection:
         block, arrays = record_tomcatv_block(10)
         compiled = compile_scan(block)
         default = run_and_capture(execute_vectorized, compiled, arrays)
-        monkeypatch.setenv("REPRO_KERNELS", "0")
+        monkeypatch.setenv("REPRO_ENGINE", "0")
         off = run_and_capture(execute_vectorized, compiled, arrays)
         for d, o in zip(default, off):
             np.testing.assert_array_equal(o, d)

@@ -1,7 +1,6 @@
 """Tests for the skewed plan family: selection, counters, escape hatches."""
 
 import numpy as np
-import pytest
 
 from repro import zpl
 from repro.apps.alignment import (
@@ -145,7 +144,6 @@ class TestSkewEquivalence:
 class TestEscapeHatches:
     def test_repro_skew_downgrades_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        monkeypatch.delenv("REPRO_KERNELS", raising=False)
         assert default_engine() == "kernel"
         monkeypatch.setenv("REPRO_SKEW", "0")
         assert not skew_enabled()
@@ -187,15 +185,12 @@ class TestEngineResolver:
         monkeypatch.setenv("REPRO_KERNELS", "0")
         assert default_engine() == "flat"
 
-    def test_legacy_alias_warns_once(self, monkeypatch):
+    def test_legacy_alias_is_ignored(self, monkeypatch, recwarn):
+        """``REPRO_KERNELS`` is gone: no effect on resolution, no warning."""
         monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        monkeypatch.delenv("REPRO_SKEW", raising=False)
         monkeypatch.setenv("REPRO_KERNELS", "0")
-        monkeypatch.setattr(kernels_mod, "_legacy_env_warned", False)
-        with pytest.warns(DeprecationWarning, match="REPRO_KERNELS"):
-            assert default_engine() == "interp"
-        # second resolution stays silent
-        import warnings as _warnings
-
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("error")
-            assert default_engine() == "interp"
+        assert default_engine() == "kernel"
+        assert resolve_engine(None) == "kernel"
+        assert not recwarn.list
+        assert not hasattr(kernels_mod, "LEGACY_ENGINE_ENV")
