@@ -706,7 +706,7 @@ def explain_skew(
                 f"skew ineligible: only {len(dims)} looped dimension(s) — "
                 f"the flat engines already vectorise the parallel subspace",
                 span=span_of(statements[0]),
-                hint="nothing to do; this is the fast case",
+                hint="nothing to do; the row loop is already the whole nest",
                 data=data,
             )
         ]
@@ -721,7 +721,7 @@ def explain_skew(
                 data=data,
             )
         ]
-    skew = derive_time_vector(loops, deps)
+    skew = derive_time_vector(loops, deps, region.shape)
     if skew is None:
         return [
             Diagnostic(
@@ -741,14 +741,29 @@ def explain_skew(
                 data=data,
             )
         ]
+    planes = skew.planes(region.shape)
+    sliced = [d for d in dims if d not in skew.dims]
+    if skew.rank == 1:
+        how = (
+            f"dimension {skew.dims[0]} carries every dependence; the rest "
+            f"vectorise — a row loop of {planes} steps, no hyperplane gathers"
+        )
+    else:
+        how = f"executes {planes} gathered hyperplanes over dimensions {skew.dims}"
+        if sliced:
+            how += f"; looped dimension(s) {sliced} carry nothing and vectorise"
+    coefficient = dict(zip(skew.dims, skew.tau))
     return [
         Diagnostic(
             "I302",
-            f"skew eligible: {skew!r} executes anti-diagonal hyperplanes "
-            f"over dimensions {dims}",
+            f"skew eligible: {skew!r} — {how}",
             span=span_of(statements[0]),
             hint="the kernel engine auto-selects this plan",
-            data=data | {"tau": list(skew.tau)},
+            data=data | {
+                "tau": [coefficient.get(d, 0) for d in dims],
+                "axis_aligned": skew.rank == 1,
+                "planes": planes,
+            },
         )
     ]
 

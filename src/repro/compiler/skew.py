@@ -26,13 +26,20 @@ loop-nest normalisation is needed):
   :func:`repro.compiler.wsv.classify`).
 
 The search is tiny by design: candidate components are the loop structure's
-traversal signs scaled by 1..3, smallest |τ| first, so the common DP
-wavefronts get the canonical anti-diagonal ``τ = (1, 1)`` (or ``(-1, -1)``
-for descending traversals) and pathological vectors like ``(-1, 2)`` are
-still covered.  When no candidate is legal — or when fewer than two
-dimensions are looped, where the flat engines already vectorise everything
-that can be vectorised — :func:`derive_skew` returns ``None`` and the
-kernel engine keeps its flat point loop.
+traversal signs scaled by 0..3 (not all zero), cheapest first — by the
+number of hyperplanes the block's region would sweep, Σ|τ_k|·(extent_k − 1)
+— so the common DP wavefronts get the canonical anti-diagonal ``τ = (1, 1)``
+(or ``(-1, -1)`` for descending traversals) and pathological vectors like
+``(-1, 2)`` are still covered.  A **zero** component is the paper's
+loop-structure rule (Section 3.1) applied to the time vector: a dependence
+constrains only the first loop that carries it, so a dimension no τ
+component needs is dropped from :attr:`Skew.dims` and vectorised like a
+parallel one.  When a single dimension carries every true dependence τ is
+axis-aligned — a plain row loop over that dimension, no diagonal at all.
+When no candidate is legal — or when fewer than two dimensions are looped,
+where the flat engines already vectorise everything that can be vectorised
+— :func:`derive_skew` returns ``None`` and the kernel engine keeps its flat
+point loop.
 """
 
 from __future__ import annotations
@@ -57,9 +64,10 @@ MAX_SKEW_RANK = 4
 class Skew:
     """A legal hyperplane schedule for one compiled scan block.
 
-    ``dims`` are the looped (non-parallel) dimensions in loop order,
-    ``tau`` the integer time coefficient per entry of ``dims``: iteration
-    point ``i`` executes at time ``sum(tau[k] * i[dims[k]])``.
+    ``dims`` are the looped (non-parallel) dimensions with a nonzero time
+    coefficient, in loop order, ``tau`` the coefficient per entry of
+    ``dims``: iteration point ``i`` executes at time
+    ``sum(tau[k] * i[dims[k]])``.  Every other dimension is vectorised.
     """
 
     dims: tuple[int, ...]
@@ -73,11 +81,20 @@ class Skew:
         """The hyperplane (execution time) of one iteration point."""
         return sum(t * index[d] for t, d in zip(self.tau, self.dims))
 
+    def planes(self, extents: Sequence[int]) -> int:
+        """Hyperplanes swept over a region of ``extents`` (per array dim)."""
+        return _planes(self.tau, self.dims, extents)
+
     def __repr__(self) -> str:
         terms = "+".join(
             f"{t}*i{d}" if t != 1 else f"i{d}" for t, d in zip(self.tau, self.dims)
         )
         return f"Skew(t={terms})"
+
+
+def _planes(tau: Sequence[int], dims: Sequence[int], extents) -> int:
+    """Distinct τ·i values over a box: 1 + Σ|τ_k|·(extent_k − 1)."""
+    return 1 + sum(abs(t) * max(extents[d] - 1, 0) for t, d in zip(tau, dims))
 
 
 def looped_dims(loops: LoopStructure) -> tuple[int, ...]:
@@ -105,35 +122,50 @@ def legal_time_vector(
 
 
 def derive_time_vector(
-    loops: LoopStructure, dependences: Sequence[Dependence]
+    loops: LoopStructure,
+    dependences: Sequence[Dependence],
+    extents: Sequence[int] | None = None,
 ) -> Skew | None:
-    """Find a legal τ over the looped dimensions, or ``None``.
+    """Find the cheapest legal τ over the looped dimensions, or ``None``.
 
     Only worth doing when at least two dimensions are looped (otherwise the
     flat plans already vectorise the whole parallel subspace).  Candidates
-    are the traversal signs scaled by 1..:data:`MAX_COEFF`, enumerated
-    smallest total |τ| first so the canonical anti-diagonal wins whenever
-    it is legal.
+    are the traversal signs scaled by 0..:data:`MAX_COEFF`, not all zero,
+    tried in order of the hyperplanes they sweep over a region of
+    ``extents`` (per array dimension; unit spans when unknown), then
+    smallest total |τ|, then looping the outer storage dimension so the
+    vectorised rows stay contiguous.  Zero components are dropped from the
+    returned :class:`Skew`.
     """
     dims = looped_dims(loops)
     if not 2 <= len(dims) <= MAX_SKEW_RANK:
         return None
-    scales = sorted(
-        product(range(1, MAX_COEFF + 1), repeat=len(dims)),
-        key=lambda cs: (sum(cs), cs),
-    )
-    signs = tuple(loops.signs[d] for d in dims)
-    for coeffs in scales:
-        tau = tuple(s * c for s, c in zip(signs, coeffs))
+    if extents is None:
+        extents = dict.fromkeys(dims, 2)  # unit spans
+    storage = sorted(range(len(dims)), key=dims.__getitem__)
+
+    def cost(coeffs):
+        by_storage = tuple(-coeffs[k] for k in storage)
+        return _planes(coeffs, dims, extents), sum(coeffs), by_storage
+
+    for coeffs in sorted(
+        filter(any, product(range(MAX_COEFF + 1), repeat=len(dims))), key=cost
+    ):
+        tau = tuple(loops.signs[d] * c for d, c in zip(dims, coeffs))
         if legal_time_vector(tau, dims, dependences):
-            return Skew(dims, tau)
+            kept = [k for k, c in enumerate(coeffs) if c]
+            return Skew(
+                tuple(dims[k] for k in kept), tuple(tau[k] for k in kept)
+            )
     return None
 
 
 def derive_skew(compiled) -> Skew | None:
     """The skew of a :class:`~repro.compiler.lowering.CompiledScan`, if legal.
 
-    Accepts any object carrying ``loops`` and ``dependences`` (duck-typed so
-    the kernel layer can call it without importing lowering).
+    Accepts any object carrying ``loops``, ``dependences`` and ``region``
+    (duck-typed so the kernel layer can call it without importing lowering).
     """
-    return derive_time_vector(compiled.loops, compiled.dependences)
+    return derive_time_vector(
+        compiled.loops, compiled.dependences, compiled.region.shape
+    )

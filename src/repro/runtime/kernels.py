@@ -37,12 +37,16 @@ Multi-dependence wavefronts get a second plan family: when two or more
 looped dimensions are non-parallel (Needleman-Wunsch, Smith-Waterman,
 multi-direction recurrences) the flat plans above degenerate into an
 O(n·m) point loop, so the template additionally derives a hyperplane
-schedule (:mod:`repro.compiler.skew`) and, when one is legal, generates a
-*skewed* kernel from the same emitter: per covering region the bind
-precomputes the index tables of every hyperplane (anti-diagonal for
-τ = (1, 1)) and the kernel gathers and scatters one whole plane per
-statement through them — O(n+m) interpreter iterations instead of O(n·m),
-with masks and contraction spelled exactly as in the flat family.
+schedule (:mod:`repro.compiler.skew`: traversal signs scaled by 0..3,
+fewest planes first) and, when one is legal, generates a *skewed* kernel
+from the same emitter.  A τ with one nonzero component — a single dimension
+carries every dependence — is lowered as the flat family's row loop over
+that dimension alone, every other dimension sliced: no index tables, no
+gathers.  Otherwise the bind precomputes, per covering region, the index
+tables of every hyperplane (anti-diagonal for τ = (1, 1)) and the kernel
+gathers and scatters one whole plane per statement through them — O(n+m)
+interpreter iterations instead of O(n·m), with masks and contraction
+spelled exactly as in the flat family.
 
 The engine selection contract is shared by every consumer: ``"kernel"``
 (the default) runs plans from here, auto-selecting the skewed family when
@@ -102,8 +106,8 @@ _OFF_VALUES = ("0", "false", "off", "no", "interp")
 #: simulator sweep of Tomcatv 129^2 touches 460).
 PLAN_CACHE_CAP = 1024
 
-#: Skewed plans kept per template: each owns index tables of one integer per
-#: looped coordinate per point, so far fewer are worth keeping.
+#: Gathering skewed plans kept per template: each owns index tables of one
+#: integer per looped coordinate per point, so far fewer are worth keeping.
 SKEW_PLAN_CACHE_CAP = 64
 
 
@@ -389,24 +393,21 @@ class _Kernel(NamedTuple):
 class KernelPlan:
     """One region's bound kernel: the generated function and its slot values.
 
-    ``trips`` is the trip-count tuple of a flat plan or the hyperplane index
-    tables of a skewed one; ``binding`` records the storage buffers the views
-    were sliced from.
+    ``trips`` is the trip-count tuple of a row-loop plan or the hyperplane
+    index tables of a gathering one, ``n_planes`` the loop-body executions
+    per run either way (hyperplanes swept, or row steps); ``binding`` records
+    the storage buffers the views were sliced from.
     """
 
-    __slots__ = ("fn", "trips", "views", "binding")
+    __slots__ = ("fn", "trips", "views", "binding", "n_planes")
 
     def __init__(self, fn: Callable, trips: tuple, views: tuple,
-                 binding: tuple[tuple[ZArray, np.ndarray], ...]):
+                 binding: tuple[tuple[ZArray, np.ndarray], ...], n_planes: int):
         self.fn = fn
         self.trips = trips
         self.views = views
         self.binding = binding
-
-    @property
-    def n_planes(self) -> int:
-        """Hyperplanes swept per run (skewed plans)."""
-        return len(self.trips)
+        self.n_planes = n_planes
 
     def valid(self) -> bool:
         """True while every sliced storage buffer is still the array's.
@@ -538,9 +539,9 @@ class KernelTemplate:
         kern = self._kernels.get(key)
         if kern is not None:
             return kern
+        looped, _, gathers = self._nest(skewed)
         emitter = _Emitter(
-            self.skew.dims if skewed else self.looped, self.region.rank,
-            self.contracted_ids, skewed,
+            looped, self.region.rank, self.contracted_ids, gathers
         )
         for stmt, needs_copy in zip(self.statements, copies):
             emitter.statement(stmt, needs_copy)
@@ -560,6 +561,20 @@ class KernelTemplate:
         weakref.finalize(kern.fn, linecache.cache.pop, filename, None)
         self._kernels[key] = kern
         return kern
+
+    def _nest(self, skewed: bool) -> tuple[tuple[int, ...], tuple[int, ...], bool]:
+        """``(looped dims, descending dims, gathers)`` of one plan family.
+
+        An axis-aligned τ is the flat lowering over its one dimension; only
+        a τ with two or more components sweeps gathered hyperplanes.
+        """
+        if not skewed:
+            dims, signs = self.looped, [self.loops.signs[d] for d in self.looped]
+        elif self.skew.rank > 1:
+            return self.skew.dims, (), True
+        else:
+            dims, signs = self.skew.dims, self.skew.tau
+        return dims, tuple(d for d, s in zip(dims, signs) if s < 0), False
 
     @property
     def source(self) -> str:
@@ -600,7 +615,7 @@ class KernelTemplate:
                 lines=self.kernel(skewed).source.count("\n"),
             )
         self.plans[key] = plan
-        cap = SKEW_PLAN_CACHE_CAP if skewed else PLAN_CACHE_CAP
+        cap = SKEW_PLAN_CACHE_CAP if self._nest(skewed)[2] else PLAN_CACHE_CAP
         if len(self.plans) > cap:  # evict this family's least recently used
             family = [k for k in self.plans if k[1] == skewed]
             for stale in family[: len(family) - cap]:
@@ -610,12 +625,9 @@ class KernelTemplate:
     def _build(self, region: Region, skewed: bool = False) -> KernelPlan:
         """Bind one region: slice the views, fill the slots, count the trips."""
         kern = self.kernel(skewed)
-        looped = self.skew.dims if skewed else self.looped
+        looped, reverse, gathers = self._nest(skewed)
         par = tuple(d for d in range(region.rank) if d not in looped)
         perm = looped + par
-        reverse = () if skewed else tuple(
-            d for d in looped if self.loops.signs[d] < 0
-        )
         binding: dict[int, tuple[ZArray, np.ndarray]] = {}
         values = []
         for kind, *spec in kern.slots:
@@ -623,27 +635,28 @@ class KernelTemplate:
                 view = _bind_view(*spec, region, perm, reverse, binding)
                 # out= and row stores need an array even with no parallel
                 # extent: keep a length-1 trailing axis on all-looped plans.
-                values.append(view if par or skewed else view[..., None])
+                values.append(view if par or gathers else view[..., None])
             elif kind == "shape":
                 values.append(
                     tuple(region.extent(d) for d in par)
-                    or (() if skewed else (1,))
+                    or (() if gathers else (1,))
                 )
             else:
-                values.append(self._coords(region, spec[0], par, reverse, skewed))
-        if skewed:
+                values.append(self._coords(region, spec[0], par, reverse, gathers))
+        if gathers:
             trips, _ = hyperplane_tables(region, self.loops, self.skew)
         else:
             trips = tuple(region.extent(d) for d in looped)
         return KernelPlan(
-            kern.fn, trips, tuple(values), tuple(binding.values())
+            kern.fn, trips, tuple(values), tuple(binding.values()),
+            len(trips) if gathers else math.prod(trips),
         )
 
     @staticmethod
-    def _coords(region: Region, dim: int, par, reverse, skewed: bool):
+    def _coords(region: Region, dim: int, par, reverse, gathers: bool):
         """The slot value an ``IndexExpr`` on ``dim`` reads its floats from."""
         lo, hi = region.range(dim)
-        if dim not in par and not skewed:
+        if dim not in par and not gathers:
             # ``coords[k]`` must stay a Python float, as the oracle's is.
             return tuple(map(float, region.indices(dim, reverse=dim in reverse)))
         coords = np.arange(lo, hi + 1, dtype=float)
@@ -651,7 +664,7 @@ class KernelTemplate:
             return coords.reshape((-1,) + (1,) * len(par))
         shape = [1] * len(par)
         shape[par.index(dim)] = -1
-        return coords.reshape(((1,) if skewed else ()) + tuple(shape))
+        return coords.reshape(((1,) if gathers else ()) + tuple(shape))
 
 
 #: id(CompiledScan) -> template; entries evicted when the plan is collected.
@@ -674,6 +687,27 @@ def template_for(compiled: CompiledScan) -> KernelTemplate:
     _TEMPLATES[key] = template
     weakref.finalize(compiled, _TEMPLATES.pop, key, None)
     return template
+
+
+def _family(template: KernelTemplate, mode: str) -> str:
+    """The plan family a non-``interp`` engine ``mode`` runs: skewed/flat/interp."""
+    if not template.supported:
+        return "interp"
+    return "skewed" if mode == "kernel" and template.skew is not None else "flat"
+
+
+def _dispatch(template: KernelTemplate, compiled: CompiledScan, region: Region,
+              skewed: bool, obs) -> None:
+    """The one dispatch tail: prepare, bind (or hit the cache), run, count."""
+    compiled.prepare()
+    if region.is_empty():
+        return
+    plan = template.instantiate(region, obs, skewed=skewed)
+    plan.run()
+    if skewed:
+        KERNEL_STATS.hyperplanes += plan.n_planes
+        if obs.enabled:
+            obs.count("hyperplanes", plan.n_planes)
 
 
 def try_execute_kernels(
@@ -701,22 +735,14 @@ def try_execute_kernels(
     if mode == "interp":
         return False
     template = template_for(compiled)
-    if not template.supported:
+    kind = _family(template, mode)
+    if kind == "interp":
         KERNEL_STATS.fallbacks += 1
         if obs.enabled:
             obs.count("kernel_fallbacks")
         return False
-    use_skew = mode == "kernel" and template.skew is not None
-    compiled.prepare()
     region = compiled.region if within is None else compiled.region.intersect(within)
-    if region.is_empty():
-        return True
-    plan = template.instantiate(region, obs, skewed=use_skew)
-    plan.run()
-    if use_skew:
-        KERNEL_STATS.hyperplanes += plan.n_planes
-        if obs.enabled:
-            obs.count("hyperplanes", plan.n_planes)
+    _dispatch(template, compiled, region, kind == "skewed", obs)
     return True
 
 
@@ -736,26 +762,16 @@ class PlanRunner:
     the runner is safe to use unconditionally.
     """
 
-    __slots__ = ("compiled", "engine", "_template", "_use_kernels")
+    __slots__ = ("compiled", "engine", "kind", "_template")
 
     def __init__(self, compiled: CompiledScan, engine: str | None = None):
         self.compiled = compiled
         self.engine = resolve_engine(engine)
+        #: The plan family ``run`` executes: ``skewed``/``flat``/``interp``.
+        self.kind = plan_kind(compiled, self.engine)
         self._template = (
-            template_for(compiled) if self.engine != "interp" else None
+            None if self.kind == "interp" else template_for(compiled)
         )
-        self._use_kernels = (
-            self._template is not None and self._template.supported
-        )
-
-    @property
-    def kind(self) -> str:
-        """The plan family ``run`` executes: ``skewed``/``flat``/``interp``."""
-        if not self._use_kernels:
-            return "interp"
-        if self.engine == "kernel" and self._template.skew is not None:
-            return "skewed"
-        return "flat"
 
     def run(self, items: int = 1, tracer=None) -> None:
         """Execute the plan once, covering ``items`` coalesced requests.
@@ -782,20 +798,13 @@ class PlanRunner:
                 )
 
     def _run(self, items: int, tracer, obs) -> None:
-        if not self._use_kernels:
+        if self.kind == "interp":
             from repro.runtime.vectorized import execute_vectorized
 
             execute_vectorized(self.compiled, tracer=tracer, engine="interp")
             return
-        self.compiled.prepare()
-        use_skew = self.engine == "kernel" and self._template.skew is not None
-        region = self.compiled.region
-        if region.is_empty():
-            return
-        plan = self._template.instantiate(region, obs, skewed=use_skew)
-        plan.run()
-        if use_skew:
-            KERNEL_STATS.hyperplanes += plan.n_planes
+        _dispatch(self._template, self.compiled, self.compiled.region,
+                  self.kind == "skewed", obs)
 
 
 def plan_kind(compiled: CompiledScan, engine: str | None = None) -> str:
@@ -806,14 +815,7 @@ def plan_kind(compiled: CompiledScan, engine: str | None = None) -> str:
     the autotuner to key its per-kind cost memo.
     """
     mode = resolve_engine(engine)
-    if mode == "interp":
-        return "interp"
-    template = template_for(compiled)
-    if not template.supported:
-        return "interp"
-    if mode == "kernel" and template.skew is not None:
-        return "skewed"
-    return "flat"
+    return "interp" if mode == "interp" else _family(template_for(compiled), mode)
 
 
 # ---------------------------------------------------------------------------

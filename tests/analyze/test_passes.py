@@ -379,7 +379,29 @@ def test_i302_dp_recurrence_skew_eligible():
     program, _ = lint(source)
     d = only(explain_program(program), "I302")
     assert "skew eligible" in d.message
-    assert d.data["tau"]
+    assert "gathered hyperplanes" in d.message
+    assert d.data["tau"] == [1, 1] and d.data["axis_aligned"] is False
+    assert d.data["planes"] == 15 + 15 - 1  # anti-diagonals of the 15x15 region
+
+
+@pytest.mark.parametrize(
+    "region, expr, tau, planes",
+    [
+        # (0,1),(1,1): dimension 1 carries both — 14 columns, whole rows each.
+        ("[2..n, 3..n]", "a'@west + a'@northwest", [0, 1], 14),
+        # (1,0),(1,1): dimension 0 carries both.
+        ("[3..n, 2..n]", "a'@north + a'@northwest", [1, 0], 14),
+    ],
+)
+def test_i302_single_carrier_is_axis_aligned(region, expr, tau, planes):
+    program, _ = lint(f"{region} scan  a := 0.5 * ({expr});  end;")
+    d = only(explain_program(program), "I302")
+    carrier = tau.index(1)
+    assert f"dimension {carrier} carries every dependence" in d.message
+    assert "hyperplane gathers" in d.message and "anti-diagonal" not in d.message
+    assert d.data["looped_dims"] == [0, 1]
+    assert d.data["tau"] == tau and d.data["axis_aligned"] is True
+    assert d.data["planes"] == planes
 
 
 def test_lint_never_mutates_arrays():

@@ -95,8 +95,49 @@ class TestDerivation:
             (DimClass.SERIAL, DimClass.PARALLEL, DimClass.PIPELINED),
         )
         assert looped_dims(loops) == (0, 2)
-        skew = derive_time_vector(loops, [dep((1, 0, 1)), dep((1, 0, 0))])
+        skew = derive_time_vector(loops, [dep((1, 0, 0)), dep((0, 0, 1))])
         assert skew is not None and skew.dims == (0, 2)
+
+    def test_single_carrier_gets_an_axis_aligned_tau(self):
+        # Section 3.1: a UDV constrains only the first loop that carries it,
+        # so one carrying dimension frees the other to vectorise.
+        assert derive_time_vector(
+            loops2(), [dep((0, 1)), dep((1, 1))]
+        ) == Skew((1,), (1,))
+        assert derive_time_vector(
+            loops2(), [dep((1, 0)), dep((1, 1))]
+        ) == Skew((0,), (1,))
+
+    def test_descending_single_carrier_gets_the_negative_unit(self):
+        skew = derive_time_vector(
+            loops2(signs=(1, -1)), [dep((0, -1)), dep((1, -1))]
+        )
+        assert skew == Skew((1,), (-1,))
+
+    def test_two_legal_axes_tie_loops_the_outer_storage_dim(self):
+        # (1, 1) alone is carried by either dimension; on equal extents the
+        # outer one is looped so the vectorised rows stay contiguous...
+        assert derive_time_vector(loops2(), [dep((1, 1))]) == Skew((0,), (1,))
+        assert derive_time_vector(
+            loops2(), [dep((1, 1))], extents=(8, 8)
+        ) == Skew((0,), (1,))
+        # ... whatever the loop order says, and unless the other axis sweeps
+        # fewer planes over the block's region.
+        inner_first = LoopStructure(
+            (1, 0), (1, 1), (DimClass.SERIAL, DimClass.PIPELINED)
+        )
+        assert derive_time_vector(inner_first, [dep((1, 1))]) == Skew((0,), (1,))
+        assert derive_time_vector(
+            loops2(), [dep((1, 1))], extents=(2048, 16)
+        ) == Skew((1,), (1,))
+
+    def test_zero_component_is_dropped_from_dims(self):
+        loops = LoopStructure((0, 1, 2), (1, 1, 1), (DimClass.SERIAL,) * 3)
+        deps = [dep((1, 0, 1)), dep((0, 1, 1)), dep((1, 0, 0))]
+        skew = derive_time_vector(loops, deps)
+        # Dim 2 is looped but no dependence needs it: τ = (1, 1, 0).
+        assert skew == Skew((0, 1), (1, 1))
+        assert legal_time_vector((1, 1, 0), (0, 1, 2), deps)
 
     def test_time_orders_points(self):
         skew = Skew((0, 1), (1, 2))
@@ -110,6 +151,14 @@ class TestCompiledBlocks:
         skew = derive_skew(compiled)
         assert skew is not None
         assert skew.tau == (1, 1)
+
+    def test_single_carrier_block_follows_its_region(self):
+        # The benchmark's wide block: primed @west and @nw reads.
+        a = zpl.ones(zpl.Region.of((1, 64), (1, 16)), name="a", fluff=2)
+        with zpl.covering(zpl.Region.of((3, 64), (3, 16))):
+            with zpl.scan(execute=False) as block:
+                a[...] = 0.3 + 0.4 * (a.p @ (0, -1)) + 0.2 * (a.p @ (-1, -1))
+        assert derive_skew(compile_scan(block)) == Skew((1,), (1,))
 
     def test_tomcatv_style_block_declines(self):
         # One pipelined dim + one parallel dim: nothing to skew.

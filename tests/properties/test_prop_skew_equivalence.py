@@ -11,14 +11,23 @@ negative — are exercised alongside the canonical ascending anti-diagonal,
 plus masks, contraction and index expressions.  Blocks whose anti
 dependences admit no legal τ simply fall back to flat inside the kernel
 engine; the property holds either way.
+
+A second, *single-carrier* variant forces every primed read through one
+randomly chosen axis, so τ is axis-aligned and ``engine="kernel"`` runs the
+sliced row loop instead of gathered hyperplanes.  It always draws two targets
+and adds unprimed reads of the *other* target at offsets off the carrying
+axis: anti dependences with ``τ·v = 0`` that tie across statements inside
+one row, which only lexical statement order and whole-row evaluation keep
+correct.
 """
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, event, given, settings
 from hypothesis import strategies as st
 
 from repro import zpl
-from repro.compiler import compile_scan, contract, contractible
+from repro.compiler import compile_scan, contract, contractible, derive_skew
+from repro.errors import ReproError
 from repro.runtime import execute_loopnest, execute_vectorized, run_and_capture
 
 
@@ -28,15 +37,29 @@ def _scaled(direction, signs):
 
 #: Primed-direction bases per rank, before per-dimension sign scaling.
 #: ``forced`` guarantees every drawn block carries all dims (multi-dependence
-#: wavefront); ``extra`` adds optional spice.
+#: wavefront) and that no single axis carries every dependence, so τ keeps
+#: two or more components and the gathered hyperplanes run; ``extra`` adds
+#: optional spice.
 DIR_BASES = {
     2: {
-        "forced": ((-1, -1),),
-        "extra": ((-1, 0), (0, -1), (-2, -1), (-1, -2), (-2, 0), (0, -2)),
+        "forced": ((-1, 0), (0, -1)),
+        "extra": ((-1, -1), (-2, -1), (-1, -2), (-2, 0), (0, -2)),
     },
     3: {
-        "forced": ((-1, -1, 0), (0, -1, -1)),
-        "extra": ((-1, 0, 0), (0, -1, 0), (0, 0, -1), (-1, -1, -1)),
+        "forced": ((-1, -1, 0), (0, 0, -1)),
+        "extra": ((-1, 0, 0), (0, -1, 0), (0, -1, -1), (-1, -1, -1)),
+    },
+}
+#: The same, with dimension 0 carrying every primed read (the strategy
+#: rotates it onto a drawn axis): τ is that axis' unit vector.
+CARRIER_BASES = {
+    2: {
+        "forced": ((-1, -1), (-1, 0)),
+        "extra": ((-1, 1), (-2, -1), (-1, -2), (-2, 0), (-2, 2)),
+    },
+    3: {
+        "forced": ((-1, -1, 0), (-1, 0, -1)),
+        "extra": ((-1, 0, 0), (-1, -1, -1), (-1, 1, 0), (-2, 0, 1)),
     },
 }
 #: Read-only reference offset bases per rank (sign-scaled like the primes).
@@ -47,9 +70,10 @@ RO_BASES = {
 
 
 @st.composite
-def skew_programs(draw):
+def skew_programs(draw, single_carrier=False):
     """A random multi-dependence wavefront block plus its arrays."""
     rank = draw(st.sampled_from((2, 2, 3)))  # rank-2 weighted: the hot shape
+    axis = draw(st.integers(0, rank - 1)) if single_carrier else 0
     n = draw(st.integers(6, 9)) if rank == 2 else draw(st.integers(5, 7))
     signs = tuple(draw(st.sampled_from((1, -1))) for _ in range(rank))
     seed = draw(st.integers(0, 2**16))
@@ -58,7 +82,7 @@ def skew_programs(draw):
     region = zpl.Region.of(*(((3, n - 1),) * rank))
     feature = draw(st.sampled_from(("plain", "mask", "contract", "index")))
 
-    n_targets = draw(st.integers(1, 2))
+    n_targets = 2 if single_carrier else draw(st.integers(1, 2))
     targets = []
     for k in range(n_targets):
         arr = zpl.ZArray(base, name=f"t{k}", fluff=2)
@@ -80,9 +104,18 @@ def skew_programs(draw):
         mask.load((rng.uniform(size=base.shape) < 0.6).astype(float))
         arrays.append(mask)
 
-    forced = [_scaled(d, signs) for d in DIR_BASES[rank]["forced"]]
-    extra = [_scaled(d, signs) for d in DIR_BASES[rank]["extra"]]
+    bases = (CARRIER_BASES if single_carrier else DIR_BASES)[rank]
+    forced, extra = (
+        [_scaled(d[rank - axis:] + d[:rank - axis], signs) for d in bases[key]]
+        for key in ("forced", "extra")
+    )
     ro_dirs = [_scaled(d, signs) for d in RO_BASES[rank]]
+    #: Unprimed other-target offsets with a zero on the carrying axis.
+    tie_dirs = [d for d in ro_dirs if any(d) and not d[axis]]
+
+    kinds = ("primed", "readonly", "self", "temp")
+    if single_carrier:
+        kinds += ("tie", "tie")
 
     def one_expr(k, force_wavefront):
         expr = zpl.as_node(draw(st.floats(0.05, 0.5)))
@@ -94,7 +127,7 @@ def skew_programs(draw):
                 other = targets[draw(st.integers(0, n_targets - 1))]
                 expr = expr + coeff * (other.p @ direction)
         for _ in range(draw(st.integers(0, 2))):
-            kind = draw(st.sampled_from(("primed", "readonly", "self", "temp")))
+            kind = draw(st.sampled_from(kinds))
             coeff = draw(st.floats(0.1, 0.3))
             if kind == "primed":
                 other = targets[draw(st.integers(0, n_targets - 1))]
@@ -103,6 +136,9 @@ def skew_programs(draw):
             elif kind == "readonly":
                 direction = draw(st.sampled_from(ro_dirs))
                 expr = expr + coeff * (readonly @ direction)
+            elif kind == "tie":
+                direction = draw(st.sampled_from(tie_dirs))
+                expr = expr + coeff * (targets[1 - k] @ direction)
             elif kind == "temp" and temp is not None:
                 expr = expr + coeff * temp.ref
             else:
@@ -128,7 +164,12 @@ def skew_programs(draw):
             if mask is not None:
                 contexts[1].__exit__(None, None, None)
 
-    compiled = compile_scan(block)
+    try:
+        compiled = compile_scan(block)
+    except ReproError:
+        # Only a drawn tie may over-constrain the loop structure: redraw.
+        assume(not single_carrier)
+        raise
     if temp is not None and contractible(compiled, temp):
         compiled = contract(compiled, [temp])
     return compiled, arrays
@@ -141,8 +182,24 @@ def skew_programs(draw):
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 def test_skewed_engine_matches_flat_interp_and_oracle(program):
-    compiled, arrays = program
+    check_engines_agree(*program)
 
+
+@given(skew_programs(single_carrier=True))
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+def test_single_carrier_row_loop_matches_flat_interp_and_oracle(program):
+    check_engines_agree(*program)
+
+
+def check_engines_agree(compiled, arrays):
+    # Which lowering ran, for --hypothesis-show-statistics: a drawn tie may
+    # still demand a diagonal in the single-carrier variant.
+    skew = derive_skew(compiled)
+    event("no legal tau" if skew is None else f"tau has {skew.rank} component(s)")
     oracle = run_and_capture(execute_loopnest, compiled, arrays)
     results = {
         engine: run_and_capture(

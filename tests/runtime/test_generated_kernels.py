@@ -12,7 +12,7 @@ import pytest
 
 from repro import zpl
 from repro.apps import tomcatv
-from repro.compiler import compile_scan, compile_statements, contract
+from repro.compiler import Skew, compile_scan, compile_statements, contract
 from repro.errors import ArrayError
 from repro.machine import CRAY_T3E
 from repro.machine.schedules import pipelined_wavefront
@@ -23,9 +23,14 @@ from repro.runtime import (
     execute_interpreted,
     execute_loopnest,
     execute_vectorized,
+    plan_kind,
     run_and_capture,
 )
-from repro.runtime.kernels import statement_kernel, template_for
+from repro.runtime.kernels import (
+    SKEW_PLAN_CACHE_CAP,
+    statement_kernel,
+    template_for,
+)
 from repro.zpl.statements import Assign
 from tests.conftest import record_tomcatv_block
 
@@ -204,6 +209,89 @@ class TestLoweringEdges:
                 a[...] = (a.p @ zpl.NORTH) + (a @ zpl.EAST)
         with pytest.raises(ArrayError, match="outside the storage"):
             execute_vectorized(compile_scan(block), engine="kernel")
+
+
+def wide_block(n=40, width=9):
+    """The benchmark's wide shape: dependences (0,1),(1,1) — dim 1 carries both."""
+    a = uniform((n, width), 23, "a")
+    with zpl.covering(zpl.Region.of((2, n), (2, width))):
+        with zpl.scan(execute=False) as block:
+            a[...] = 0.3 + 0.4 * (a.p @ (0, -1)) + 0.2 * (a.p @ (-1, -1))
+    return compile_scan(block), [a]
+
+
+def banded_block(n=24, band=5):
+    """The benchmark's banded shape: masked (1,0),(1,1) — dim 0 carries both."""
+    a, mask = uniform((n, n), 24, "a"), zpl.ZArray(zpl.Region.square(1, n), name="m")
+    i, j = np.indices((n, n))
+    mask.load((np.abs(i - j) <= band).astype(float))
+    with zpl.covering(zpl.Region.of((2, n), (2, n))), zpl.masked(mask):
+        with zpl.scan(execute=False) as block:
+            a[...] = 0.2 + 0.45 * (a.p @ (-1, 0)) + 0.3 * (a.p @ (-1, -1))
+    return compile_scan(block), [a, mask]
+
+
+class TestSingleCarrierLowering:
+    """An axis-aligned τ is a sliced row loop, not a gathered hyperplane sweep."""
+
+    @pytest.mark.parametrize("build, dim", [(wide_block, 1), (banded_block, 0)])
+    def test_row_loop_over_the_carrying_dim(self, build, dim):
+        compiled, arrays = build()
+        template = template_for(compiled)
+        assert template.skew.dims == (dim,) and template.looped == (0, 1)
+        assert "[I]" not in template.source
+        assert "for k1" not in template.source
+        assert plan_kind(compiled, "kernel") == "skewed"
+        assert_matches_oracle(compiled, arrays)
+        plan = template.plans[compiled.region.ranges, True]
+        assert plan.trips == (compiled.region.extent(dim),)
+        assert plan.n_planes == compiled.region.extent(dim)
+
+    def test_descending_carrier_binds_reversed_views(self):
+        n = 9
+        a = uniform((n, n), 25, "a")
+        with zpl.covering(zpl.Region.of((2, n - 1), (1, n - 1))):
+            with zpl.scan(execute=False) as block:
+                a[...] = (a.p @ (0, 1)) * 0.5 + (a.p @ (-1, 1)) * 0.25 + zpl.index(1)
+        compiled = compile_scan(block)
+        assert template_for(compiled).skew == Skew((1,), (-1,))
+        assert_matches_oracle(compiled, [a])
+
+    def test_dropped_dim_of_a_gathering_skew_is_sliced(self):
+        shape = (6, 6, 5)
+        a = uniform(shape, 26, "a")
+        with zpl.covering(zpl.Region.of((2, 6), (2, 6), (2, 5))):
+            with zpl.scan(execute=False) as block:
+                a[...] = (
+                    (a.p @ (-1, 0, -1)) * 0.5 + (a.p @ (0, -1, -1)) * 0.25
+                    + (a.p @ (-1, 0, 0)) * 0.125 + zpl.index(1)
+                )
+        compiled = compile_scan(block)
+        template = template_for(compiled)
+        # Dim 1 is looped by the flat nest but no τ component needs it, and
+        # (1, 0, 1) sweeps fewer planes over this region than (1, 1, 0).
+        assert template.skew == Skew((0, 2), (1, 1)) and len(template.looped) == 3
+        assert "[I]" in template.source
+        assert_matches_oracle(compiled, [a])
+
+    def test_flat_engine_keeps_the_full_point_loop(self):
+        compiled, arrays = wide_block()
+        template = template_for(compiled)
+        assert "for k1 in range(n1):" in template.kernel(False).source
+        assert plan_kind(compiled, "flat") == "flat"
+        KERNEL_STATS.reset()
+        execute_vectorized(compiled, engine="flat")
+        assert KERNEL_STATS.hyperplanes == 0
+        (plan,) = template.plans.values()
+        assert plan.trips == compiled.region.shape
+
+    def test_row_loop_plans_live_under_the_flat_cache_cap(self):
+        compiled, _ = wide_block(n=2 * (SKEW_PLAN_CACHE_CAP + 8) + 1)
+        template = template_for(compiled)
+        lo, hi = compiled.region.range(0)
+        for start in range(lo, hi, 2):
+            execute_vectorized(compiled, within=compiled.region.slab(0, start, start + 1))
+        assert len(template.plans) == SKEW_PLAN_CACHE_CAP + 8
 
 
 class TestGeneratedSource:

@@ -13,6 +13,7 @@ from repro.compiler import compile_scan
 from repro.obs.trace import Tracer
 from repro.runtime import (
     KERNEL_STATS,
+    PlanRunner,
     default_engine,
     execute_loopnest,
     execute_vectorized,
@@ -88,6 +89,20 @@ class TestSkewSelection:
         counters = {name: v for (_, name), v in tracer.counters.items()}
         assert counters["hyperplanes"] > 0
         assert counters["skew_plan_hits"] == 1
+
+    def test_plan_runner_shares_the_dispatch_tail(self):
+        """``PlanRunner.run`` counts what ``try_execute_kernels`` counts."""
+        compiled, _ = dp_block()
+        direct, batched = Tracer(proc=0), Tracer(proc=0)
+        execute_vectorized(compiled, engine="kernel", tracer=direct)
+        runner = PlanRunner(compiled, "kernel")
+        assert runner.kind == plan_kind(compiled, "kernel") == "skewed"
+        runner.run(items=3, tracer=batched)
+        key = (0, "hyperplanes")
+        assert batched.counters[key] == direct.counters[key] > 0
+        assert batched.counters[0, "skew_plan_hits"] == 1
+        assert PlanRunner(compiled, "flat").kind == "flat"
+        assert PlanRunner(compiled, "interp").kind == "interp"
 
     def test_skewed_and_flat_plans_coexist(self):
         compiled, _ = dp_block()
