@@ -7,7 +7,9 @@ back), while ``schedule="taskgraph"`` prunes the fully-masked tiles out of
 the DAG at plan time and steals around the load imbalance the band leaves
 behind.  This bench regenerates the acceptance numbers on a persistent
 :class:`WorkerPool` with four workers (override the mesh size with
-``REPRO_BENCH_TASKGRAPH_N`` — CI's smoke step runs a small n):
+``REPRO_BENCH_TASKGRAPH_N`` — CI's smoke step runs n=1024: a sheared
+τ = (1, 1) tile costs about half of what a gathered one did, so smaller
+tiles leave the ratio to the scheduler's fixed cost):
 
 * every schedule must leave the arrays **bit-identical** to the sequential
   vectorised engine (equality gate);

@@ -743,13 +743,18 @@ def explain_skew(
         ]
     planes = skew.planes(region.shape)
     sliced = [d for d in dims if d not in skew.dims]
-    if skew.rank == 1:
+    if skew.lowering == "rows":
         how = (
             f"dimension {skew.dims[0]} carries every dependence; the rest "
             f"vectorise — a row loop of {planes} steps, no hyperplane gathers"
         )
     else:
-        how = f"executes {planes} gathered hyperplanes over dimensions {skew.dims}"
+        how = (
+            f"executes {planes} sheared diagonals over dimensions "
+            f"{skew.dims}: strided views, no index tables"
+            if skew.lowering == "shear" else
+            f"executes {planes} gathered hyperplanes over dimensions {skew.dims}"
+        )
         if sliced:
             how += f"; looped dimension(s) {sliced} carry nothing and vectorise"
     coefficient = dict(zip(skew.dims, skew.tau))
@@ -761,7 +766,8 @@ def explain_skew(
             hint="the kernel engine auto-selects this plan",
             data=data | {
                 "tau": [coefficient.get(d, 0) for d in dims],
-                "axis_aligned": skew.rank == 1,
+                "axis_aligned": skew.lowering == "rows",
+                "lowering": skew.lowering,
                 "planes": planes,
             },
         )

@@ -18,8 +18,9 @@ loop-nest normalisation is needed):
   (the producing iteration lies on a strictly earlier hyperplane);
 * every **anti**/**output** vector must satisfy ``τ·v ≥ 0`` — a tie is fine
   because execution keeps array semantics within a hyperplane: each
-  statement gathers its whole right-hand side (fancy indexing copies)
-  before scattering, and statements run in lexical order;
+  statement evaluates its whole right-hand side before it stores (into a
+  fresh array, or through a ufunc ``out=``, which NumPy defines to behave
+  as if it overlapped no input), and statements run in lexical order;
 * components over completely *parallel* dimensions are ignored (those
   dimensions stay vectorised inside each hyperplane, exactly as in the flat
   engines; true dependences have zero components there by construction of
@@ -76,6 +77,16 @@ class Skew:
     @property
     def rank(self) -> int:
         return len(self.dims)
+
+    @property
+    def lowering(self) -> str:
+        """How the kernel layer sweeps the planes: ``rows`` (one dimension: a
+        sliced row loop), ``shear`` (a pair with a unit coefficient: each plane
+        is a line, hence a strided slice) or ``gather`` (index tables)."""
+        if self.rank == 1:
+            return "rows"
+        unit = any(abs(t) == 1 for t in self.tau)
+        return "shear" if self.rank == 2 and unit else "gather"
 
     def time(self, index: Sequence[int]) -> int:
         """The hyperplane (execution time) of one iteration point."""

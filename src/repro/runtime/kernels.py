@@ -42,11 +42,18 @@ fewest planes first) and, when one is legal, generates a *skewed* kernel
 from the same emitter.  A τ with one nonzero component — a single dimension
 carries every dependence — is lowered as the flat family's row loop over
 that dimension alone, every other dimension sliced: no index tables, no
-gathers.  Otherwise the bind precomputes, per covering region, the index
-tables of every hyperplane (anti-diagonal for τ = (1, 1)) and the kernel
-gathers and scatters one whole plane per statement through them — O(n+m)
-interpreter iterations instead of O(n·m), with masks and contraction
-spelled exactly as in the flat family.
+gathers.  A τ with two components, one of them ±1 — the anti-diagonal
+τ = (1, 1) of every alignment DP — keeps that same straight-line body: a
+diagonal of a strided array is a strided array, so the bind *shears* each
+view (``W[t, q] = V[t - c·q, q]``, one ``as_strided`` call) and plane ``t``
+is the slice ``W[t, a:b]``, read and stored in place.  Only where a plane
+is not a line (three or more components, or a pair with no unit
+coefficient) does the bind precompute, per covering region, the index
+tables of every hyperplane, and the kernel gathers and scatters one whole
+plane per statement through them.  Every lowering is O(n+m) interpreter
+iterations instead of O(n·m), with masks and contraction spelled exactly as
+in the flat family; :attr:`repro.compiler.skew.Skew.lowering` is the one
+place that names which applies.
 
 The engine selection contract is shared by every consumer: ``"kernel"``
 (the default) runs plans from here, auto-selecting the skewed family when
@@ -75,6 +82,7 @@ import weakref
 from typing import Callable, NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from repro.compiler.lowering import CompiledScan
 from repro.compiler.skew import derive_skew
@@ -246,22 +254,29 @@ class _Emitter:
     The function's signature is ``kernel(N, V)``.  ``V`` is the tuple of
     region-bound *slots* the emitter asked for, in :attr:`slots` order: one
     pre-sliced storage view per distinct ``(array, offset)`` access, the
-    coordinate table of every dimension an :class:`IndexExpr` names, and the
-    slab shape when a contracted temporary must be broadcast.  Flat kernels
+    coordinate table (``coords``; a sheared ``grid`` under ``shear``) of every
+    dimension an :class:`IndexExpr` names, and the slab shape when a
+    contracted temporary must be broadcast.  Flat kernels
     take the trip counts as ``N``, loop ``k0, k1, ...`` over them and bind
     each view's row once per iteration (``r3 = v3[k0]`` — a live view, so
-    later statements see earlier stores); skewed kernels take the hyperplane
-    index tables as ``N`` and gather/scatter ``v3[I]`` at the point of use.
-    Everything else — expression trees, mask blending, contraction, the
-    copy-or-not decision — is spelled identically for both families.
+    later statements see earlier stores).  A ``shear`` kernel is the same
+    body over sheared views: ``N`` holds the ``(t, a, b)`` range of every
+    plane and a row is ``r3 = v3[t, a:b]`` (looped-dimension coordinate grids
+    are bound like views).  Only a ``gather`` kernel differs: it
+    takes the hyperplane index tables as ``N`` and gathers/scatters ``v3[I]``
+    at the point of use, with no ``out=`` stores.  Everything else —
+    expression trees, mask blending, contraction, the copy-or-not decision —
+    is spelled identically for every lowering.
     """
 
     def __init__(self, looped: tuple[int, ...], rank: int,
-                 contracted_ids: frozenset[int], skewed: bool):
+                 contracted_ids: frozenset[int], lowering: str):
         self.looped = looped
         self.rank = rank
         self.contracted_ids = contracted_ids
-        self.skewed = skewed
+        #: :attr:`Skew.lowering` of the family (``rows`` for flat plans).
+        self.lowering = lowering
+        self.gathers = lowering == "gather"
         self.slots: list[tuple] = []
         self._slot_of: dict[tuple, int] = {}
         self.namespace: dict[str, object] = {
@@ -284,10 +299,10 @@ class _Emitter:
         return self._slot(("view", id(array), offset), ("view", array, offset))
 
     def _read(self, j: int) -> str:
-        return f"v{j}[I]" if self.skewed else f"r{j}"
+        return f"v{j}[I]" if self.gathers else f"r{j}"
 
     def _store(self, j: int, value: str) -> None:
-        target = f"v{j}[I]" if self.skewed else f"r{j}[...]"
+        target = f"v{j}[I]" if self.gathers else f"r{j}[...]"
         self.body.append(f"{target} = {value}")
 
     def _call(self, node: BinOp | UnOp | Where, extra: str = "") -> str:
@@ -307,11 +322,13 @@ class _Emitter:
         if isinstance(node, (BinOp, UnOp, Where)):
             return self._call(node)
         if isinstance(node, IndexExpr):
-            coords = f"v{self._slot(('coords', node.dim), ('coords', node.dim))}"
+            if node.dim in self.looped and self.lowering == "shear":
+                return f"r{self._slot(('grid', node.dim), ('grid', node.dim))}"
+            j = self._slot(("coords", node.dim), ("coords", node.dim))
             if node.dim not in self.looped:
-                return coords
+                return f"v{j}"
             k = self.looped.index(node.dim)
-            return f"{coords}[I[{k}]]" if self.skewed else f"{coords}[k{k}]"
+            return f"v{j}[I[{k}]]" if self.gathers else f"v{j}[k{k}]"
         raise MachineError(
             f"kernel builder cannot express {type(node).__name__} nodes"
         )
@@ -331,10 +348,14 @@ class _Emitter:
         tid = id(stmt.target)
         if tid in self.contracted_ids:
             value = self.expr(expr)
+            if (isinstance(expr, Ref) and not self.gathers
+                    and id(expr.array) not in self.locals):
+                value += ".copy()"  # a live row view: later stores would show
             if not self._dense(expr):
                 shape = f"v{self._slot(('shape',), ('shape',))}"
-                if self.skewed:
-                    shape = f"(I[0].size,) + {shape}"
+                if self.lowering != "rows":  # one leading plane axis
+                    n = "I[0].size" if self.gathers else "b - a"
+                    shape = f"({n},) + {shape}"
                 value = f"broadcast_to(asarray({value}, dtype=float), {shape})"
             name = self.locals.setdefault(tid, f"c{len(self.locals)}")
             self.body.append(f"{name} = {value}")
@@ -349,7 +370,7 @@ class _Emitter:
         elif needs_copy:
             self._store(t, f"{self.expr(expr)}.copy()")
         elif (
-            not self.skewed
+            not self.gathers
             and stmt.target.dtype == np.float64
             and isinstance(expr, (BinOp, UnOp))
             and expr.op in _OUT_OPS
@@ -363,20 +384,25 @@ class _Emitter:
         if self.slots:
             names = "".join(f"v{j}, " for j in range(len(self.slots)))
             lines.append(f"    ({names}) = V")
-        body = self.body
-        if self.skewed:
+        shear = self.lowering == "shear"
+        loops = range(len(self.looped))
+        if self.gathers:
             lines.append("    for I in N:")
-            depth = 2
+        elif shear:
+            lines.append("    for t, a, b in N:")
         else:
-            loops = range(len(self.looped))
             if loops:
                 lines.append("    (" + "".join(f"n{k}, " for k in loops) + ") = N")
             lines += ["    " * (k + 1) + f"for k{k} in range(n{k}):" for k in loops]
-            depth = len(loops) + 1
-            row = "[" + ", ".join(f"k{k}" for k in loops) + "]" if loops else ""
+        depth = len(loops) + 1 if self.lowering == "rows" else 2
+        body = self.body
+        if not self.gathers:
+            row = "[t, a:b]" if shear else (
+                "[" + ", ".join(f"k{k}" for k in loops) + "]" if loops else ""
+            )
             body = [
                 f"r{j} = v{j}{row}"
-                for j, slot in enumerate(self.slots) if slot[0] == "view"
+                for j, slot in enumerate(self.slots) if slot[0] in ("view", "grid")
             ] + body
         pad = "    " * depth
         return "\n".join(lines + [pad + line for line in body]) + "\n"
@@ -393,10 +419,11 @@ class _Kernel(NamedTuple):
 class KernelPlan:
     """One region's bound kernel: the generated function and its slot values.
 
-    ``trips`` is the trip-count tuple of a row-loop plan or the hyperplane
-    index tables of a gathering one, ``n_planes`` the loop-body executions
-    per run either way (hyperplanes swept, or row steps); ``binding`` records
-    the storage buffers the views were sliced from.
+    ``trips`` is the trip-count tuple of a row-loop plan, the ``(t, a, b)``
+    plane ranges of a sheared one or the hyperplane index tables of a
+    gathering one, ``n_planes`` the loop-body executions per run either way
+    (hyperplanes swept, or row steps); ``binding`` records the storage
+    buffers the views were sliced from.
     """
 
     __slots__ = ("fn", "trips", "views", "binding", "n_planes")
@@ -457,10 +484,39 @@ def _bind_view(
     return data[tuple(index)].transpose(perm)
 
 
+def _shear(view: np.ndarray, c: int) -> np.ndarray:
+    """``W[t, q] = view[t - c*q, q]``: plane ``t`` of τ = (1, c) is row ``W[t]``.
+
+    A diagonal of a strided array is a strided array, so this is a view —
+    but one whose nominal extent overruns ``view``: only ``W[t, a:b]`` for
+    the ``(t, a, b)`` of :func:`_plane_ranges` may be touched.
+    """
+    (n_u, n_q), (s_u, s_q) = view.shape[:2], view.strides[:2]
+    return as_strided(
+        view,
+        (n_u + c * (n_q - 1), n_q) + view.shape[2:],
+        (s_u, s_q - c * s_u) + view.strides[2:],
+    )
+
+
+def _plane_ranges(n_u: int, n_q: int, c: int) -> tuple[tuple[int, int, int], ...]:
+    """``(t, a, b)`` per non-empty plane of τ = (1, c) over an ``n_u × n_q`` box:
+    plane ``t`` holds ``q`` in ``a:b``, where ``0 <= t - c*q < n_u``."""
+    ranges = (
+        (t, max(0, -((n_u - 1 - t) // c)), min(n_q, t // c + 1))
+        for t in range(n_u + c * (n_q - 1))
+    )
+    return tuple(r for r in ranges if r[1] < r[2])
+
+
 def hyperplane_tables(
     region: Region, loops, skew
 ) -> tuple[tuple[tuple[np.ndarray, ...], ...], np.ndarray]:
     """Partition a region's looped subspace into hyperplanes of equal τ·i.
+
+    Only the ``gather`` lowering (:attr:`Skew.lowering`: three or more τ
+    components, or a pair with no unit coefficient) binds through these; a
+    line-shaped plane is a slice of a sheared view instead (:func:`_shear`).
 
     Returns ``(planes, times)``: ``planes[p]`` is one tuple of index arrays
     — entry ``k`` holds, for every iteration point on plane ``p``, its
@@ -539,9 +595,9 @@ class KernelTemplate:
         kern = self._kernels.get(key)
         if kern is not None:
             return kern
-        looped, _, gathers = self._nest(skewed)
+        looped, _, lowering = self._nest(skewed)
         emitter = _Emitter(
-            looped, self.region.rank, self.contracted_ids, gathers
+            looped, self.region.rank, self.contracted_ids, lowering
         )
         for stmt, needs_copy in zip(self.statements, copies):
             emitter.statement(stmt, needs_copy)
@@ -562,19 +618,23 @@ class KernelTemplate:
         self._kernels[key] = kern
         return kern
 
-    def _nest(self, skewed: bool) -> tuple[tuple[int, ...], tuple[int, ...], bool]:
-        """``(looped dims, descending dims, gathers)`` of one plan family.
+    def _nest(self, skewed: bool) -> tuple[tuple[int, ...], tuple[int, ...], str]:
+        """``(looped dims, descending dims, lowering)`` of one plan family.
 
-        An axis-aligned τ is the flat lowering over its one dimension; only
-        a τ with two or more components sweeps gathered hyperplanes.
+        The flat family and an axis-aligned τ are both ``rows``; otherwise
+        :attr:`Skew.lowering` decides.  A sheared pair comes unit coefficient
+        first, so the bound views are always τ = (1, c).
         """
         if not skewed:
-            dims, signs = self.looped, [self.loops.signs[d] for d in self.looped]
-        elif self.skew.rank > 1:
-            return self.skew.dims, (), True
+            dims, how = self.looped, "rows"
+            signs = [self.loops.signs[d] for d in dims]
         else:
-            dims, signs = self.skew.dims, self.skew.tau
-        return dims, tuple(d for d, s in zip(dims, signs) if s < 0), False
+            dims, signs, how = self.skew.dims, self.skew.tau, self.skew.lowering
+            if how == "gather":
+                return dims, (), how
+            if abs(signs[0]) != 1:
+                dims, signs = dims[::-1], signs[::-1]
+        return dims, tuple(d for d, s in zip(dims, signs) if s < 0), how
 
     @property
     def source(self) -> str:
@@ -607,15 +667,16 @@ class KernelTemplate:
             KERNEL_STATS.skew_plan_builds += 1
         start = time.perf_counter()
         plan = self._build(region, skewed)
+        lowering = self._nest(skewed)[2]
         if tracer.enabled:
             tracer.count("kernel_plan_misses")
             tracer.add_span(
                 "kernel_compile", "compile", start, time.perf_counter(),
-                region=repr(region), skewed=skewed,
+                region=repr(region), skewed=skewed, lowering=lowering,
                 lines=self.kernel(skewed).source.count("\n"),
             )
         self.plans[key] = plan
-        cap = SKEW_PLAN_CACHE_CAP if self._nest(skewed)[2] else PLAN_CACHE_CAP
+        cap = SKEW_PLAN_CACHE_CAP if lowering == "gather" else PLAN_CACHE_CAP
         if len(self.plans) > cap:  # evict this family's least recently used
             family = [k for k in self.plans if k[1] == skewed]
             for stale in family[: len(family) - cap]:
@@ -625,38 +686,51 @@ class KernelTemplate:
     def _build(self, region: Region, skewed: bool = False) -> KernelPlan:
         """Bind one region: slice the views, fill the slots, count the trips."""
         kern = self.kernel(skewed)
-        looped, reverse, gathers = self._nest(skewed)
+        looped, reverse, lowering = self._nest(skewed)
+        rows, gathers = lowering == "rows", lowering == "gather"
         par = tuple(d for d in range(region.rank) if d not in looped)
         perm = looped + par
+        c = max(map(abs, self.skew.tau)) if lowering == "shear" else 0
         binding: dict[int, tuple[ZArray, np.ndarray]] = {}
         values = []
         for kind, *spec in kern.slots:
             if kind == "view":
                 view = _bind_view(*spec, region, perm, reverse, binding)
+                if c:
+                    view = _shear(view, c)
                 # out= and row stores need an array even with no parallel
-                # extent: keep a length-1 trailing axis on all-looped plans.
-                values.append(view if par or gathers else view[..., None])
+                # extent: keep a length-1 trailing axis on all-looped rows.
+                values.append(view if par or not rows else view[..., None])
             elif kind == "shape":
                 values.append(
                     tuple(region.extent(d) for d in par)
-                    or (() if gathers else (1,))
+                    or ((1,) if rows else ())
                 )
+            elif kind == "grid":  # a looped dim's coordinate at every point
+                (dim,) = spec
+                axis = [1] * len(perm)
+                axis[looped.index(dim)] = -1
+                coords = np.array(region.indices(dim, dim in reverse), float)
+                box = tuple(map(region.extent, looped)) + (1,) * len(par)
+                values.append(_shear(np.broadcast_to(coords.reshape(axis), box), c))
             else:
-                values.append(self._coords(region, spec[0], par, reverse, gathers))
+                values.append(self._coords(region, spec[0], par, reverse, rows))
         if gathers:
             trips, _ = hyperplane_tables(region, self.loops, self.skew)
+        elif c:
+            trips = _plane_ranges(*map(region.extent, looped), c)
         else:
             trips = tuple(region.extent(d) for d in looped)
         return KernelPlan(
             kern.fn, trips, tuple(values), tuple(binding.values()),
-            len(trips) if gathers else math.prod(trips),
+            math.prod(trips) if rows else len(trips),
         )
 
     @staticmethod
-    def _coords(region: Region, dim: int, par, reverse, gathers: bool):
+    def _coords(region: Region, dim: int, par, reverse, rows: bool):
         """The slot value an ``IndexExpr`` on ``dim`` reads its floats from."""
         lo, hi = region.range(dim)
-        if dim not in par and not gathers:
+        if dim not in par and rows:
             # ``coords[k]`` must stay a Python float, as the oracle's is.
             return tuple(map(float, region.indices(dim, reverse=dim in reverse)))
         coords = np.arange(lo, hi + 1, dtype=float)
@@ -664,7 +738,7 @@ class KernelTemplate:
             return coords.reshape((-1,) + (1,) * len(par))
         shape = [1] * len(par)
         shape[par.index(dim)] = -1
-        return coords.reshape(((1,) if gathers else ()) + tuple(shape))
+        return coords.reshape((() if rows else (1,)) + tuple(shape))
 
 
 #: id(CompiledScan) -> template; entries evicted when the plan is collected.

@@ -41,6 +41,7 @@ from repro.runtime.kernels import (
     try_execute_kernels,
 )
 from repro.zpl.arrays import ZArray
+from repro.zpl.expr import Ref
 from repro.zpl.regions import Region
 
 
@@ -103,6 +104,8 @@ def execute_vectorized(
         for stmt, needs_copy in zip(statements, copy_flags):
             values = stmt.expr.evaluate(slab, reader)
             if id(stmt.target) in contracted_ids:
+                if isinstance(stmt.expr, Ref):  # a storage view: snapshot it
+                    values = values.copy()
                 buffers[id(stmt.target)] = np.broadcast_to(
                     np.asarray(values, dtype=float), slab.shape
                 )

@@ -5,10 +5,14 @@ the Section 2.2 conditions (i)-(v), ``check_scan_block`` raises exactly the
 documented exception class with the same ``Diagnostic`` attached.
 """
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro import zpl
+from repro.analyze.cli import main
 from repro.analyze.passes import (
     explain_program,
     explain_skew,
@@ -379,9 +383,36 @@ def test_i302_dp_recurrence_skew_eligible():
     program, _ = lint(source)
     d = only(explain_program(program), "I302")
     assert "skew eligible" in d.message
-    assert "gathered hyperplanes" in d.message
+    assert "29 sheared diagonals" in d.message and "no index tables" in d.message
     assert d.data["tau"] == [1, 1] and d.data["axis_aligned"] is False
+    assert d.data["lowering"] == "shear"
     assert d.data["planes"] == 15 + 15 - 1  # anti-diagonals of the 15x15 region
+
+
+def test_i302_three_carriers_still_gather():
+    region = Region.of((1, 8), (1, 8), (1, 8))
+    program = parse_program(
+        "[2..n, 2..n, 2..n] scan\n"
+        "  a := 0.3 * (a'@(-1,0,0) + a'@(0,-1,0) + a'@(0,0,-1));\n"
+        "end;",
+        {"a": ZArray(region, name="a", fill=0.5)},
+        constants={"n": 8}, filename="t.zpl",
+    )
+    d = only(explain_program(program), "I302")
+    assert "gathered hyperplanes" in d.message
+    assert d.data["tau"] == [1, 1, 1] and d.data["lowering"] == "gather"
+
+
+@pytest.mark.parametrize(
+    "example, lowering",
+    [("gauss_seidel", "shear"), ("single_carrier", "rows")],
+)
+def test_i302_lowering_of_the_repo_examples(example, lowering, capsys):
+    path = Path(__file__).resolve().parents[2] / "examples" / f"{example}.zpl"
+    assert main(["explain", str(path), "--json"]) == 0
+    (report,) = json.loads(capsys.readouterr().out)
+    (d,) = [d for d in report["diagnostics"] if d["code"] == "I302"]
+    assert d["data"]["lowering"] == lowering
 
 
 @pytest.mark.parametrize(
@@ -401,6 +432,7 @@ def test_i302_single_carrier_is_axis_aligned(region, expr, tau, planes):
     assert "hyperplane gathers" in d.message and "anti-diagonal" not in d.message
     assert d.data["looped_dims"] == [0, 1]
     assert d.data["tau"] == tau and d.data["axis_aligned"] is True
+    assert d.data["lowering"] == "rows"
     assert d.data["planes"] == planes
 
 

@@ -12,6 +12,12 @@ plus masks, contraction and index expressions.  Blocks whose anti
 dependences admit no legal τ simply fall back to flat inside the kernel
 engine; the property holds either way.
 
+Rank-2 draws (and rank-3 draws whose τ keeps two components) run the
+*sheared* lowering — planes as slices of skewed strided views — so a third,
+*three-carrier* variant forces a primed read along each of three axes: τ then
+has three components, a plane is not a line, and the gathered index tables
+stay exercised.
+
 A second, *single-carrier* variant forces every primed read through one
 randomly chosen axis, so τ is axis-aligned and ``engine="kernel"`` runs the
 sliced row loop instead of gathered hyperplanes.  It always draws two targets
@@ -38,8 +44,8 @@ def _scaled(direction, signs):
 #: Primed-direction bases per rank, before per-dimension sign scaling.
 #: ``forced`` guarantees every drawn block carries all dims (multi-dependence
 #: wavefront) and that no single axis carries every dependence, so τ keeps
-#: two or more components and the gathered hyperplanes run; ``extra`` adds
-#: optional spice.
+#: two or more components and real hyperplanes run; ``extra`` adds optional
+#: spice.
 DIR_BASES = {
     2: {
         "forced": ((-1, 0), (0, -1)),
@@ -62,6 +68,13 @@ CARRIER_BASES = {
         "extra": ((-1, 0, 0), (-1, -1, -1), (-1, 1, 0), (-2, 0, 1)),
     },
 }
+#: One forced primed read per axis: every τ component is nonzero (gathers).
+GATHER_BASES = {
+    3: {
+        "forced": ((-1, 0, 0), (0, -1, 0), (0, 0, -1)),
+        "extra": DIR_BASES[3]["forced"] + DIR_BASES[3]["extra"],
+    },
+}
 #: Read-only reference offset bases per rank (sign-scaled like the primes).
 RO_BASES = {
     2: ((-1, 0), (1, 0), (0, -1), (0, 1), (1, 1), (0, 0)),
@@ -70,9 +83,10 @@ RO_BASES = {
 
 
 @st.composite
-def skew_programs(draw, single_carrier=False):
+def skew_programs(draw, single_carrier=False, three_carriers=False):
     """A random multi-dependence wavefront block plus its arrays."""
-    rank = draw(st.sampled_from((2, 2, 3)))  # rank-2 weighted: the hot shape
+    # rank-2 weighted: the hot shape
+    rank = 3 if three_carriers else draw(st.sampled_from((2, 2, 3)))
     axis = draw(st.integers(0, rank - 1)) if single_carrier else 0
     n = draw(st.integers(6, 9)) if rank == 2 else draw(st.integers(5, 7))
     signs = tuple(draw(st.sampled_from((1, -1))) for _ in range(rank))
@@ -104,7 +118,10 @@ def skew_programs(draw, single_carrier=False):
         mask.load((rng.uniform(size=base.shape) < 0.6).astype(float))
         arrays.append(mask)
 
-    bases = (CARRIER_BASES if single_carrier else DIR_BASES)[rank]
+    bases = (
+        CARRIER_BASES if single_carrier
+        else GATHER_BASES if three_carriers else DIR_BASES
+    )[rank]
     forced, extra = (
         [_scaled(d[rank - axis:] + d[:rank - axis], signs) for d in bases[key]]
         for key in ("forced", "extra")
@@ -195,11 +212,22 @@ def test_single_carrier_row_loop_matches_flat_interp_and_oracle(program):
     check_engines_agree(*program)
 
 
+@given(skew_programs(three_carriers=True))
+@settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+def test_three_carrier_gathers_match_flat_interp_and_oracle(program):
+    assert check_engines_agree(*program) in (None, "gather")
+
+
 def check_engines_agree(compiled, arrays):
-    # Which lowering ran, for --hypothesis-show-statistics: a drawn tie may
-    # still demand a diagonal in the single-carrier variant.
+    """Assert the engines agree; returns the lowering that ran (None: flat)."""
+    # Reported for --hypothesis-show-statistics: a drawn tie may still demand
+    # a diagonal in the single-carrier variant.
     skew = derive_skew(compiled)
-    event("no legal tau" if skew is None else f"tau has {skew.rank} component(s)")
+    event("no legal tau" if skew is None else f"lowering: {skew.lowering}")
     oracle = run_and_capture(execute_loopnest, compiled, arrays)
     results = {
         engine: run_and_capture(
@@ -227,3 +255,4 @@ def check_engines_agree(compiled, arrays):
                 results["kernel"][k], oracle[k], rtol=1e-12, atol=1e-12,
                 err_msg=f"array {array.name}: slab engines != oracle",
             )
+    return None if skew is None else skew.lowering

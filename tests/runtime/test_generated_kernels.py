@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 from repro import zpl
-from repro.apps import tomcatv
+from numpy.lib.array_utils import byte_bounds
+
+from repro.apps import alignment, gauss_seidel, sweep3d, tomcatv
 from repro.compiler import Skew, compile_scan, compile_statements, contract
 from repro.errors import ArrayError
 from repro.machine import CRAY_T3E
@@ -28,6 +30,7 @@ from repro.runtime import (
 )
 from repro.runtime.kernels import (
     SKEW_PLAN_CACHE_CAP,
+    _bind_view,
     statement_kernel,
     template_for,
 )
@@ -231,6 +234,15 @@ def banded_block(n=24, band=5):
     return compile_scan(block), [a, mask]
 
 
+def diagonal_block(n=12, width=9):
+    """Ascending north/west recurrence: τ = (1, 1), the sheared lowering."""
+    a = uniform((n, width), 27, "a")
+    with zpl.covering(zpl.Region.of((2, n), (2, width))):
+        with zpl.scan(execute=False) as block:
+            a[...] = 0.3 + 0.4 * (a.p @ zpl.NORTH) + 0.2 * (a.p @ zpl.WEST)
+    return compile_scan(block), [a]
+
+
 class TestSingleCarrierLowering:
     """An axis-aligned τ is a sliced row loop, not a gathered hyperplane sweep."""
 
@@ -257,7 +269,8 @@ class TestSingleCarrierLowering:
         assert template_for(compiled).skew == Skew((1,), (-1,))
         assert_matches_oracle(compiled, [a])
 
-    def test_dropped_dim_of_a_gathering_skew_is_sliced(self):
+    def test_dropped_dim_of_a_sheared_skew(self):
+        """A looped dim with τ = 0 is sliced into the plane like a parallel one."""
         shape = (6, 6, 5)
         a = uniform(shape, 26, "a")
         with zpl.covering(zpl.Region.of((2, 6), (2, 6), (2, 5))):
@@ -271,8 +284,10 @@ class TestSingleCarrierLowering:
         # Dim 1 is looped by the flat nest but no τ component needs it, and
         # (1, 0, 1) sweeps fewer planes over this region than (1, 1, 0).
         assert template.skew == Skew((0, 2), (1, 1)) and len(template.looped) == 3
-        assert "[I]" in template.source
+        assert "r0 = v0[t, a:b]" in template.source and "[I]" not in template.source
         assert_matches_oracle(compiled, [a])
+        plan = template.plans[compiled.region.ranges, True]
+        assert plan.views[0].shape == (5 + 4 - 1, 4, 5)  # (planes, dim 2, dim 1)
 
     def test_flat_engine_keeps_the_full_point_loop(self):
         compiled, arrays = wide_block()
@@ -285,13 +300,179 @@ class TestSingleCarrierLowering:
         (plan,) = template.plans.values()
         assert plan.trips == compiled.region.shape
 
-    def test_row_loop_plans_live_under_the_flat_cache_cap(self):
-        compiled, _ = wide_block(n=2 * (SKEW_PLAN_CACHE_CAP + 8) + 1)
+    @pytest.mark.parametrize("build", [wide_block, diagonal_block])
+    def test_row_loop_plans_live_under_the_flat_cache_cap(self, build):
+        """Sheared plans are the row-loop body over a handful of views too."""
+        compiled, _ = build(n=2 * (SKEW_PLAN_CACHE_CAP + 8) + 1)
         template = template_for(compiled)
         lo, hi = compiled.region.range(0)
         for start in range(lo, hi, 2):
             execute_vectorized(compiled, within=compiled.region.slab(0, start, start + 1))
         assert len(template.plans) == SKEW_PLAN_CACHE_CAP + 8
+
+
+def assert_sheared(compiled, region=None):
+    """The plan is table-free, and no row it binds leaves its source view.
+
+    The sheared ``as_strided`` view's nominal extent overruns the view it was
+    cut from; what must stay inside is every ``v[t, a:b]`` the kernel takes.
+    """
+    template = template_for(compiled)
+    region = compiled.region if region is None else region
+    assert template.skew.lowering == "shear" and "[I]" not in template.source
+    plan = template.plans[region.ranges, True]
+    assert plan.n_planes == len(plan.trips) > 0
+    assert all(
+        len(trip) == 3 and all(type(x) is int for x in trip) for trip in plan.trips
+    )
+    looped, reverse, _ = template._nest(True)
+    perm = looped + tuple(d for d in range(region.rank) if d not in looped)
+    points = sum(b - a for _, a, b in plan.trips)
+    assert points == np.prod([region.extent(d) for d in looped])
+    for slot, value in zip(template.kernel(True).slots, plan.views):
+        if slot[0] != "view":
+            continue
+        assert value.dtype.kind == "f" and value.base is not None
+        lo, hi = byte_bounds(_bind_view(*slot[1:], region, perm, reverse, {}))
+        for t, a, b in plan.trips:
+            row_lo, row_hi = byte_bounds(value[t, a:b])
+            assert lo <= row_lo and row_hi <= hi, (slot[2], t, a, b)
+
+
+class TestShearedLowering:
+    """A τ pair with a unit coefficient sweeps slices of a sheared view."""
+
+    def test_smith_waterman_and_gauss_seidel_bind_no_tables(self):
+        sw, _ = alignment.build_score_block("GATTACAGATTACA", "CATACGTTGA", local=True)
+        gs = gauss_seidel.compile_sweep(gauss_seidel.build(12))
+        for compiled in (sw, gs):
+            assert "for t, a, b in N:" in template_for(compiled).source
+            assert_matches_oracle(compiled, collect_arrays(compiled))
+            assert_sheared(compiled)
+        planes = template_for(sw).plans[sw.region.ranges, True].n_planes
+        assert planes == 14 + 10 - 1
+
+    def test_descending_pair_with_index_exprs(self):
+        n = 9
+        a = uniform((n, n + 2), 28, "a")
+        with zpl.covering(zpl.Region.of((1, n - 1), (2, n))):
+            with zpl.scan(execute=False) as block:
+                a[...] = (
+                    (a.p @ zpl.SOUTH) * 0.5 + (a.p @ zpl.EAST) * 0.25
+                    + zpl.index(0) * 10.0 + zpl.index(1)
+                )
+        compiled = compile_scan(block)
+        assert template_for(compiled).skew == Skew((0, 1), (-1, -1))
+        assert_matches_oracle(compiled, [a])
+        assert_sheared(compiled)
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_non_unit_pair(self, swap):
+        """Dependences (1, 0) and (-1, 1) admit nothing cheaper than τ = (1, 2)."""
+        n, flip = 9, (lambda d: d[::-1]) if swap else (lambda d: d)
+        a = uniform((n, n), 29, "a")
+        with zpl.covering(zpl.Region.of((2, n - 1), (2, n - 1))):
+            with zpl.scan(execute=False) as block:
+                a[...] = (
+                    (a.p @ flip((-1, 0))) * 0.5 + (a.p @ flip((1, -1))) * 0.25
+                    + zpl.index(0) * 10.0 + zpl.index(1)
+                )
+        compiled = compile_scan(block)
+        skew = template_for(compiled).skew  # the outer loop takes the 2
+        assert dict(zip(skew.dims, skew.tau)) == dict(zip((0, 1), flip((1, 2))))
+        assert_matches_oracle(compiled, [a])
+        assert_sheared(compiled)
+        lo, hi = compiled.region.range(1)
+        for start in range(lo, hi - 1):  # sub-regions rebind, rows stay inside
+            within = compiled.region.slab(1, start, start + 2)
+            execute_vectorized(compiled, within=within)
+            assert_sheared(compiled, within)
+
+    def test_contracted_scalar_broadcasts_to_the_plane(self):
+        n = 8
+        a, t = uniform((n, n), 30, "a"), uniform((n, n), 31, "t")
+        with zpl.covering(zpl.Region.of((2, n), (2, n))):
+            with zpl.scan(execute=False) as block:
+                t[...] = 2.0
+                a[...] = t * (a.p @ zpl.NORTH) + (a.p @ zpl.WEST) * 0.25
+        compiled = contract(compile_scan(block), [t])
+        source = template_for(compiled).source
+        assert "c0 = broadcast_to(asarray(2.0, dtype=float), (b - a,) + " in source
+        assert_matches_oracle(compiled, [a, t])
+
+    def test_masked_store(self):
+        n = 9
+        a = uniform((n, n), 32, "a")
+        mask = zpl.ZArray(zpl.Region.square(1, n), name="m")
+        mask.load((np.add.outer(np.arange(n), np.arange(n)) % 3 > 0).astype(float))
+        with zpl.covering(zpl.Region.of((2, n), (2, n))), zpl.masked(mask):
+            with zpl.scan(execute=False) as block:
+                a[...] = (a.p @ zpl.NORTH) * 0.5 + (a.p @ zpl.WEST) * 0.25
+        compiled = compile_scan(block)
+        assert "r0[...] = where(" in template_for(compiled).source
+        assert_matches_oracle(compiled, [a, mask])
+        assert_sheared(compiled)
+
+    @pytest.mark.parametrize("local", [False, True])
+    def test_stacked_batch_block_with_trailing_parallel_dim(self, local):
+        pairs = [("GATTACA", "TACAG"), ("CCCGTGA", "GTGAC"), ("AAATTTC", "TTTCA")]
+        got = alignment.batch_tables(pairs, local=local, engine="kernel")
+        want = alignment.batch_tables(pairs, local=local, engine=execute_loopnest)
+        np.testing.assert_array_equal(got, want)
+        plan = alignment._batch_plan(4, 7, 5, 2.0, -1.0, 1.0, local)
+        assert_sheared(plan.compiled)
+
+    def test_same_plane_read_goes_straight_to_the_out_root(self):
+        """τ·v = 0: the unprimed (1, -1) read sits on the plane being stored."""
+        n = 9
+        a = uniform((n, n), 33, "a")
+        with zpl.covering(zpl.Region.of((2, n - 1), (2, n))):
+            with zpl.scan(execute=False) as block:
+                a[...] = (
+                    (a.p @ zpl.NORTH) * 0.5 + (a.p @ zpl.WEST) * 0.25
+                ) + (a @ (1, -1))
+        compiled = compile_scan(block)
+        template = template_for(compiled)
+        assert template.skew == Skew((0, 1), (1, 1))
+        (root,) = [line for line in template.source.splitlines() if "out=" in line]
+        tied = template.kernel(True).slots.index(("view", a, (1, -1)))
+        assert root.endswith(f", r{tied}, out=r0)")
+        assert_matches_oracle(compiled, [a])
+
+    @pytest.mark.parametrize(
+        "tie, primes, lowering",
+        [
+            ((1, -1), ((-1, 0), (0, -1)), "shear"),
+            ((0, 1), ((-1, 0), (-1, -1)), "rows"),
+            ((0, 1), ((-1, 0),), None),  # one looped dim: the flat row loop
+        ],
+    )
+    def test_contracted_copy_of_a_same_plane_read_is_a_snapshot(
+        self, tie, primes, lowering
+    ):
+        """``t := a@tie`` holds the plane's *old* values after ``a`` is stored."""
+        n = 8
+        a, t, x = (uniform((n, n), 34 + k, name) for k, name in enumerate("atx"))
+        with zpl.covering(zpl.Region.of((2, n - 1), (2, n - 1))):
+            with zpl.scan(execute=False) as block:
+                t[...] = a @ tie
+                a[...] = 0.1 + sum(0.3 * (a.p @ d) for d in primes)
+                x[...] = t * 2.0
+        compiled = contract(compile_scan(block), [t])
+        skew = template_for(compiled).skew
+        assert (skew and skew.lowering) == lowering
+        assert "c0 = r0.copy()" in template_for(compiled).source
+        assert_matches_oracle(compiled, [a, t, x])
+
+    def test_three_component_tau_still_gathers(self):
+        state = sweep3d.build(6)
+        compiled = sweep3d.compile_octant(state, (1, 1, 1))
+        template = template_for(compiled)
+        assert template.skew.tau == (1, 1, 1) and template.skew.lowering == "gather"
+        assert "[I]" in template.source and "for I in N:" in template.source
+        assert_matches_oracle(compiled, collect_arrays(compiled))
+        plan = template.plans[compiled.region.ranges, True]
+        assert all(index.dtype == np.intp for index in plan.trips[0])
 
 
 class TestGeneratedSource:
@@ -323,7 +504,7 @@ class TestGeneratedSource:
         execute_vectorized(compiled, tracer=tracer)
         (span,) = [s for s in tracer.spans if s.name == "kernel_compile"]
         assert span.args["lines"] == template_for(compiled).source.count("\n")
-        assert span.args["skewed"] is False
+        assert span.args["skewed"] is False and span.args["lowering"] == "rows"
 
 
 class TestPlanCacheCapacity:
