@@ -42,7 +42,7 @@ from repro.compiler import compile_scan
 from repro.compiler.taskdag import derive_taskgraph
 from repro.machine.schedules import plan_wavefront
 from repro.parallel import WorkerPool, oversubscription
-from repro.parallel.executor import _as_grid, _build_distribution
+from repro.parallel.plan import _as_grid, _build_distribution
 from repro.runtime import execute_vectorized
 from repro.runtime.interp import ArraySnapshot
 from repro.util.benchjson import read_bench, write_bench

@@ -8,11 +8,15 @@ prove that the sync protocol a schedule would execute — pipe tokens
 (:mod:`repro.parallel.collectives`) — honours every block-level dependence
 edge the compiler projects (:mod:`repro.compiler.taskdag`).
 
-:func:`build_schedule_model` reconstructs, without executing anything, the
-exact geometry the executor would run: the same distribution, the same chunk
-regions, the same fabric selection, the same staging layout.  The result is a
-:class:`ScheduleModel` — plain frozen data — over which :func:`certify_model`
-proves three properties:
+The certifier derives no geometry of its own.  :func:`project` reads a
+:class:`~repro.parallel.plan.RunPlan` — the one object
+:func:`~repro.parallel.plan.resolve_run` plans for the executors, with the
+chunk regions, fabric, groups, staging layout or tile DAG the jobs are
+built from — into a :class:`ScheduleModel`: plain frozen data that adds the
+projected dependence edges and names the sync edges, so the mutation
+harness can corrupt it.  :func:`build_schedule_model` is ``project`` of a
+statically planned run.  Over the model :func:`certify_model` proves three
+properties:
 
 * **Coverage** (``E101``): every projected dependence edge between tiles is
   covered by a happens-before path of the protocol (program order within a
@@ -34,10 +38,12 @@ certifier must flag every mutant with the expected code.  The dynamic
 sanitizer (:mod:`repro.analyze.sanitizer`) trips on the same corruptions at
 run time; the harness ties the two proofs together.
 
-Set ``REPRO_CERTIFY=1`` to run :func:`certify_execution` automatically before
-every :func:`repro.parallel.executor.execute` (fork and pool paths alike);
-certification failures raise :class:`~repro.errors.CertifyError` before any
-worker starts.  The CLI front end is ``python -m repro.analyze certify``.
+Set ``REPRO_CERTIFY=1`` and :func:`~repro.parallel.plan.resolve_run` hands
+every ``RunPlan`` it resolves for an executor (fork and pool paths alike) to
+:func:`certify_execution` — what is certified is the object that is then
+dispatched; certification failures raise
+:class:`~repro.errors.CertifyError` before any worker starts.  The CLI front
+end is ``python -m repro.analyze certify``.
 """
 
 from __future__ import annotations
@@ -48,11 +54,10 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from repro.analyze.diagnostics import Because, Diagnostic, Severity, render_all
-from repro.errors import CertifyError, DistributionError, MachineError
-from repro.machine.schedules import plan_wavefront
+from repro.errors import CertifyError, MachineError
 from repro.zpl.regions import Region
 
-#: Environment knob: ``1`` runs :func:`certify_execution` before every
+#: Environment knob: ``1`` certifies every ``RunPlan`` resolved for an
 #: ``execute()`` (fork-per-run and pool paths both honour it).
 CERTIFY_ENV = "REPRO_CERTIFY"
 
@@ -84,7 +89,7 @@ def schedule_kwargs(pseudo: str) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# The model: plain data describing exactly what the executor would run
+# The model: a RunPlan's sync protocol and dependence edges, as plain data
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -164,20 +169,6 @@ class ScheduleModel:
         )
 
 
-def _default_block(plan, n_stages: int) -> int:
-    """Static block-size heuristic when the caller gives none.
-
-    The autotuner's cost model needs timing constants; the certifier only
-    needs *a* legal chunking, so it uses the classical half-the-columns-per
-    -stage starting point.  Hook callers (``REPRO_CERTIFY=1``) always pass
-    the actually-tuned block explicitly.
-    """
-    if plan.chunk_dim is None:
-        return 1
-    extent = plan.region.extent(plan.chunk_dim)
-    return max(1, extent // max(1, 2 * n_stages))
-
-
 def _dep_edges(compiled, tiles, region) -> tuple[DepEdge, ...]:
     from repro.compiler.taskdag import tile_dependences
 
@@ -200,6 +191,94 @@ def _dep_edges(compiled, tiles, region) -> tuple[DepEdge, ...]:
     return tuple(out)
 
 
+def project(run_plan) -> ScheduleModel:
+    """The :class:`ScheduleModel` of a resolved
+    :class:`~repro.parallel.plan.RunPlan`: its tiles, owners and sync
+    edges read off the plan, plus the dependence edges to prove covered."""
+    from repro.parallel.sharedmem import BoundaryPool
+
+    compiled, grid = run_plan.compiled, run_plan.grid
+    region = run_plan.wavefront.region
+    graph = run_plan.graph
+    if graph is not None:
+        local_index: list[int] = []
+        counts: dict[int, int] = {}
+        for home in graph.homes:
+            local_index.append(counts.get(home, 0))
+            counts[home] = local_index[-1] + 1
+        return ScheduleModel(
+            schedule=run_plan.schedule,
+            fabric="graph",
+            n_ranks=grid.size,
+            n_blocks=graph.n_live,
+            tiles=graph.tiles,
+            owners=graph.homes,
+            local_index=tuple(local_index),
+            dep_edges=_dep_edges(compiled, graph.tiles, region),
+            graph_edges=tuple(
+                (pred, succ)
+                for succ, preds in enumerate(graph.preds)
+                for pred in preds
+            ),
+            pending=tuple(len(p) for p in graph.preds),
+            block_size=run_plan.block_size,
+            grid_dims=grid.dims,
+        )
+
+    placed = [
+        (chunk, rank, k)
+        for rank in grid
+        for k, chunk in enumerate(run_plan.chunks_by_rank[rank])
+    ]
+    tiles = tuple(chunk for chunk, _rank, _k in placed)
+    sync: dict = {}
+    if run_plan.fabric == "multicast":
+        sync["producers"] = run_plan.groups.producers
+        layout = run_plan.layout
+        if layout is not None:
+            bounds = layout.offsets + (layout.slot_elems,)
+            sync.update(
+                staging=True,
+                n_slots=BoundaryPool.N_SLOTS,
+                # The channel's wait_credit parks a producer once it is a
+                # full slot rotation ahead of its slowest consumer: the
+                # credit lag *is* the slot count in the implementation;
+                # the model keeps them separate so mutations can break one.
+                credit_lag=BoundaryPool.N_SLOTS,
+                slot_elems=layout.slot_elems,
+                slot_areas=tuple(
+                    SlotArea(
+                        array_index=idx,
+                        depth=depth,
+                        offset=off,
+                        elems=bounds[i + 1] - off,
+                    )
+                    for i, ((idx, depth), off) in enumerate(
+                        zip(layout.arrays, layout.offsets)
+                    )
+                ),
+            )
+    else:
+        sync["token_edges"] = tuple(
+            (upstream, downstream)
+            for chain in run_plan.chains
+            for upstream, downstream in zip(chain, chain[1:])
+        )
+    return ScheduleModel(
+        schedule=run_plan.schedule,
+        fabric=run_plan.fabric,
+        n_ranks=grid.size,
+        n_blocks=run_plan.n_chunks,
+        tiles=tiles,
+        owners=tuple(rank for _chunk, rank, _k in placed),
+        local_index=tuple(k for _chunk, _rank, k in placed),
+        dep_edges=_dep_edges(compiled, tiles, region),
+        block_size=run_plan.block_size,
+        grid_dims=grid.dims,
+        **sync,
+    )
+
+
 def build_schedule_model(
     compiled,
     *,
@@ -211,200 +290,29 @@ def build_schedule_model(
     double_buffer: bool | None = None,
     oversub: int | None = None,
 ) -> ScheduleModel:
-    """Reconstruct the schedule the executor would run, as plain data.
+    """Plan a run statically and :func:`project` it.
 
-    Mirrors :func:`repro.parallel.executor.execute` exactly — same
-    distribution, chunking, fabric selection, and legality refusals
-    (:func:`~repro.parallel.executor.check_chain_legality` raises
-    :class:`~repro.errors.DistributionError` here precisely when the
-    executor itself would refuse to run, so the certifier never reports
-    errors on configurations the planner refuses natively).  ``block`` and
-    ``oversub`` default to static heuristics; hook callers pass the tuned
-    values so the certified geometry is the executed geometry.
+    The planner is the executors' own
+    (:func:`~repro.parallel.plan.resolve_run` with ``static=True``), so its
+    legality refusals raise here precisely when an executor would refuse
+    to run, and the certifier never reports errors on configurations the
+    planner refuses natively.  ``block`` and ``oversub`` default to static
+    heuristics instead of the autotuner.
     """
-    from repro.parallel.collectives import (
-        boundary_layout,
-        plan_groups,
-        resolve_double_buffer,
-        resolve_multicast,
-    )
-    from repro.parallel.executor import (
-        _as_grid,
-        _build_distribution,
-        _chains,
-        _worker_chunks,
-        check_chain_legality,
-        resolve_schedule,
-    )
-    from repro.parallel.sharedmem import BoundaryPool
+    from repro.parallel.plan import resolve_run
 
-    schedule = resolve_schedule(schedule)
-    grid = _as_grid(grid)
-    plan = plan_wavefront(compiled, wavefront_dim)
-    region = plan.region
-
-    if schedule == "taskgraph":
-        from repro.compiler.taskdag import derive_taskgraph
-        from repro.parallel.taskgraph import resolve_oversub
-
-        if grid.rank != 1:
-            raise MachineError(
-                "schedule=\"taskgraph\" runs on rank-1 grids: the scheduler "
-                "itself spreads work along the chunk dimension"
-            )
-        dist = _build_distribution(plan, grid)
-        if oversub is None:
-            oversub = resolve_oversub()
-        block_size = (
-            block if block is not None else _default_block(plan, grid.dims[0])
-        )
-        if block_size < 1:
-            raise MachineError(f"block size must be >= 1, got {block_size}")
-        graph = derive_taskgraph(
+    return project(
+        resolve_run(
             compiled,
-            plan,
-            [dist.local_region(rank) for rank in grid],
-            oversub,
-            block_size,
+            grid,
+            schedule=schedule,
+            block=block,
+            wavefront_dim=wavefront_dim,
+            multicast=multicast,
+            double_buffer=double_buffer,
+            oversub=oversub,
+            static=True,
         )
-        local_index: list[int] = []
-        counts: dict[int, int] = {}
-        for home in graph.homes:
-            local_index.append(counts.get(home, 0))
-            counts[home] = local_index[-1] + 1
-        graph_edges = tuple(
-            (pred, succ)
-            for succ, preds in enumerate(graph.preds)
-            for pred in preds
-        )
-        return ScheduleModel(
-            schedule="taskgraph",
-            fabric="graph",
-            n_ranks=grid.size,
-            n_blocks=graph.n_live,
-            tiles=graph.tiles,
-            owners=graph.homes,
-            local_index=tuple(local_index),
-            dep_edges=_dep_edges(compiled, graph.tiles, region),
-            graph_edges=graph_edges,
-            pending=tuple(len(p) for p in graph.preds),
-            block_size=block_size,
-            grid_dims=grid.dims,
-        )
-
-    if plan.chunk_dim is None and grid.dims[0] > 1 and schedule == "pipelined":
-        raise DistributionError(
-            "no chunkable dimension: this block cannot be pipelined"
-        )
-    dist = _build_distribution(plan, grid)
-    loops = compiled.loops
-    ascending = loops.signs[plan.wavefront_dim] >= 0
-    reverse_chunks = (
-        plan.chunk_dim is not None and loops.signs[plan.chunk_dim] < 0
-    )
-    locals_by_rank = {rank: dist.local_region(rank) for rank in grid}
-    chains = _chains(grid, ascending)
-
-    # Fabric selection mirrors the executor (no sanitize gate: the fabric
-    # now sanitizes too, and the certifier must model what actually runs).
-    fabric = "pipes"
-    groups = None
-    mcast_mode = resolve_multicast(multicast)
-    if (
-        schedule == "pipelined"
-        and mcast_mode != "off"
-        and plan.chunk_dim is not None
-    ):
-        groups = plan_groups(compiled, plan, chains, locals_by_rank, grid.size)
-        if groups is not None and (
-            mcast_mode == "on" or groups.max_fanout >= 2
-        ):
-            fabric = "multicast"
-        else:
-            groups = None
-
-    if schedule == "naive":
-        block_size = None
-    elif block is not None:
-        if block < 1:
-            raise MachineError(f"block size must be >= 1, got {block}")
-        block_size = block
-    else:
-        block_size = _default_block(plan, grid.dims[0])
-
-    tiles: list[Region] = []
-    owners: list[int] = []
-    local_index: list[int] = []
-    n_blocks = 1
-    for rank in grid:
-        local = locals_by_rank[rank]
-        width = (
-            local.extent(plan.chunk_dim) if plan.chunk_dim is not None else 1
-        )
-        per_block = width if block_size is None else block_size
-        chunks = _worker_chunks(plan, local, max(1, per_block), reverse_chunks)
-        n_blocks = max(n_blocks, len(chunks))
-        for k, chunk in enumerate(chunks):
-            tiles.append(chunk)
-            owners.append(rank)
-            local_index.append(k)
-    check_chain_legality(compiled, plan, grid.dims[0], n_blocks)
-
-    token_edges: tuple[tuple[int, int], ...] = ()
-    producers: tuple[tuple[int, ...], ...] = ()
-    staging = False
-    n_slots = credit_lag = slot_elems = 0
-    slot_areas: tuple[SlotArea, ...] = ()
-    if fabric == "multicast":
-        producers = groups.producers
-        if resolve_double_buffer(double_buffer):
-            layout = boundary_layout(compiled, plan)
-            if layout is not None:
-                staging = True
-                n_slots = BoundaryPool.N_SLOTS
-                # The channel's wait_credit parks a producer once it is a
-                # full slot rotation ahead of its slowest consumer: the
-                # credit lag *is* the slot count in the implementation;
-                # the model keeps them separate so mutations can break one.
-                credit_lag = BoundaryPool.N_SLOTS
-                slot_elems = layout.slot_elems
-                bounds = layout.offsets + (layout.slot_elems,)
-                slot_areas = tuple(
-                    SlotArea(
-                        array_index=idx,
-                        depth=depth,
-                        offset=off,
-                        elems=bounds[i + 1] - off,
-                    )
-                    for i, ((idx, depth), off) in enumerate(
-                        zip(layout.arrays, layout.offsets)
-                    )
-                )
-    else:
-        edges = []
-        for chain in chains:
-            for upstream, downstream in zip(chain, chain[1:]):
-                edges.append((upstream, downstream))
-        token_edges = tuple(edges)
-
-    return ScheduleModel(
-        schedule=schedule,
-        fabric=fabric,
-        n_ranks=grid.size,
-        n_blocks=n_blocks,
-        tiles=tuple(tiles),
-        owners=tuple(owners),
-        local_index=tuple(local_index),
-        dep_edges=_dep_edges(compiled, tuple(tiles), region),
-        token_edges=token_edges,
-        producers=producers,
-        staging=staging,
-        n_slots=n_slots,
-        credit_lag=credit_lag,
-        slot_elems=slot_elems,
-        slot_areas=slot_areas,
-        block_size=block_size,
-        grid_dims=grid.dims,
     )
 
 
@@ -837,21 +745,28 @@ def certify(compiled, **kwargs) -> list[Diagnostic]:
     return certify_model(build_schedule_model(compiled, **kwargs))
 
 
-def certify_execution(compiled, **kwargs) -> list[Diagnostic] | None:
+def certify_execution(target, **kwargs) -> list[Diagnostic] | None:
     """The ``REPRO_CERTIFY=1`` pre-flight hook.
 
-    Called by the executor (fork and pool paths) with the resolved
-    schedule, grid, block size, and fabric just before workers launch.
-    Planner refusals are swallowed — the run itself is about to raise the
-    native error, which is the better message.  Certification *errors*
-    raise :class:`~repro.errors.CertifyError` carrying the diagnostics.
-    Returns the (warning-only or empty) diagnostics otherwise, ``None``
-    when the configuration could not be modelled.
+    ``target`` is the resolved :class:`~repro.parallel.plan.RunPlan` about
+    to be dispatched (how :func:`~repro.parallel.plan.resolve_run` calls
+    it), or a compiled block plus :func:`build_schedule_model`'s keyword
+    arguments.  Planner refusals are swallowed — the run itself is about to
+    raise the native error, which is the better message.  Certification
+    *errors* raise :class:`~repro.errors.CertifyError` carrying the
+    diagnostics.  Returns the (warning-only or empty) diagnostics
+    otherwise, ``None`` when the configuration could not be modelled.
     """
+    from repro.parallel.plan import RunPlan
+
     try:
-        diagnostics = certify(compiled, **kwargs)
+        if isinstance(target, RunPlan):
+            model = project(target)
+        else:
+            model = build_schedule_model(target, **kwargs)
     except MachineError:
         return None
+    diagnostics = certify_model(model)
     errors = [d for d in diagnostics if d.severity is Severity.ERROR]
     if errors:
         raise CertifyError(

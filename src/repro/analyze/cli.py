@@ -15,8 +15,8 @@ Three commands:
 
 ``race``
     Execute suite entries on the real multiprocess backend with the
-    wavefront race sanitizer enabled (shadow stamps + vector-clocked
-    tokens).  Exit status 1 when a happens-before violation was detected.
+    wavefront race sanitizer enabled (shadow stamps + vector clocks
+    wrapped around the sync protocol).  Exit status 1 when a happens-before violation was detected.
 
 ``certify``
     Statically prove (:mod:`repro.analyze.certify`) that each schedule's

@@ -561,16 +561,15 @@ def multicast_advisor(
     epoch-stamp overhead (staging copies, credit waits) for nothing — the
     pipe-token fabric is the cheaper identical schedule.  The auto mode
     (``REPRO_MULTICAST`` unset) already makes that call per plan; this
-    advisor fires only when the env knob overrides it to ``on``, probing the
-    same :func:`~repro.parallel.collectives.plan_groups` projection the
-    executor runs, on a rank-1 chain of ``procs`` workers.
+    advisor fires only when the env knob overrides it to ``on``, reading the
+    groups off the :class:`~repro.parallel.plan.RunPlan` the executor would
+    resolve for a rank-1 chain of ``procs`` workers.
     """
     try:
         from repro.compiler.lowering import compile_scan
-        from repro.machine.grid import ProcessorGrid
         from repro.machine.schedules import plan_wavefront
-        from repro.parallel.collectives import plan_groups, resolve_multicast
-        from repro.parallel.executor import _build_distribution, _chains
+        from repro.parallel.collectives import resolve_multicast
+        from repro.parallel.plan import resolve_run
 
         if resolve_multicast(None) != "on":
             return []
@@ -578,19 +577,14 @@ def multicast_advisor(
         plan = plan_wavefront(compiled, None)
         if plan.chunk_dim is None:
             return []  # cannot pipeline at all; the fabric never engages
-        w = plan.wavefront_dim
-        grid = ProcessorGrid(
-            (max(2, min(procs, plan.region.extent(w))),)
-        )
-        dist = _build_distribution(plan, grid)
-        locals_by_rank = {rank: dist.local_region(rank) for rank in grid}
-        ascending = compiled.loops.signs[w] >= 0
-        chains = _chains(grid, ascending)
-        groups = plan_groups(
-            compiled, plan, chains, locals_by_rank, grid.size
+        extent = plan.region.extent(plan.wavefront_dim)
+        run_plan = resolve_run(
+            compiled, max(2, min(procs, extent)), schedule="pipelined",
+            static=True,
         )
     except ReproError:
         return []  # the executor will explain; the advisor stays silent
+    groups, grid = run_plan.groups, run_plan.grid
     if groups is None or groups.max_fanout >= 2:
         return []
     return [

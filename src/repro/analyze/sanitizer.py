@@ -1,28 +1,41 @@
 """Dynamic wavefront race sanitizer for the multiprocess backend.
 
 ``REPRO_SANITIZE=1`` turns every real parallel run into a shadow execution:
-alongside the data arrays, the parent allocates one shared *stamp plane*
-over the plan's region, every worker keeps a **vector clock** over the
-processor grid, and the pipeline tokens carry the sender's clock.  The
-invariant checked is exactly the paper's pipelined-schedule correctness
+alongside the data arrays, the parent allocates one shared *shadow segment*
+— a stamp plane over the plan's region plus a per-``(rank, block)`` clock
+plane — and every worker keeps a **vector clock** over the processor grid.
+The invariant checked is exactly the paper's pipelined-schedule correctness
 condition: a primed read of cell ``c`` during block ``k`` is legal only
 when the block that *writes* ``c`` is happens-before-ordered ahead of the
-read via the token protocol (or by the reader's own program order).
+read via the sync protocol (or by the reader's own program order).
 
 Protocol
 --------
+The sanitizer is a *wrapping sync* (:class:`SanitizedSync`) around whichever
+fabric the run uses (:class:`~repro.parallel.worker.PipeSync` or
+:class:`~repro.parallel.worker.EpochSync`): the worker's one block loop is
+unchanged, and every fabric — on both process lifecycles — is checked by
+the same code.
+
 * Every cell of the plan's region has a static **owner** (the grid rank
   whose local region contains it) and a static **block index** (which of
   the owner's pipeline blocks writes it).  The parent precomputes both
-  planes from the same :class:`~repro.machine.distribution.BlockMap` and
-  chunk lists the workers run — so the sanitizer validates the actual
-  schedule, not a re-derivation of it.
-* A worker completing block ``k`` stamps the block's cells with ``k + 1``
-  in the shared stamp plane, then increments its own clock entry, then
-  sends the token ``(k, clocks)`` downstream.
-* On receive, the worker joins the incoming clock into its own
-  (element-wise max), which is transitive along the chain.
-* Before computing block ``k``, the worker takes every primed reference's
+  planes from the :class:`~repro.parallel.plan.RunPlan`'s own
+  ``chunks_by_rank`` — the chunk lists the jobs are built from — so the
+  sanitizer validates the actual schedule, not a re-derivation of it.
+* Releasing block ``k``, the wrapper stamps the block's cells with
+  ``k + 1`` in the shared stamp plane, increments its own clock entry,
+  writes the clock into row ``(rank, k)`` of the clock plane
+  (:meth:`SanitizerState.publish_clocks`), and only then lets the wrapped
+  fabric release (token send, or stage + epoch stamp).
+* After the wrapped fabric's wait for block ``k`` returns, the wrapper
+  joins row ``(producer, k)`` of every producer it waited on into its own
+  clock (element-wise max, :meth:`SanitizerState.join_epoch`), which is
+  transitive along the chain.  Each row is written exactly once — it is
+  never overwritten by later releases, so an early-released (un-advanced)
+  clock stays visible to every consumer no matter how the processes
+  interleave, keeping the must-trip injections deterministic.
+* Before block ``k`` computes, the wrapper takes every primed reference's
   read region (the block shifted by the reference's direction, clipped to
   the plan region) and verifies per cell: either the cell is outside the
   region (boundary values, never written by the block), or the reader
@@ -31,41 +44,34 @@ Protocol
   block **and** the stamp is present.
 
 A protocol regression — the deliberate one below, or a real scheduler bug
-— makes the clock test fail *deterministically*: an early-released token
-carries a clock that does not yet cover the block, no matter how the
-processes interleave afterwards.  Plain stamp-checking would only catch
-the race when the timing happened to expose it.
+— makes the clock test fail *deterministically*: an early release carries
+a clock that does not yet cover the block, no matter how the processes
+interleave afterwards.  Plain stamp-checking would only catch the race
+when the timing happened to expose it.
 
-Multicast and pool coverage
----------------------------
-The fabric and the persistent pool sanitize too.  On the multicast fabric
-no token carries a clock, so clocks ride the epochs instead: the shadow
-segment grows a per-``(rank, block)`` **epoch-clock plane** and a producer
-publishing block ``k`` first writes its clock into row ``(rank, k)``
-(:meth:`SanitizerState.publish_clocks`); a consumer joins that row after
-its epoch wait (:meth:`SanitizerState.join_epoch`).  Each row is written
-exactly once — unlike a shared per-rank clock row it is never overwritten
-by later publishes, so an early-published (un-advanced) clock stays
-visible to every consumer no matter how the processes interleave, keeping
-the must-trip injections deterministic.  On the pool, workers ship their
-final clock back over the result channel (``stats["clocks"]``) and the
-parent cross-checks it against the block count each rank owned.
+Workers ship their final clock back over the result channel
+(``stats["clocks"]``) and the parent cross-checks it against the block
+count each rank owned (:func:`repro.parallel.plan.finish`), on the
+fork-per-run executor and the pool alike.  ``schedule="taskgraph"`` runs
+sanitize through the scheduler's own enqueue evidence and completion
+stamps (:mod:`repro.parallel.taskgraph`) instead.
 
 Fault injection
 ---------------
 ``REPRO_SANITIZE_INJECT=kind:rank:block`` plants one deterministic
-protocol violation (the knob only exists while the sanitizer is on):
+protocol violation (the knob only exists while the sanitizer is on); the
+wrapper owns the two static-order kinds:
 
-* ``early-release:RANK:BLOCK`` — the pipelined schedule's canonical token
-  violation: the worker at ``RANK`` sends its token for ``BLOCK`` *before*
-  computing it, with its honest, un-incremented clock.
+* ``early-release:RANK:BLOCK`` — the pipe fabric's canonical violation:
+  the worker at ``RANK`` sends its token for ``BLOCK`` *before* computing
+  it, with its honest, un-incremented clock.
+* ``early-publish:RANK:STAMP`` — the epoch-fabric twin: the producer at
+  ``RANK`` stages and publishes the epoch stamp for block ``STAMP``
+  *before* computing it — every consumer's join then fails the
+  happens-before check.
 * ``early-fire:RANK:TILE`` — the taskgraph violation: ``TILE`` is enqueued
   onto ``RANK``'s deque before its predecessors complete, with its honest,
   non-zero pending count as enqueue evidence.
-* ``early-publish:RANK:STAMP`` — the epoch-fabric violation: the producer
-  at ``RANK`` stages and publishes the epoch stamp for block ``STAMP``
-  *before* computing it, with its honest, un-advanced clock in the epoch-
-  clock row — every consumer's join then fails the happens-before check.
 """
 
 from __future__ import annotations
@@ -127,8 +133,8 @@ class SanitizerSpec:
     #: Distinct primed reads: (array name, shift vector).
     primed: tuple[tuple[str, tuple[int, ...]], ...]
     inject: tuple[str, int, int] | None = None
-    #: Block count of the per-``(rank, block)`` epoch-clock plane appended
-    #: to the stamp segment (multicast runs); ``0`` allocates no plane.
+    #: Block count of the per-``(rank, block)`` clock plane appended to the
+    #: stamp segment; ``0`` allocates no plane.
     epoch_clocks: int = 0
 
 
@@ -155,8 +161,8 @@ class ShadowPool:
                 owner[sl] = rank
                 block_index[sl] = k
         stamps = np.zeros(region.shape, dtype=np.int64)
-        # Multicast runs append a per-(rank, block) clock plane: row (p, k)
-        # receives p's clock exactly once, when p publishes epoch k.
+        # The per-(rank, block) clock plane: row (p, k) receives p's clock
+        # exactly once, when p releases block k.
         plane_bytes = 8 * grid.size * epoch_clocks * grid.size
         self._segment = shared_memory.SharedMemory(
             create=True, size=max(1, stamps.nbytes + plane_bytes)
@@ -230,25 +236,16 @@ class SanitizerState:
         self.cells = 0
 
     # -- the protocol hooks --------------------------------------------------
-    def join(self, clocks) -> None:
-        """Fold a received token's clock into ours (element-wise max)."""
-        np.maximum(self.clocks, np.asarray(clocks, dtype=np.int64), out=self.clocks)
-
-    def token(self) -> tuple[int, ...]:
-        """The clock to ride on an outgoing token."""
-        return tuple(int(c) for c in self.clocks)
-
     def publish_clocks(self, k: int) -> None:
-        """Write our clock into epoch-clock row ``(rank, k)`` — the
-        multicast analogue of putting the clock on an outgoing token.
-        Each row is written exactly once (block ``k`` publishes once), so
-        an early-published, un-advanced clock can never be papered over by
-        a later publish."""
+        """Write our clock into clock row ``(rank, k)``, ahead of the
+        fabric's own release of block ``k``.  Each row is written exactly
+        once (block ``k`` releases once), so an early-released, un-advanced
+        clock can never be papered over by a later release."""
         self.epoch_clocks[self.rank, k, :] = self.clocks
 
     def join_epoch(self, producer: int, k: int) -> None:
-        """Join the clock ``producer`` published with its epoch stamp for
-        block ``k`` — the multicast analogue of a clocked-token receive."""
+        """Join the clock ``producer`` published with its release of block
+        ``k`` (element-wise max), after the fabric's wait returned."""
         np.maximum(
             self.clocks, self.epoch_clocks[producer, k], out=self.clocks
         )
@@ -335,12 +332,12 @@ class SanitizerState:
                 ),
                 Because(
                     "note",
-                    "a token released before its block completed (or a "
-                    "mis-derived schedule) produces exactly this state",
+                    "a block released before it completed (or a mis-derived "
+                    "schedule) produces exactly this state",
                 ),
             ),
-            hint="inspect the pipelined schedule: tokens must be sent only "
-            "after the block's stores are complete",
+            hint="inspect the pipelined schedule: a block may be released only "
+            "after its stores are complete",
             data={
                 "reader": self.rank,
                 "block": k,
@@ -356,3 +353,52 @@ class SanitizerState:
         error = SanitizerError(message)
         error.diagnostic = diagnostic
         return error
+
+
+class SanitizedSync:
+    """A wait/release sync wrapped in the sanitizer's clock protocol.
+
+    Same ``wait``/``release`` surface as the fabric it wraps, so the
+    worker's block loop runs it unchanged: a wait additionally joins the
+    producers' clock rows and happens-before-checks the block about to
+    run; a release first stamps the block complete and publishes the
+    advanced clock.  The injected faults live here — the stock fabrics
+    stay untouched: on the matching ``(rank, block)`` the wrapped release
+    happens at the end of the *wait*, before the block has computed, with
+    the honest, un-advanced clock, so every consumer's check must trip.
+    """
+
+    def __init__(self, inner, state: SanitizerState, chunks):
+        self._inner, self._state, self._chunks = inner, state, chunks
+        self.releases = inner.releases
+        inject = state.spec.inject
+        #: The block this rank releases early, if the injection targets it.
+        self._early = (
+            inject[2]
+            if inject is not None
+            and inject[0] == inner.inject_kind
+            and inject[1] == state.rank
+            else None
+        )
+
+    def wait(self, k: int) -> int:
+        got = self._inner.wait(k)
+        state = self._state
+        for producer in self._inner.producers:
+            state.join_epoch(producer, k)
+        state.check(self._chunks[k], k)
+        if k == self._early:
+            self._release(k, self._chunks[k])
+        return got
+
+    def release(self, k: int, chunk: Region) -> None:
+        self._state.complete(chunk, k)
+        if k != self._early:
+            self._release(k, chunk)
+
+    def _release(self, k: int, chunk: Region) -> None:
+        self._state.publish_clocks(k)
+        self._inner.release(k, chunk)
+
+    def stats(self) -> dict:
+        return {**self._inner.stats(), "clocks": self._state.clocks.tolist()}

@@ -182,7 +182,7 @@ def derive_taskgraph(
     ``locals_by_rank`` are the per-rank static slabs (``BlockMap`` local
     regions, in rank order) that anchor each tile's home; ``oversub`` and
     ``block_size`` set the wave/chunk tile granularity (see
-    :func:`repro.parallel.autotune.taskgraph_tiling`).
+    :func:`repro.parallel.plan.resolve_run`).
     """
     region = plan.region
     w, c = plan.wavefront_dim, plan.chunk_dim

@@ -78,7 +78,7 @@ def _capture(backend: str, args: argparse.Namespace) -> Trace:
             schedule=args.schedule,
         )
     else:
-        from repro.parallel.executor import default_grid
+        from repro.parallel.plan import default_grid
 
         procs = args.procs or default_grid().size
         _, trace = capture.capture_parallel(

@@ -17,9 +17,13 @@ Layers:
 * :mod:`repro.parallel.channels`  — token pipes between pipeline stages;
 * :mod:`repro.parallel.collectives` — multicast epoch fabric + double
   buffering (one stamp releases a whole fan-out; ``REPRO_MULTICAST``);
-* :mod:`repro.parallel.worker`    — the per-process SPMD loop;
-* :mod:`repro.parallel.executor`  — :func:`execute`, the single entry point;
-* :mod:`repro.parallel.pool`      — :class:`WorkerPool`, fork once / run many;
+* :mod:`repro.parallel.plan`      — :func:`resolve_run`: one ``RunPlan`` per
+  run, read by both executors, the worker loop and the certifier;
+* :mod:`repro.parallel.worker`    — the one block loop + its sync protocol;
+* :mod:`repro.parallel.executor`  — :func:`execute`, the single entry point
+  (fork-per-run transport);
+* :mod:`repro.parallel.pool`      — :class:`WorkerPool`, fork once / run many
+  (job-pipe transport);
 * :mod:`repro.parallel.autotune`  — measured α/β → Equation (1) block sizes;
 * :mod:`repro.parallel.bench`     — measured-vs-predicted speedup curves.
 """
@@ -42,7 +46,6 @@ from repro.parallel.autotune import (
     measured_probe,
     normalized_params,
     optimal_block_size,
-    taskgraph_tiling,
     tuned_block_size,
 )
 from repro.parallel.bench import oversubscription, speedup_curve, tomcatv_forward
@@ -58,13 +61,13 @@ from repro.parallel.collectives import (
     resolve_double_buffer,
     resolve_multicast,
 )
-from repro.parallel.executor import (
+from repro.parallel.executor import execute
+from repro.parallel.plan import (
     MAX_PROCS_ENV,
     ParallelRun,
     SCHEDULE_ENV,
     SCHEDULES,
     default_grid,
-    execute,
     resolve_schedule,
 )
 from repro.parallel.pool import (
@@ -125,7 +128,6 @@ __all__ = [
     "resolve_schedule",
     "shared_pool",
     "speedup_curve",
-    "taskgraph_tiling",
     "tomcatv_forward",
     "tuned_block_size",
 ]

@@ -692,24 +692,3 @@ def dynamic_block_size(
     probe = measured_probe(compiled, n_procs, start_method=start_method)
     params = normalized_params(host_comm(), measure_compute_cost(compiled, repeats=1))
     return select_dynamic(compiled, params, n_procs, probe=probe, b_max=b_max)
-
-
-def taskgraph_tiling(
-    compiled: CompiledScan,
-    n_procs: int,
-    plan: WavefrontPlan | None = None,
-) -> tuple[int, int]:
-    """``(oversub, block)`` granularity for ``schedule="taskgraph"``.
-
-    The chunk-dimension tile width reuses :func:`tuned_block_size` — the
-    per-tile compute vs per-tile scheduling overhead trades off exactly
-    like Equation (1)'s compute vs message cost, and sharing the boundary
-    keeps taskgraph and pipelined runs block-for-block comparable.  The
-    wave dimension is over-decomposed ``oversub`` slabs per worker
-    (``REPRO_TASKGRAPH_OVERSUB``; see
-    :func:`repro.parallel.taskgraph.resolve_oversub`) so the stealing
-    scheduler has slack to absorb skewed per-tile costs.
-    """
-    from repro.parallel.taskgraph import resolve_oversub
-
-    return resolve_oversub(), tuned_block_size(compiled, n_procs, plan=plan)

@@ -71,29 +71,3 @@ def recv_token(
     got = conn.recv()
     if got != k:
         raise MachineError(f"pipeline protocol error: expected block {k}, got {got}")
-
-
-def send_clocked_token(conn: Connection, k: int, clocks: tuple[int, ...]) -> None:
-    """Sanitized send: the token carries the sender's vector clock.
-
-    Only the race sanitizer (:mod:`repro.analyze.sanitizer`) uses the
-    clocked protocol; a run mixes clocked and plain tokens never.
-    """
-    conn.send((k, clocks))
-
-
-def recv_clocked_token(
-    conn: Connection, k: int, timeout: float, peer: int | None = None
-) -> tuple[int, ...]:
-    """Sanitized receive: return the clock that rode on token ``k``."""
-    if not conn.poll(timeout):
-        raise MachineError(
-            f"timed out after {timeout:.2f}s waiting for pipeline block {k} "
-            f"from {_peer_label(peer)}"
-        )
-    got = conn.recv()
-    if not (isinstance(got, tuple) and len(got) == 2 and got[0] == k):
-        raise MachineError(
-            f"pipeline protocol error: expected clocked block {k}, got {got!r}"
-        )
-    return got[1]

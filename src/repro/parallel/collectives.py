@@ -140,7 +140,7 @@ def plan_groups(
     """Derive the epoch-fabric groups, or ``None`` when pipes must be used.
 
     Works per chain (mesh columns are independent: the chunk dimension is
-    dependence-free by :func:`~repro.parallel.executor._build_distribution`).
+    dependence-free by :func:`~repro.parallel.plan._build_distribution`).
     A consumer's slab needs the ``d`` wave-rows before its first row for
     every projected dependence depth ``d``; the ranks owning those rows are
     its producers.  Returns ``None`` when a projection points against the

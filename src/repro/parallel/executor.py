@@ -7,6 +7,14 @@ and pipelined schedules — but run across real OS processes against shared
 memory, on the real clock.  The virtual-clock simulator predicts; this
 executor measures.
 
+:func:`execute` is the fork-per-run *transport*: what runs is planned once
+by :func:`repro.parallel.plan.resolve_run`, each forked worker runs its job
+through :func:`repro.parallel.worker.run_blocks`, and the barrier, result
+collection and :class:`ParallelRun` construction are the driver shared with
+:mod:`repro.parallel.pool`.  This module only owns the process lifecycle:
+share the arrays, spawn one worker per grid cell with its job and its
+inherited pipes/semaphores/locks, and tear everything down.
+
 Topology
 --------
 A rank-1 :class:`~repro.machine.grid.ProcessorGrid` distributes the wavefront
@@ -27,204 +35,32 @@ whole-boundary messages, no overlap, Fig. 4(a).
 from __future__ import annotations
 
 import multiprocessing as mp
-import os
 import pickle
 import time
-from dataclasses import dataclass
 
 from repro.compiler.lowering import CompiledScan
-from repro.errors import DistributionError, MachineError, SanitizerError
-from repro.machine.distribution import BlockMap
+from repro.errors import MachineError
 from repro.machine.grid import ProcessorGrid
-from repro.machine.schedules import WavefrontPlan, _chunk_regions, plan_wavefront
-from repro.obs.trace import Trace, resolve_tracer
+from repro.obs.trace import resolve_tracer
 from repro.parallel.channels import chain_links
-from repro.parallel.collectives import (
-    MulticastFabric,
-    MulticastSpec,
-    boundary_layout,
-    plan_groups,
-    resolve_double_buffer,
-    resolve_multicast,
+from repro.parallel.collectives import MulticastFabric
+from repro.parallel.plan import (
+    ParallelRun,
+    RunResources,
+    _as_grid,
+    collect,
+    finish,
+    meet_barrier,
+    resolve_run,
 )
 from repro.parallel.sharedmem import BoundaryPool, SharedArrayPool
 from repro.parallel.worker import WorkerTask, run_worker
-from repro.zpl.regions import Region
-
-#: Environment knob: hard cap on worker counts chosen *by default* (CI safety).
-MAX_PROCS_ENV = "REPRO_PARALLEL_MAX_PROCS"
-
-#: Environment knob: the default schedule when a caller passes ``None``.
-SCHEDULE_ENV = "REPRO_SCHEDULE"
-
-SCHEDULES = ("pipelined", "naive", "taskgraph")
-
-
-def resolve_schedule(schedule: str | None) -> str:
-    """An explicit schedule, else ``REPRO_SCHEDULE``, else ``pipelined``."""
-    source = "schedule"
-    if schedule is None:
-        schedule = os.environ.get(SCHEDULE_ENV, "") or "pipelined"
-        source = SCHEDULE_ENV
-    if schedule not in SCHEDULES:
-        raise MachineError(
-            f"unknown {source} {schedule!r}; pick from {SCHEDULES}"
-        )
-    return schedule
-
-
-@dataclass(frozen=True)
-class ParallelRun:
-    """Outcome of one real parallel execution (values land in the arrays)."""
-
-    schedule: str
-    grid_dims: tuple[int, ...]
-    block_size: int | None
-    n_chunks: int
-    #: Pipeline busy time: the slowest worker's barrier-to-finish seconds.
-    wall_time: float
-    #: Per-processor busy times, indexed by grid rank.
-    worker_times: tuple[float, ...]
-    #: Parent-side overhead: sharing, pickling, process startup (seconds).
-    setup_time: float
-    plan: WavefrontPlan
-    #: Structured event recording (:mod:`repro.obs`), when tracing was on.
-    trace: Trace | None = None
-    #: Scheduler outcome (:class:`repro.parallel.taskgraph.TaskgraphReport`)
-    #: when ``schedule="taskgraph"``: tile/pruning/steal accounting.
-    taskgraph: object | None = None
-    #: The communication fabric the run synchronised on: ``"pipes"``
-    #: (point-to-point tokens) or ``"multicast"`` (epoch publishes, with
-    #: double-buffered boundary staging unless ``REPRO_DOUBLE_BUFFER=0``).
-    fabric: str = "pipes"
-
-    @property
-    def n_procs(self) -> int:
-        total = 1
-        for extent in self.grid_dims:
-            total *= extent
-        return total
-
-    def __repr__(self) -> str:
-        return (
-            f"ParallelRun({self.schedule}, grid={self.grid_dims}, "
-            f"b={self.block_size}, wall={self.wall_time * 1e3:.2f}ms)"
-        )
-
-
-def default_grid(max_procs: int | None = None) -> ProcessorGrid:
-    """A rank-1 grid sized to the host, honouring ``REPRO_PARALLEL_MAX_PROCS``."""
-    cap = max_procs or int(os.environ.get(MAX_PROCS_ENV, "4"))
-    return ProcessorGrid((max(1, min(cap, os.cpu_count() or 1)),))
-
-
-def _as_grid(grid: ProcessorGrid | int | tuple[int, ...] | None) -> ProcessorGrid:
-    if grid is None:
-        return default_grid()
-    if isinstance(grid, ProcessorGrid):
-        return grid
-    if isinstance(grid, int):
-        return ProcessorGrid((grid,))
-    return ProcessorGrid(tuple(grid))
 
 
 def _context(start_method: str | None):
     if start_method is None:
         start_method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
     return mp.get_context(start_method)
-
-
-def _build_distribution(
-    plan: WavefrontPlan, grid: ProcessorGrid
-) -> BlockMap:
-    region = plan.region
-    w, c = plan.wavefront_dim, plan.chunk_dim
-    dim_map: list[int | None] = [None] * region.rank
-    dim_map[w] = 0
-    if grid.rank == 2:
-        if c is None:
-            raise DistributionError("no chunkable dimension: cannot mesh-distribute")
-        if any(d.vector[c] != 0 for d in plan.compiled.dependences):
-            raise DistributionError(
-                f"dimension {c} carries a dependence; a 2-D grid would couple "
-                f"the pipeline chains — use a rank-1 grid"
-            )
-        dim_map[c] = 1
-    elif grid.rank != 1:
-        raise MachineError(
-            f"the multiprocess backend supports rank-1 and rank-2 grids, "
-            f"got rank {grid.rank}"
-        )
-    return BlockMap(region, grid, tuple(dim_map))
-
-
-def _chains(grid: ProcessorGrid, ascending: bool) -> list[list[int]]:
-    """Processor ranks grouped into pipeline chains, in wave order."""
-    rows = list(range(grid.dims[0]))
-    if not ascending:
-        rows.reverse()
-    if grid.rank == 1:
-        return [[grid.proc((row,)) for row in rows]]
-    return [
-        [grid.proc((row, col)) for row in rows] for col in range(grid.dims[1])
-    ]
-
-
-def _worker_chunks(
-    plan: WavefrontPlan, local: Region, block_size: int, reverse: bool
-) -> tuple[Region, ...]:
-    """One worker's pipeline blocks.  All workers of a chain share the same
-    chunk-dimension ranges, so token ``k`` means the same columns chain-wide."""
-    if plan.chunk_dim is None or local.extent(plan.chunk_dim) == 0:
-        return (local,)
-    return tuple(_chunk_regions(local, plan.chunk_dim, block_size, reverse))
-
-
-def check_chain_legality(
-    compiled: CompiledScan, plan: WavefrontPlan, n_stages: int, n_chunks: int
-) -> None:
-    """Refuse chain distributions the one-way boundary protocol cannot honour.
-
-    Two shapes are sequentially legal yet race on a multi-stage chain:
-
-    * **Upstream flow** — a dependence whose wave component opposes the
-      traversal (reader in an *earlier* chain stage than the writer).
-      Boundary data only travels down the chain, under every schedule, so
-      the reader would consume values its downstream neighbour has not
-      produced; no chunking makes this sound.
-    * **Lookahead** — wave component along the traversal but chunk
-      component against it (e.g. ``(1, -1)`` ascending): pipeline block
-      ``k`` downstream reads columns its upstream stage only computes in
-      block ``k + 1``.  Tokens and epoch stamps both release strictly in
-      block order, so this races exactly when the chain is chunked;
-      single-chunk (naive or full-width) runs are safe.
-
-    Single-stage chains are always safe: no boundary ever crosses a rank.
-    """
-    if n_stages <= 1:
-        return
-    w, c = plan.wavefront_dim, plan.chunk_dim
-    signs = compiled.loops.signs
-    sw = 1 if signs[w] >= 0 else -1
-    sc = 1 if c is None or signs[c] >= 0 else -1
-    for dep in compiled.dependences:
-        vw = dep.vector[w]
-        vc = dep.vector[c] if c is not None else 0
-        if vw * sw < 0:
-            raise DistributionError(
-                f"{dep.kind.value} dependence {dep.vector} on {dep.array!r} "
-                f"points upstream along wavefront dimension {w}: boundary "
-                f"data only flows down the chain — distribute along a "
-                f"different wavefront dimension or run on one process"
-            )
-        if n_chunks > 1 and vw * sw > 0 and vc * sc < 0:
-            raise DistributionError(
-                f"{dep.kind.value} dependence {dep.vector} on {dep.array!r} "
-                f"points against the chunk traversal: pipeline block k would "
-                f"read columns its upstream stage only computes in block "
-                f"k+1 — use schedule=\"naive\" or a block covering the full "
-                f"width"
-            )
 
 
 def execute(
@@ -261,8 +97,9 @@ def execute(
     a conflicting ``grid`` raises.
 
     ``sanitize`` opts into the wavefront race sanitizer
-    (:mod:`repro.analyze.sanitizer`): tokens carry vector clocks and every
-    primed read is happens-before-checked against the owning block's write.
+    (:mod:`repro.analyze.sanitizer`): the sync protocol is wrapped in
+    vector clocks and every primed read is happens-before-checked against
+    the owning block's write.
     ``None`` honours ``REPRO_SANITIZE``.  A detected violation raises
     :class:`~repro.errors.SanitizerError`.  ``pool`` runs sanitize too —
     the shadow planes are built per run and the workers ship their final
@@ -280,18 +117,13 @@ def execute(
     and selects the epoch fabric when the tile DAG shows fan-out ≥ 2 from
     one producer tile.  ``double_buffer`` gates the staged boundary copies
     on multicast runs (``None`` honours ``REPRO_DOUBLE_BUFFER``, default
-    on).  On multicast the sanitizer's clocks ride the epoch fabric (a
-    per-``(rank, block)`` clock row in the shadow segment, indexed by the
-    epoch value) instead of the tokens.
+    on).
 
     ``REPRO_CERTIFY=1`` additionally runs the static schedule certifier
-    (:mod:`repro.analyze.certify`) on the resolved geometry before any
-    worker forks; certification errors raise
-    :class:`~repro.errors.CertifyError`.
+    (:mod:`repro.analyze.certify`) on the resolved
+    :class:`~repro.parallel.plan.RunPlan` before any worker forks;
+    certification errors raise :class:`~repro.errors.CertifyError`.
     """
-    schedule = resolve_schedule(schedule)
-    if sanitize is None:
-        sanitize = os.environ.get("REPRO_SANITIZE", "") not in ("", "0")
     if pool is not None:
         if grid is not None and _as_grid(grid).dims != pool.grid.dims:
             raise MachineError(
@@ -309,399 +141,69 @@ def execute(
             multicast=multicast,
             double_buffer=double_buffer,
         )
-    if schedule == "taskgraph":
-        return _execute_taskgraph(
-            compiled,
-            _as_grid(grid),
-            block=block,
-            wavefront_dim=wavefront_dim,
-            start_method=start_method,
-            timeout=timeout,
-            tracer=tracer,
-            sanitize=sanitize,
-        )
-    grid = _as_grid(grid)
-    plan = plan_wavefront(compiled, wavefront_dim)
-    if plan.chunk_dim is None and grid.dims[0] > 1 and schedule == "pipelined":
-        raise DistributionError(
-            "no chunkable dimension: this block cannot be pipelined"
-        )
-    dist = _build_distribution(plan, grid)
-    loops = compiled.loops
-    ascending = loops.signs[plan.wavefront_dim] >= 0
-    reverse_chunks = (
-        plan.chunk_dim is not None and loops.signs[plan.chunk_dim] < 0
-    )
-    locals_by_rank = {rank: dist.local_region(rank) for rank in grid}
-    chains = _chains(grid, ascending)
-
-    # Fabric selection happens before block sizing: the autotuner's cost
-    # model depends on whether a release costs one pipe round per edge or
-    # one epoch stamp per fan-out.
-    fabric = "pipes"
-    groups = None
-    mcast_mode = resolve_multicast(multicast)
-    if (
-        schedule == "pipelined"
-        and mcast_mode != "off"
-        and plan.chunk_dim is not None
-    ):
-        groups = plan_groups(compiled, plan, chains, locals_by_rank, grid.size)
-        if groups is not None and (
-            mcast_mode == "on" or groups.max_fanout >= 2
-        ):
-            fabric = "multicast"
-        else:
-            groups = None
-
-    if schedule == "naive":
-        block_size = None
-    elif block is not None:
-        if block < 1:
-            raise MachineError(f"block size must be >= 1, got {block}")
-        block_size = block
-    else:
-        from repro.parallel.autotune import tuned_block_size
-
-        block_size = tuned_block_size(
-            compiled,
-            grid.dims[0],
-            plan=plan,
-            fabric=fabric,
-            fanout=groups.max_fanout if groups is not None else 1,
-        )
-
-    if os.environ.get("REPRO_CERTIFY", "") not in ("", "0"):
-        from repro.analyze.certify import certify_execution
-
-        # Certify exactly what is about to run: the resolved schedule,
-        # grid, tuned block size, and selected fabric.
-        certify_execution(
-            compiled,
-            schedule=schedule,
-            grid=grid,
-            block=block_size,
-            wavefront_dim=wavefront_dim,
-            multicast=(fabric == "multicast"),
-            double_buffer=double_buffer,
-        )
-
     obs = resolve_tracer(tracer)
     setup_start = time.perf_counter()
     with obs.span("prepare", "setup"):
         compiled.prepare()  # hoisted temporaries: evaluated once, shared below
-    with obs.span("share", "setup"):
-        pool = SharedArrayPool(compiled)
+    run_plan = resolve_run(
+        compiled,
+        grid,
+        schedule=schedule,
+        block=block,
+        wavefront_dim=wavefront_dim,
+        multicast=multicast,
+        double_buffer=double_buffer,
+        sanitize=sanitize,
+        tracer=obs,
+    )
+    n = run_plan.grid.size
     procs: list[mp.process.BaseProcess] = []
-    shadow = None
-    mcast_fabric = None
-    bpool = None
+    owned: list = []  # everything holding shared memory, released in reverse
     try:
+        with obs.span("share", "setup"):
+            shared = SharedArrayPool(compiled)
+        owned.append(shared)
         spawn_start = time.perf_counter()
+        resources = RunResources(run_plan)
+        owned.append(resources)
         blob = pickle.dumps(compiled)
         ctx = _context(start_method)
-        links = chain_links(ctx, chains)
-        pred_by_rank: dict[int, int] = {}
-        for chain in chains:
-            for upstream, downstream in zip(chain, chain[1:]):
-                pred_by_rank[downstream] = upstream
-        mcast_spec = None
-        if fabric == "multicast":
-            layout = (
-                boundary_layout(compiled, plan)
-                if resolve_double_buffer(double_buffer)
-                else None
+        # The fabric's inherited half: pipes, epoch semaphores or scheduler
+        # locks travel as Process arguments, never over a pipe.
+        links: dict = {}
+        mcast_spec = sems = locks = None
+        if run_plan.graph is not None:
+            from repro.parallel.taskgraph import make_locks
+
+            locks = make_locks(ctx, n)
+        elif run_plan.fabric == "multicast":
+            fabric = MulticastFabric(ctx, n)
+            owned.append(fabric)
+            bpool = None
+            if run_plan.layout is not None:
+                bpool = BoundaryPool(n, run_plan.layout.slot_elems)
+                owned.append(bpool)
+            mcast_spec = run_plan.multicast_spec(
+                fabric.name, bpool.name if bpool is not None else None
             )
-            mcast_fabric = MulticastFabric(ctx, grid.size)
-            if layout is not None:
-                bpool = BoundaryPool(grid.size, layout.slot_elems)
-            rows_by_rank = tuple(
-                None
-                if locals_by_rank[rank].is_empty()
-                else locals_by_rank[rank].range(plan.wavefront_dim)
-                for rank in grid
-            )
-            mcast_spec = MulticastSpec(
-                epoch_seg=mcast_fabric.name,
-                n_ranks=grid.size,
-                groups=groups,
-                wave_dim=plan.wavefront_dim,
-                wave_ascending=ascending,
-                rows_by_rank=rows_by_rank,
-                boundary_seg=bpool.name if bpool is not None else None,
-                layout=layout if bpool is not None else None,
-                chunk_dim=plan.chunk_dim,
-            )
-        barrier = ctx.Barrier(grid.size + 1)
+            sems = fabric.sems
+        else:
+            links = chain_links(ctx, run_plan.chains)
+        barrier = ctx.Barrier(n + 1)
         results = ctx.Queue()
-
-        chunks_by_rank: dict[int, tuple[Region, ...]] = {}
-        n_chunks = 1
-        for rank in grid:
-            local = locals_by_rank[rank]
-            width = (
-                local.extent(plan.chunk_dim)
-                if plan.chunk_dim is not None
-                else 1
-            )
-            per_block = width if block_size is None else block_size
-            chunks = _worker_chunks(plan, local, max(1, per_block), reverse_chunks)
-            chunks_by_rank[rank] = chunks
-            n_chunks = max(n_chunks, len(chunks))
-        check_chain_legality(compiled, plan, grid.dims[0], n_chunks)
-        if sanitize:
-            from repro.analyze.sanitizer import (
-                INJECT_ENV,
-                ShadowPool,
-                parse_inject,
-            )
-
-            shadow = ShadowPool(
-                plan,
-                grid,
-                chunks_by_rank,
-                inject=parse_inject(os.environ.get(INJECT_ENV)),
-                # Multicast clocks ride the epochs: one immutable clock row
-                # per (rank, block) in the shadow segment.
-                epoch_clocks=n_chunks if mcast_spec is not None else 0,
-            )
-        for rank in grid:
-            recv, send = links[rank]
-            if mcast_spec is not None:
-                recv = send = None  # epochs replace the pipe tokens
+        preds = run_plan.pred_by_rank
+        for rank in run_plan.grid:
+            recv, send = links.get(rank, (None, None))
             task = WorkerTask(
                 rank=rank,
                 compiled_blob=blob,
-                specs=pool.specs,
-                chunks=chunks_by_rank[rank],
+                specs=shared.specs,
+                job=resources.job(rank, mcast_spec, timeout, obs.enabled),
                 recv=recv,
                 send=send,
-                timeout=timeout,
-                chunk_dim=plan.chunk_dim,
-                boundary_rows=plan.boundary_rows,
-                trace=obs.enabled,
-                sanitize=shadow.spec if shadow is not None else None,
-                mcast=mcast_spec,
-                mcast_sems=(
-                    mcast_fabric.sems if mcast_fabric is not None else None
-                ),
-                peer=pred_by_rank.get(rank),
-            )
-            proc = ctx.Process(
-                target=run_worker,
-                args=(task, barrier, results),
-                name=f"repro-worker-{rank}",
-            )
-            proc.start()
-            procs.append(proc)
-        obs.add_span("spawn", "setup", spawn_start, time.perf_counter())
-
-        try:
-            with obs.span("barrier", "sync"):
-                barrier.wait(timeout=timeout)
-        except Exception as exc:
-            detail = ""
-            try:
-                while True:
-                    status, rank, payload = results.get(timeout=1.0)
-                    if status == "error":
-                        detail = f"\nworker {rank}:\n{payload}"
-                        break
-            except Exception:
-                pass
-            raise MachineError(f"workers failed to start: {exc}{detail}") from exc
-        setup_time = time.perf_counter() - setup_start
-
-        outcomes: dict[int, float] = {}
-        for _ in range(grid.size):
-            try:
-                status, rank, payload = results.get(timeout=timeout)
-            except Exception as exc:
-                raise MachineError(
-                    f"lost contact with {grid.size - len(outcomes)} worker(s) "
-                    f"after {timeout:.0f}s"
-                ) from exc
-            if status != "ok":
-                # Raise on the first failure: downstream stages are blocked
-                # on tokens that will never arrive, so waiting out their
-                # timeouts only delays this traceback.  The finally block
-                # terminates the stragglers.
-                if "SanitizerError" in str(payload):
-                    raise SanitizerError(
-                        f"worker {rank} detected a wavefront race:\n{payload}"
-                    )
-                raise MachineError(f"worker {rank} failed:\n{payload}")
-            outcomes[rank] = payload["elapsed"]
-            obs.absorb(payload["events"])
-        for proc in procs:
-            proc.join(timeout=timeout)
-        with obs.span("gather", "setup"):
-            pool.gather()
-    finally:
-        for proc in procs:
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=5.0)
-        if shadow is not None:
-            shadow.release()
-        if mcast_fabric is not None:
-            mcast_fabric.release()
-        if bpool is not None:
-            bpool.release()
-        pool.release()
-
-    worker_times = tuple(outcomes[rank] for rank in grid)
-    trace = None
-    if obs.enabled:
-        region = plan.region
-        trace = Trace.from_tracer(
-            obs,
-            clock="wall",
-            meta={
-                "backend": "parallel",
-                "schedule": schedule,
-                "grid": list(grid.dims),
-                "n_procs": grid.size,
-                # Stages per pipeline chain (rank-2 grids run dims[1]
-                # independent chains of dims[0] stages each).
-                "pipeline_procs": grid.dims[0],
-                "block_size": block_size,
-                "n_chunks": n_chunks,
-                "rows": region.extent(plan.wavefront_dim),
-                "cols": (
-                    region.extent(plan.chunk_dim)
-                    if plan.chunk_dim is not None
-                    else 1
-                ),
-                "boundary_rows": plan.boundary_rows,
-                "halo_rows": plan.halo_rows,
-                "wavefront_dim": plan.wavefront_dim,
-                "chunk_dim": plan.chunk_dim,
-                "wall_time": max(worker_times),
-                "setup_time": setup_time,
-                "sanitize": bool(sanitize),
-                "fabric": fabric,
-                "fanout": groups.max_fanout if groups is not None else 1,
-            },
-        )
-    return ParallelRun(
-        schedule=schedule,
-        grid_dims=grid.dims,
-        block_size=block_size,
-        n_chunks=n_chunks,
-        wall_time=max(worker_times),
-        worker_times=worker_times,
-        setup_time=setup_time,
-        plan=plan,
-        trace=trace,
-        fabric=fabric,
-    )
-
-
-def _execute_taskgraph(
-    compiled: CompiledScan,
-    grid: ProcessorGrid,
-    *,
-    block: int | None,
-    wavefront_dim: int | None,
-    start_method: str | None,
-    timeout: float,
-    tracer,
-    sanitize: bool,
-) -> ParallelRun:
-    """The fork-per-run ``schedule="taskgraph"`` backend.
-
-    Same sharing/fork/barrier/result skeleton as the pipelined path, but
-    instead of a static token fabric the workers share one scheduler
-    segment (:class:`repro.parallel.taskgraph.TaskgraphState`) and fire
-    tiles of the pruned dependence DAG (:mod:`repro.compiler.taskdag`) as
-    their predecessors complete.  ``sanitize`` swaps the pipelined shadow
-    for the scheduler's enqueue-evidence + completion-stamp checks, and
-    honours the ``early-fire`` injection of ``REPRO_SANITIZE_INJECT``.
-    """
-    from repro.compiler.taskdag import derive_taskgraph
-    from repro.parallel.taskgraph import (
-        TaskgraphState,
-        make_locks,
-        report_from_stats,
-        resolve_oversub,
-    )
-
-    if grid.rank != 1:
-        raise MachineError(
-            "schedule=\"taskgraph\" runs on rank-1 grids: the scheduler "
-            "itself spreads work along the chunk dimension"
-        )
-    plan = plan_wavefront(compiled, wavefront_dim)
-    dist = _build_distribution(plan, grid)
-    if block is not None:
-        if block < 1:
-            raise MachineError(f"block size must be >= 1, got {block}")
-        oversub, block_size = resolve_oversub(), block
-    else:
-        from repro.parallel.autotune import taskgraph_tiling
-
-        oversub, block_size = taskgraph_tiling(
-            compiled, grid.dims[0], plan=plan
-        )
-
-    if os.environ.get("REPRO_CERTIFY", "") not in ("", "0"):
-        from repro.analyze.certify import certify_execution
-
-        certify_execution(
-            compiled,
-            schedule="taskgraph",
-            grid=grid,
-            block=block_size,
-            wavefront_dim=wavefront_dim,
-            oversub=oversub,
-        )
-
-    obs = resolve_tracer(tracer)
-    setup_start = time.perf_counter()
-    with obs.span("prepare", "setup"):
-        compiled.prepare()
-    with obs.span("taskdag", "setup"):
-        graph = derive_taskgraph(
-            compiled,
-            plan,
-            [dist.local_region(rank) for rank in grid],
-            oversub,
-            block_size,
-        )
-    inject = None
-    if sanitize:
-        from repro.analyze.sanitizer import INJECT_ENV, parse_inject
-
-        inject = parse_inject(os.environ.get(INJECT_ENV))
-        if inject is not None and inject[0] != "early-fire":
-            inject = None  # early-release faults target the pipelined shadow
-    with obs.span("share", "setup"):
-        pool = SharedArrayPool(compiled)
-    state = TaskgraphState(graph, grid.size, inject=inject)
-    procs: list[mp.process.BaseProcess] = []
-    try:
-        spawn_start = time.perf_counter()
-        blob = pickle.dumps(compiled)
-        ctx = _context(start_method)
-        locks = make_locks(ctx, grid.size)
-        spec = state.spec(graph, grid.size, sanitize)
-        barrier = ctx.Barrier(grid.size + 1)
-        results = ctx.Queue()
-        for rank in grid:
-            task = WorkerTask(
-                rank=rank,
-                compiled_blob=blob,
-                specs=pool.specs,
-                chunks=(),
-                recv=None,
-                send=None,
-                timeout=timeout,
-                chunk_dim=plan.chunk_dim,
-                boundary_rows=plan.boundary_rows,
-                trace=obs.enabled,
-                taskgraph=spec,
+                peer=preds.get(rank),
                 tg_locks=locks,
+                mcast_sems=sems,
             )
             proc = ctx.Process(
                 target=run_worker,
@@ -712,95 +214,28 @@ def _execute_taskgraph(
             procs.append(proc)
         obs.add_span("spawn", "setup", spawn_start, time.perf_counter())
 
-        try:
-            with obs.span("barrier", "sync"):
-                barrier.wait(timeout=timeout)
-        except Exception as exc:
-            detail = ""
-            try:
-                while True:
-                    status, rank, payload = results.get(timeout=1.0)
-                    if status == "error":
-                        detail = f"\nworker {rank}:\n{payload}"
-                        break
-            except Exception:
-                pass
-            raise MachineError(f"workers failed to start: {exc}{detail}") from exc
+        meet_barrier(barrier, results, timeout, obs)
         setup_time = time.perf_counter() - setup_start
-
-        outcomes: dict[int, float] = {}
-        run_stats: dict[int, dict] = {}
-        for _ in range(grid.size):
-            try:
-                status, rank, payload = results.get(timeout=timeout)
-            except Exception as exc:
-                raise MachineError(
-                    f"lost contact with {grid.size - len(outcomes)} worker(s) "
-                    f"after {timeout:.0f}s"
-                ) from exc
-            if status != "ok":
-                if "SanitizerError" in str(payload):
-                    raise SanitizerError(
-                        f"worker {rank} detected a taskgraph protocol "
-                        f"violation:\n{payload}"
-                    )
-                raise MachineError(f"worker {rank} failed:\n{payload}")
-            outcomes[rank] = payload["elapsed"]
-            run_stats[rank] = payload.get("stats") or {}
-            obs.absorb(payload["events"])
+        outcomes, run_stats = collect(
+            results,
+            run_plan,
+            timeout,
+            obs,
+            dead_ranks=lambda: [
+                rank
+                for rank, proc in zip(run_plan.grid, procs)
+                if not proc.is_alive()
+            ],
+        )
         for proc in procs:
             proc.join(timeout=timeout)
         with obs.span("gather", "setup"):
-            pool.gather()
+            shared.gather()
     finally:
         for proc in procs:
             if proc.is_alive():
                 proc.terminate()
                 proc.join(timeout=5.0)
-        state.release()
-        pool.release()
-
-    worker_times = tuple(outcomes[rank] for rank in grid)
-    report = report_from_stats(graph, run_stats)
-    trace = None
-    if obs.enabled:
-        region = plan.region
-        trace = Trace.from_tracer(
-            obs,
-            clock="wall",
-            meta={
-                "backend": "parallel",
-                "schedule": "taskgraph",
-                "grid": list(grid.dims),
-                "n_procs": grid.size,
-                "block_size": block_size,
-                "oversub": oversub,
-                "n_tasks": graph.n_live,
-                "n_pruned": graph.n_pruned,
-                "n_edges": graph.n_edges,
-                "steals": report.steals,
-                "rows": region.extent(plan.wavefront_dim),
-                "cols": (
-                    region.extent(plan.chunk_dim)
-                    if plan.chunk_dim is not None
-                    else 1
-                ),
-                "wavefront_dim": plan.wavefront_dim,
-                "chunk_dim": plan.chunk_dim,
-                "wall_time": max(worker_times),
-                "setup_time": setup_time,
-                "sanitize": bool(sanitize),
-            },
-        )
-    return ParallelRun(
-        schedule="taskgraph",
-        grid_dims=grid.dims,
-        block_size=block_size,
-        n_chunks=graph.n_live,
-        wall_time=max(worker_times),
-        worker_times=worker_times,
-        setup_time=setup_time,
-        plan=plan,
-        trace=trace,
-        taskgraph=report,
-    )
+        for item in reversed(owned):
+            item.release()
+    return finish(run_plan, outcomes, run_stats, setup_time, obs)

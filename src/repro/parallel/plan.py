@@ -1,0 +1,733 @@
+"""One planner for a real parallel run, and the parent-side driver over it.
+
+The paper's point is that one schedule description — wavefront dimension,
+chunk dimension, block size ``b``, who releases whom — fixes both what runs
+and what Equation (1) predicts.  :func:`resolve_run` derives that
+description once, as a frozen :class:`RunPlan`, and everything else *reads*
+it: the fork-per-run executor and the worker pool build their jobs from it,
+the certifier projects its :class:`~repro.analyze.certify.ScheduleModel`
+from it, the sanitizer lays its shadow planes out from it, and the trace
+meta is :meth:`RunPlan.meta`.  ``REPRO_CERTIFY=1`` therefore certifies the
+very object that is dispatched.
+
+The second half of the module is the part of a run both process lifecycles
+share once their workers exist: per-run shared state (:class:`RunResources`),
+the start barrier (:func:`meet_barrier`), the liveness-polled result
+collector (:func:`collect`) and the :class:`ParallelRun` construction
+(:func:`finish`).  The lifecycles themselves — spawn-with-arguments in
+:mod:`repro.parallel.executor`, job pipe in :mod:`repro.parallel.pool` —
+stay thin transports over these.
+"""
+
+from __future__ import annotations
+
+import os
+import queue
+import time
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable
+
+from repro.compiler.lowering import CompiledScan
+from repro.errors import DistributionError, MachineError, SanitizerError
+from repro.machine.distribution import BlockMap
+from repro.machine.grid import ProcessorGrid
+from repro.machine.schedules import WavefrontPlan, _chunk_regions, plan_wavefront
+from repro.obs.live import format_flight_tail
+from repro.obs.trace import NULL_TRACER, Trace
+from repro.parallel.collectives import (
+    BoundaryLayout,
+    MulticastGroups,
+    MulticastSpec,
+    boundary_layout,
+    plan_groups,
+    resolve_double_buffer,
+    resolve_multicast,
+)
+from repro.parallel.worker import BlockJob
+from repro.zpl.regions import Region
+
+#: Environment knob: hard cap on worker counts chosen *by default* (CI safety).
+MAX_PROCS_ENV = "REPRO_PARALLEL_MAX_PROCS"
+
+#: Environment knob: the default schedule when a caller passes ``None``.
+SCHEDULE_ENV = "REPRO_SCHEDULE"
+
+SCHEDULES = ("pipelined", "naive", "taskgraph")
+
+#: Result-queue poll slice: a worker killed mid-run is noticed within two
+#: slices, not after the caller's full timeout.
+POLL_SECONDS = 0.25
+
+
+def resolve_schedule(schedule: str | None) -> str:
+    """An explicit schedule, else ``REPRO_SCHEDULE``, else ``pipelined``."""
+    source = "schedule"
+    if schedule is None:
+        schedule = os.environ.get(SCHEDULE_ENV, "") or "pipelined"
+        source = SCHEDULE_ENV
+    if schedule not in SCHEDULES:
+        raise MachineError(
+            f"unknown {source} {schedule!r}; pick from {SCHEDULES}"
+        )
+    return schedule
+
+
+def default_grid(max_procs: int | None = None) -> ProcessorGrid:
+    """A rank-1 grid sized to the host, honouring ``REPRO_PARALLEL_MAX_PROCS``."""
+    cap = max_procs or int(os.environ.get(MAX_PROCS_ENV, "4"))
+    return ProcessorGrid((max(1, min(cap, os.cpu_count() or 1)),))
+
+
+def _as_grid(grid: ProcessorGrid | int | tuple[int, ...] | None) -> ProcessorGrid:
+    if grid is None:
+        return default_grid()
+    if isinstance(grid, ProcessorGrid):
+        return grid
+    if isinstance(grid, int):
+        return ProcessorGrid((grid,))
+    return ProcessorGrid(tuple(grid))
+
+
+def _build_distribution(
+    plan: WavefrontPlan, grid: ProcessorGrid
+) -> BlockMap:
+    region = plan.region
+    w, c = plan.wavefront_dim, plan.chunk_dim
+    dim_map: list[int | None] = [None] * region.rank
+    dim_map[w] = 0
+    if grid.rank == 2:
+        if c is None:
+            raise DistributionError("no chunkable dimension: cannot mesh-distribute")
+        if any(d.vector[c] != 0 for d in plan.compiled.dependences):
+            raise DistributionError(
+                f"dimension {c} carries a dependence; a 2-D grid would couple "
+                f"the pipeline chains — use a rank-1 grid"
+            )
+        dim_map[c] = 1
+    elif grid.rank != 1:
+        raise MachineError(
+            f"the multiprocess backend supports rank-1 and rank-2 grids, "
+            f"got rank {grid.rank}"
+        )
+    return BlockMap(region, grid, tuple(dim_map))
+
+
+def _chains(grid: ProcessorGrid, ascending: bool) -> list[list[int]]:
+    """Processor ranks grouped into pipeline chains, in wave order."""
+    rows = list(range(grid.dims[0]))
+    if not ascending:
+        rows.reverse()
+    if grid.rank == 1:
+        return [[grid.proc((row,)) for row in rows]]
+    return [
+        [grid.proc((row, col)) for row in rows] for col in range(grid.dims[1])
+    ]
+
+
+def _worker_chunks(
+    plan: WavefrontPlan, local: Region, block_size: int, reverse: bool
+) -> tuple[Region, ...]:
+    """One worker's pipeline blocks.  All workers of a chain share the same
+    chunk-dimension ranges, so token ``k`` means the same columns chain-wide."""
+    if plan.chunk_dim is None or local.extent(plan.chunk_dim) == 0:
+        return (local,)
+    return tuple(_chunk_regions(local, plan.chunk_dim, block_size, reverse))
+
+
+def _default_block(plan: WavefrontPlan, n_stages: int) -> int:
+    """Static block-size heuristic for ``static`` planning.
+
+    The autotuner's cost model needs timing constants; the certifier only
+    needs *a* legal chunking, so it uses the classical half-the-columns-per
+    -stage starting point.
+    """
+    if plan.chunk_dim is None:
+        return 1
+    extent = plan.region.extent(plan.chunk_dim)
+    return max(1, extent // max(1, 2 * n_stages))
+
+
+def check_chain_legality(
+    compiled: CompiledScan, plan: WavefrontPlan, n_stages: int, n_chunks: int
+) -> None:
+    """Refuse chain distributions the one-way boundary protocol cannot honour.
+
+    Two shapes are sequentially legal yet race on a multi-stage chain:
+
+    * **Upstream flow** — a dependence whose wave component opposes the
+      traversal (reader in an *earlier* chain stage than the writer).
+      Boundary data only travels down the chain, under every schedule, so
+      the reader would consume values its downstream neighbour has not
+      produced; no chunking makes this sound.
+    * **Lookahead** — wave component along the traversal but chunk
+      component against it (e.g. ``(1, -1)`` ascending): pipeline block
+      ``k`` downstream reads columns its upstream stage only computes in
+      block ``k + 1``.  Tokens and epoch stamps both release strictly in
+      block order, so this races exactly when the chain is chunked;
+      single-chunk (naive or full-width) runs are safe.
+
+    Single-stage chains are always safe: no boundary ever crosses a rank.
+    """
+    if n_stages <= 1:
+        return
+    w, c = plan.wavefront_dim, plan.chunk_dim
+    signs = compiled.loops.signs
+    sw = 1 if signs[w] >= 0 else -1
+    sc = 1 if c is None or signs[c] >= 0 else -1
+    for dep in compiled.dependences:
+        vw = dep.vector[w]
+        vc = dep.vector[c] if c is not None else 0
+        if vw * sw < 0:
+            raise DistributionError(
+                f"{dep.kind.value} dependence {dep.vector} on {dep.array!r} "
+                f"points upstream along wavefront dimension {w}: boundary "
+                f"data only flows down the chain — distribute along a "
+                f"different wavefront dimension or run on one process"
+            )
+        if n_chunks > 1 and vw * sw > 0 and vc * sc < 0:
+            raise DistributionError(
+                f"{dep.kind.value} dependence {dep.vector} on {dep.array!r} "
+                f"points against the chunk traversal: pipeline block k would "
+                f"read columns its upstream stage only computes in block "
+                f"k+1 — use schedule=\"naive\" or a block covering the full "
+                f"width"
+            )
+
+
+# ---------------------------------------------------------------------------
+# The plan
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class RunPlan:
+    """One resolved run: the geometry, the fabric and the knobs, as data.
+
+    Built only by :func:`resolve_run`.  Static-order schedules carry
+    ``chunks_by_rank`` (each rank's pipeline blocks, in wave order);
+    ``schedule="taskgraph"`` carries ``graph`` and ``oversub`` instead.
+    """
+
+    compiled: CompiledScan
+    wavefront: WavefrontPlan
+    grid: ProcessorGrid
+    schedule: str
+    #: ``"pipes"`` or ``"multicast"`` (taskgraph runs report ``"pipes"``:
+    #: neither token fabric is involved, and that is what they always said).
+    fabric: str
+    block_size: int | None
+    #: Max pipeline blocks on any rank (taskgraph: the live tile count).
+    n_chunks: int
+    #: Wavefront traversal direction — which static pipe fabric a pool uses.
+    ascending: bool
+    #: Ranks grouped into pipeline chains, in wave order.
+    chains: tuple[tuple[int, ...], ...]
+    chunks_by_rank: dict[int, tuple[Region, ...]]
+    #: Per rank: its local wave-dimension row range (``None``: owns no rows).
+    rows_by_rank: tuple[tuple[int, int] | None, ...]
+    #: The epoch fabric's producer/consumer relation (multicast runs only).
+    groups: MulticastGroups | None = None
+    #: Double-buffered boundary staging requested (multicast runs only).
+    staging: bool = False
+    oversub: int | None = None
+    #: The pruned tile DAG (:class:`repro.compiler.taskdag.TaskGraph`).
+    graph: object | None = None
+    sanitize: bool = False
+    #: Parsed ``REPRO_SANITIZE_INJECT`` (sanitized runs only).
+    inject: tuple[str, int, int] | None = None
+
+    @property
+    def fanout(self) -> int:
+        return self.groups.max_fanout if self.groups is not None else 1
+
+    @property
+    def pred_by_rank(self) -> dict[int, int]:
+        """Each rank's upstream neighbour on its pipeline chain."""
+        return {
+            downstream: upstream
+            for chain in self.chains
+            for upstream, downstream in zip(chain, chain[1:])
+        }
+
+    @cached_property
+    def layout(self) -> BoundaryLayout | None:
+        """The staging-slot layout, or ``None`` when nothing is staged."""
+        if self.fabric != "multicast" or not self.staging:
+            return None
+        return boundary_layout(self.compiled, self.wavefront)
+
+    def multicast_spec(
+        self, epoch_seg: str, boundary_seg: str | None
+    ) -> MulticastSpec:
+        """What a worker needs to join the epoch fabric for this plan."""
+        return MulticastSpec(
+            epoch_seg=epoch_seg,
+            n_ranks=self.grid.size,
+            groups=self.groups,
+            wave_dim=self.wavefront.wavefront_dim,
+            wave_ascending=self.ascending,
+            rows_by_rank=self.rows_by_rank,
+            boundary_seg=boundary_seg,
+            layout=self.layout if boundary_seg is not None else None,
+            chunk_dim=self.wavefront.chunk_dim,
+        )
+
+    def meta(self) -> dict:
+        """The run's trace meta (timings are added by :func:`finish`)."""
+        plan, region = self.wavefront, self.wavefront.region
+        meta = {
+            "backend": "parallel",
+            "schedule": self.schedule,
+            "grid": list(self.grid.dims),
+            "n_procs": self.grid.size,
+            # Stages per pipeline chain (rank-2 grids run dims[1]
+            # independent chains of dims[0] stages each).
+            "pipeline_procs": self.grid.dims[0],
+            "block_size": self.block_size,
+            "n_chunks": self.n_chunks,
+            "rows": region.extent(plan.wavefront_dim),
+            "cols": (
+                region.extent(plan.chunk_dim)
+                if plan.chunk_dim is not None
+                else 1
+            ),
+            "boundary_rows": plan.boundary_rows,
+            "halo_rows": plan.halo_rows,
+            "wavefront_dim": plan.wavefront_dim,
+            "chunk_dim": plan.chunk_dim,
+            "sanitize": self.sanitize,
+            "fabric": self.fabric,
+            "fanout": self.fanout,
+        }
+        if self.graph is not None:
+            meta.update(
+                oversub=self.oversub,
+                n_tasks=self.graph.n_live,
+                n_pruned=self.graph.n_pruned,
+                n_edges=self.graph.n_edges,
+            )
+        return meta
+
+
+def resolve_run(
+    compiled: CompiledScan,
+    grid: ProcessorGrid | int | tuple[int, ...] | None = None,
+    *,
+    schedule: str | None = None,
+    block: int | None = None,
+    wavefront_dim: int | None = None,
+    multicast: bool | str | None = None,
+    double_buffer: bool | None = None,
+    sanitize: bool | None = None,
+    oversub: int | None = None,
+    static: bool = False,
+    tracer=NULL_TRACER,
+) -> RunPlan:
+    """Plan one run: every derivation, validation and refusal, once.
+
+    Arguments mean what they mean on
+    :func:`repro.parallel.executor.execute`; ``None`` honours the matching
+    ``REPRO_*`` variable.  ``static`` plans without touching the host — the
+    block size defaults to a static heuristic instead of the autotuner,
+    the sanitizer knobs are not read, and the ``REPRO_CERTIFY`` pre-flight
+    is skipped: it is how the analyzer's own entry points plan.  ``tracer``
+    receives the ``taskdag`` span.  Raises the
+    :class:`~repro.errors.MachineError` family for configurations no
+    executor would run.
+    """
+    schedule = resolve_schedule(schedule)
+    grid = _as_grid(grid)
+    if sanitize is None:
+        sanitize = not static and os.environ.get(
+            "REPRO_SANITIZE", ""
+        ) not in ("", "0")
+    plan = plan_wavefront(compiled, wavefront_dim)
+    taskgraph = schedule == "taskgraph"
+    if taskgraph and grid.rank != 1:
+        raise MachineError(
+            "schedule=\"taskgraph\" runs on rank-1 grids: the scheduler "
+            "itself spreads work along the chunk dimension"
+        )
+    if plan.chunk_dim is None and grid.dims[0] > 1 and schedule == "pipelined":
+        raise DistributionError(
+            "no chunkable dimension: this block cannot be pipelined"
+        )
+    dist = _build_distribution(plan, grid)
+    signs = compiled.loops.signs
+    ascending = signs[plan.wavefront_dim] >= 0
+    locals_by_rank = {rank: dist.local_region(rank) for rank in grid}
+    chains = _chains(grid, ascending)
+
+    # Fabric selection happens before block sizing: the autotuner's cost
+    # model depends on whether a release costs one pipe round per edge or
+    # one epoch stamp per fan-out.
+    fabric, groups = "pipes", None
+    mode = resolve_multicast(multicast)
+    if schedule == "pipelined" and mode != "off" and plan.chunk_dim is not None:
+        groups = plan_groups(compiled, plan, chains, locals_by_rank, grid.size)
+        if groups is not None and (mode == "on" or groups.max_fanout >= 2):
+            fabric = "multicast"
+        else:
+            groups = None
+
+    # Taskgraph tiles reuse the pipelined block width along the chunk
+    # dimension (per-tile compute vs per-tile scheduling overhead trades
+    # off like Eq. (1)'s compute vs message cost, and it keeps the two
+    # schedules block-for-block comparable); the wave dimension is
+    # over-decomposed ``oversub`` slabs per rank so stealing has slack.
+    if taskgraph and oversub is None:
+        from repro.parallel.taskgraph import resolve_oversub
+
+        oversub = resolve_oversub()
+    if schedule == "naive":
+        block_size = None
+    elif block is not None:
+        if block < 1:
+            raise MachineError(f"block size must be >= 1, got {block}")
+        block_size = block
+    elif static:
+        block_size = _default_block(plan, grid.dims[0])
+    else:
+        from repro.parallel.autotune import tuned_block_size
+
+        block_size = tuned_block_size(
+            compiled,
+            grid.dims[0],
+            plan=plan,
+            fabric=fabric,
+            fanout=groups.max_fanout if groups is not None else 1,
+        )
+
+    chunks_by_rank: dict[int, tuple[Region, ...]] = {}
+    n_chunks = 1
+    graph = None
+    if taskgraph:
+        from repro.compiler.taskdag import derive_taskgraph
+
+        with tracer.span("taskdag", "setup"):
+            graph = derive_taskgraph(
+                compiled,
+                plan,
+                [locals_by_rank[rank] for rank in grid],
+                oversub,
+                block_size,
+            )
+        n_chunks = graph.n_live
+    else:
+        reverse = plan.chunk_dim is not None and signs[plan.chunk_dim] < 0
+        for rank, local in locals_by_rank.items():
+            width = (
+                local.extent(plan.chunk_dim)
+                if plan.chunk_dim is not None
+                else 1
+            )
+            per_block = width if block_size is None else block_size
+            chunks_by_rank[rank] = _worker_chunks(
+                plan, local, max(1, per_block), reverse
+            )
+            n_chunks = max(n_chunks, len(chunks_by_rank[rank]))
+        check_chain_legality(compiled, plan, grid.dims[0], n_chunks)
+
+    inject = None
+    if sanitize:
+        from repro.analyze.sanitizer import INJECT_ENV, parse_inject
+
+        inject = parse_inject(os.environ.get(INJECT_ENV))
+
+    run_plan = RunPlan(
+        compiled=compiled,
+        wavefront=plan,
+        grid=grid,
+        schedule=schedule,
+        fabric=fabric,
+        block_size=block_size,
+        n_chunks=n_chunks,
+        ascending=ascending,
+        chains=tuple(tuple(chain) for chain in chains),
+        chunks_by_rank=chunks_by_rank,
+        rows_by_rank=tuple(
+            None
+            if locals_by_rank[rank].is_empty()
+            else locals_by_rank[rank].range(plan.wavefront_dim)
+            for rank in grid
+        ),
+        groups=groups,
+        staging=fabric == "multicast" and resolve_double_buffer(double_buffer),
+        oversub=oversub,
+        graph=graph,
+        sanitize=bool(sanitize),
+        inject=inject,
+    )
+    if not static and os.environ.get("REPRO_CERTIFY", "") not in ("", "0"):
+        from repro.analyze.certify import certify_execution
+
+        # Certify exactly what is about to be dispatched.
+        certify_execution(run_plan)
+    return run_plan
+
+
+# ---------------------------------------------------------------------------
+# The parent-side driver both process lifecycles share
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ParallelRun:
+    """Outcome of one real parallel execution (values land in the arrays)."""
+
+    schedule: str
+    grid_dims: tuple[int, ...]
+    block_size: int | None
+    n_chunks: int
+    #: Pipeline busy time: the slowest worker's barrier-to-finish seconds.
+    wall_time: float
+    #: Per-processor busy times, indexed by grid rank.
+    worker_times: tuple[float, ...]
+    #: Parent-side overhead: planning, sharing, pickling, process startup
+    #: or dispatch, up to the start barrier (seconds).
+    setup_time: float
+    plan: WavefrontPlan
+    #: Structured event recording (:mod:`repro.obs`), when tracing was on.
+    trace: Trace | None = None
+    #: Scheduler outcome (:class:`repro.parallel.taskgraph.TaskgraphReport`)
+    #: when ``schedule="taskgraph"``: tile/pruning/steal accounting.
+    taskgraph: object | None = None
+    #: The communication fabric the run synchronised on: ``"pipes"``
+    #: (point-to-point tokens) or ``"multicast"`` (epoch publishes, with
+    #: double-buffered boundary staging unless ``REPRO_DOUBLE_BUFFER=0``).
+    fabric: str = "pipes"
+
+    @property
+    def n_procs(self) -> int:
+        total = 1
+        for extent in self.grid_dims:
+            total *= extent
+        return total
+
+    def __repr__(self) -> str:
+        return (
+            f"ParallelRun({self.schedule}, grid={self.grid_dims}, "
+            f"b={self.block_size}, wall={self.wall_time * 1e3:.2f}ms)"
+        )
+
+
+class RunResources:
+    """The per-run shared segments a plan needs, whoever runs it.
+
+    A taskgraph run owns one scheduler segment (pending counts, deques,
+    stamps — sanitizing rides those stamps); a sanitized static-order run
+    owns one shadow segment (stamp plane + per-``(rank, block)`` clock
+    rows).  Both are per run, so one request can never leak state into
+    the next; :meth:`release` unlinks them.
+    """
+
+    def __init__(self, run_plan: RunPlan):
+        self.run_plan = run_plan
+        self._segment = self._taskgraph = self._sanitize = None
+        n = run_plan.grid.size
+        if run_plan.graph is not None:
+            from repro.parallel.taskgraph import TaskgraphState
+
+            self._segment = TaskgraphState(
+                run_plan.graph, n, inject=run_plan.inject
+            )
+            self._taskgraph = self._segment.spec(
+                run_plan.graph, n, run_plan.sanitize
+            )
+        elif run_plan.sanitize:
+            from repro.analyze.sanitizer import ShadowPool
+
+            self._segment = ShadowPool(
+                run_plan.wavefront,
+                run_plan.grid,
+                run_plan.chunks_by_rank,
+                inject=run_plan.inject,
+                epoch_clocks=run_plan.n_chunks,
+            )
+            self._sanitize = self._segment.spec
+
+    def job(
+        self,
+        rank: int,
+        mcast: MulticastSpec | None,
+        timeout: float,
+        trace: bool,
+        tags: dict | None = None,
+    ) -> BlockJob:
+        """One rank's share of the run, as the worker loop consumes it."""
+        plan = self.run_plan.wavefront
+        return BlockJob(
+            chunks=self.run_plan.chunks_by_rank.get(rank, ()),
+            chunk_dim=plan.chunk_dim,
+            boundary_rows=plan.boundary_rows,
+            timeout=timeout,
+            trace=trace,
+            tags=tags,
+            taskgraph=self._taskgraph,
+            mcast=mcast,
+            sanitize=self._sanitize,
+        )
+
+    def release(self) -> None:
+        if self._segment is not None:
+            self._segment.release()
+
+
+def _first_error(results, seq: int | None) -> str:
+    """Best-effort: pull this run's first worker error off the queue."""
+    try:
+        while True:
+            status, rank, payload = results.get(timeout=1.0)
+            if status == "error" and payload.get("seq") == seq:
+                return f"\nworker {rank}:\n{payload['detail']}"
+    except Exception:
+        return ""
+
+
+def meet_barrier(
+    barrier,
+    results,
+    timeout: float,
+    obs,
+    *,
+    seq: int | None = None,
+    broken: type[MachineError] = MachineError,
+) -> None:
+    """Meet the workers at the start barrier (the ``barrier`` span)."""
+    try:
+        with obs.span("barrier", "sync"):
+            barrier.wait(timeout=timeout)
+    except Exception as exc:
+        raise broken(
+            f"workers failed to start: {exc}{_first_error(results, seq)}"
+        ) from exc
+
+
+def _worker_error(
+    run_plan: RunPlan, rank: int, payload: dict, broken: type[MachineError]
+) -> Exception:
+    """The typed parent-side error for one worker's failure report."""
+    detail = payload["detail"]
+    if payload.get("error") == "SanitizerError":
+        # The race report, not the process plumbing, is the story.
+        what = (
+            "a wavefront race (taskgraph protocol violation)"
+            if run_plan.graph is not None
+            else "a wavefront race"
+        )
+        return SanitizerError(f"worker {rank} detected {what}:\n{detail}")
+    flight_dump = payload.get("flight")
+    if flight_dump and flight_dump.get("events"):
+        detail += (
+            "\nworker flight recorder (last events before failure):\n"
+            + format_flight_tail(flight_dump)
+        )
+    return broken(f"worker {rank} failed:\n{detail}")
+
+
+def collect(
+    results,
+    run_plan: RunPlan,
+    timeout: float,
+    obs,
+    *,
+    dead_ranks: Callable[[], list[int]],
+    seq: int | None = None,
+    broken: type[MachineError] = MachineError,
+) -> tuple[dict[int, float], dict[int, dict]]:
+    """Gather one report per rank: ``(elapsed by rank, stats by rank)``.
+
+    Polls in :data:`POLL_SECONDS` slices instead of one long ``get()``.
+    ``dead_ranks()`` names the ranks whose process is gone; one that is
+    still unreported on two consecutive empty polls (a worker's report is
+    flushed to the queue before its process exits, so the second poll
+    would have delivered it) raises ``broken`` at once.  Raises on the
+    first failure report — downstream stages are blocked on releases that
+    will never arrive, so waiting out their timeouts only delays the
+    traceback — classified by the exception type the worker named, never
+    by the text of its traceback.  Reports tagged with another run's
+    ``seq`` are stale leftovers of a failed pooled run and are skipped.
+    """
+    n = run_plan.grid.size
+    outcomes: dict[int, float] = {}
+    run_stats: dict[int, dict] = {}
+    deadline = time.monotonic() + timeout
+    strikes = 0
+    while len(outcomes) < n:
+        try:
+            status, rank, payload = results.get(timeout=POLL_SECONDS)
+        except queue.Empty:
+            lost = [r for r in dead_ranks() if r not in outcomes]
+            strikes = strikes + 1 if lost else 0
+            if strikes >= 2:
+                raise broken(
+                    f"worker(s) {lost} died mid-run without reporting"
+                ) from None
+            if time.monotonic() > deadline:
+                raise broken(
+                    f"lost contact with {n - len(outcomes)} worker(s) "
+                    f"after {timeout:.0f}s"
+                ) from None
+            continue
+        if payload.get("seq") != seq:
+            continue
+        if status != "ok":
+            raise _worker_error(run_plan, rank, payload, broken)
+        outcomes[rank] = payload["elapsed"]
+        run_stats[rank] = payload.get("stats") or {}
+        obs.absorb(payload["events"])
+    return outcomes, run_stats
+
+
+def finish(
+    run_plan: RunPlan,
+    outcomes: dict[int, float],
+    run_stats: dict[int, dict],
+    setup_time: float,
+    obs,
+    *,
+    pool: bool = False,
+) -> ParallelRun:
+    """Close one collected run: sanitizer accounting, report, trace, result."""
+    if run_plan.sanitize and run_plan.graph is None:
+        # Clock accounting over the result channel: every rank must have
+        # advanced its own clock through all its blocks.  A short count
+        # means completions went missing — a protocol hole the per-block
+        # checks cannot see from the other side.
+        for rank in run_plan.grid:
+            clocks = run_stats[rank].get("clocks")
+            expected = len(run_plan.chunks_by_rank[rank])
+            if clocks is None or clocks[rank] != expected:
+                got = "none" if clocks is None else clocks[rank]
+                raise SanitizerError(
+                    f"sanitizer clock accounting failed: worker "
+                    f"{rank} retired {got} of {expected} blocks"
+                )
+    report = None
+    if run_plan.graph is not None:
+        from repro.parallel.taskgraph import report_from_stats
+
+        report = report_from_stats(run_plan.graph, run_stats)
+    worker_times = tuple(outcomes[rank] for rank in run_plan.grid)
+    wall_time = max(worker_times)
+    trace = None
+    if obs.enabled:
+        meta = run_plan.meta()
+        meta.update(wall_time=wall_time, setup_time=setup_time)
+        if pool:
+            meta["pool"] = True
+        if report is not None:
+            meta["steals"] = report.steals
+        trace = Trace.from_tracer(obs, clock="wall", meta=meta)
+    return ParallelRun(
+        schedule=run_plan.schedule,
+        grid_dims=run_plan.grid.dims,
+        block_size=run_plan.block_size,
+        n_chunks=run_plan.n_chunks,
+        wall_time=wall_time,
+        worker_times=worker_times,
+        setup_time=setup_time,
+        plan=run_plan.wavefront,
+        trace=trace,
+        taskgraph=report,
+        fabric=run_plan.fabric,
+    )

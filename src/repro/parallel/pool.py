@@ -33,6 +33,14 @@ are safe: the fingerprint-keyed plan LRU and the shared-segment
 packages the recovery story — serialize, detect broken, respawn — for
 callers that must survive worker death (``repro.serve``).
 
+The pool is a *transport*: what runs is planned by
+:func:`repro.parallel.plan.resolve_run` (the same ``RunPlan`` the
+fork-per-run executor dispatches and ``REPRO_CERTIFY=1`` certifies), the
+workers run it through :func:`repro.parallel.worker.run_blocks`, and the
+barrier, result collection and ``ParallelRun`` construction are the shared
+driver in :mod:`repro.parallel.plan`.  Only the lifecycle is the pool's own:
+the job pipe, the plan/segment/channel caches, and the broken flag.
+
 ``shared_pool()`` hands out one module-level pool per grid shape, closed
 automatically at interpreter exit; explicit pools support ``with``.
 """
@@ -41,51 +49,34 @@ from __future__ import annotations
 
 import atexit
 import gc
-import os
 import pickle
 import threading
 import time
-import traceback
 from dataclasses import dataclass, field, replace
 from multiprocessing.connection import Connection
 
 from repro.compiler.lowering import CompiledScan
-from repro.errors import (
-    DistributionError,
-    MachineError,
-    PoolBrokenError,
-    SanitizerError,
-)
+from repro.errors import MachineError, PoolBrokenError
 from repro.machine.grid import ProcessorGrid
-from repro.machine.schedules import plan_wavefront
-from repro.obs.live import (
-    FLIGHT,
-    LIVE,
-    MONITOR,
-    current_tags,
-    format_flight_tail,
-)
-from repro.obs.trace import NULL_TRACER, Trace, Tracer, resolve_tracer
+from repro.obs.live import FLIGHT, LIVE, MONITOR, current_tags
+from repro.obs.trace import NULL_TRACER, Tracer, resolve_tracer
 from repro.parallel.channels import chain_links
 from repro.parallel.collectives import (
     MulticastChannel,
     MulticastFabric,
     MulticastSpec,
-    boundary_layout,
-    plan_groups,
-    resolve_double_buffer,
-    resolve_multicast,
 )
-from repro.parallel.executor import (
-    SCHEDULES,
+from repro.parallel.executor import _context
+from repro.parallel.plan import (
     ParallelRun,
+    RunPlan,
+    RunResources,
     _as_grid,
-    _build_distribution,
     _chains,
-    _context,
-    _worker_chunks,
-    check_chain_legality,
-    resolve_schedule,
+    collect,
+    finish,
+    meet_barrier,
+    resolve_run,
 )
 from repro.parallel.sharedmem import (
     ArraySpec,
@@ -95,13 +86,12 @@ from repro.parallel.sharedmem import (
     collect_arrays,
 )
 from repro.parallel.worker import (
-    multicast_pipeline_loop,
-    pipeline_loop,
-    sanitized_multicast_loop,
-    sanitized_pipeline_loop,
+    BlockJob,
+    error_payload,
+    ok_payload,
+    run_blocks,
 )
 from repro.runtime.kernels import plan_fingerprint
-from repro.zpl.regions import Region
 
 #: Parent-side cap on cached plan entries (each pins shared segments).
 PLAN_ENTRY_CAP = 8
@@ -116,30 +106,10 @@ class PoolJob:
     #: Pickled CompiledScan — ``None`` when this worker already has it cached.
     blob: bytes | None
     specs: list[ArraySpec] | None
-    chunks: tuple[Region, ...]
     #: Which static token fabric to use (wavefront traversal direction).
     ascending: bool
-    chunk_dim: int | None
-    boundary_rows: int
-    timeout: float
-    trace: bool
-    #: Request-context tags (serving request ids) stamped onto this job's
-    #: spans and flight events — the worker half of end-to-end tracing.
-    tags: dict | None = None
-    #: Task-graph spec (:class:`repro.parallel.taskgraph.TaskgraphSpec`)
-    #: when ``schedule="taskgraph"``: the worker joins the run's shared
-    #: scheduler segment instead of the static token fabric (``chunks`` is
-    #: empty, ``ascending`` unused).
-    taskgraph: object | None = None
-    #: Multicast spec (:class:`repro.parallel.collectives.MulticastSpec`)
-    #: when the planner selected the epoch fabric: the worker joins the
-    #: pool-lifetime epoch segment instead of the token pipes.
-    mcast: MulticastSpec | None = None
-    #: Sanitizer spec (:class:`repro.analyze.sanitizer.SanitizerSpec`) when
-    #: the run shadow-executes (``REPRO_SANITIZE=1``): the worker attaches
-    #: the run's stamp segment and swaps in the sanitized pipeline loop.
-    #: Taskgraph runs sanitize through ``taskgraph`` instead.
-    sanitize: object | None = None
+    #: The rank's share of the run — the same record a forked worker gets.
+    job: BlockJob
 
 
 @dataclass
@@ -157,7 +127,7 @@ class PoolBoot:
     #: The epoch fabric's per-rank semaphores — like ``tg_locks``, these
     #: only share by inheritance, so they ship at fork time.
     mcast_sems: object | None = None
-    #: Predecessor rank on each pipe fabric (timeout diagnostics only).
+    #: Predecessor rank on each pipe fabric.
     pred_fwd: int | None = None
     pred_bwd: int | None = None
 
@@ -215,13 +185,14 @@ def run_pool_worker(boot: PoolBoot, barrier, results) -> None:
                             pass
                 continue
             job: PoolJob = msg[1]
-            tracer = Tracer(proc=boot.rank) if job.trace else NULL_TRACER
+            spec = job.job
+            tracer = Tracer(proc=boot.rank) if spec.trace else NULL_TRACER
             FLIGHT.event(
                 "pool_job", seq=job.seq,
-                fingerprint=job.fingerprint[:12], chunks=len(job.chunks),
+                fingerprint=job.fingerprint[:12], chunks=len(spec.chunks),
             )
             err = None
-            runnable = None
+            runnable = channel = None
             try:
                 entry = cache.get(job.fingerprint)
                 if entry is None:
@@ -243,150 +214,56 @@ def run_pool_worker(boot: PoolBoot, barrier, results) -> None:
                 elif tracer.enabled:
                     tracer.count("pool_plan_hits")
                 runnable = entry[2]
+                if spec.mcast is not None:
+                    if spec.mcast.boundary_seg is not None:
+                        plan_segs.setdefault(job.fingerprint, set()).add(
+                            spec.mcast.boundary_seg
+                        )
+                    chan_key = (job.fingerprint, spec.mcast)
+                    channel = channels.get(chan_key)
+                    if channel is None:
+                        channel = MulticastChannel(
+                            spec.mcast,
+                            boot.mcast_sems,
+                            boot.rank,
+                            arrays=collect_arrays(entry[0]),
+                            attach_cache=seg_cache,
+                        )
+                        channels[chan_key] = channel
+                    # Every worker is idle between runs (submissions
+                    # serialise), so the stale posts are all in by now.
+                    channel.drain()
+                    channel.reset_stats()
             except BaseException:
-                err = traceback.format_exc()
+                err = error_payload(job.seq)
             try:
                 # Always meet the barrier, even after a setup failure:
                 # breaking it would poison every later run for every worker.
-                barrier.wait(timeout=job.timeout)
+                barrier.wait(timeout=spec.timeout)
             except Exception:
                 if err is None:
-                    err = traceback.format_exc()
-            elapsed = 0.0
+                    err = error_payload(job.seq)
             stats: dict = {}
             if err is None:
                 try:
-                    if job.taskgraph is not None:
-                        from repro.parallel.taskgraph import taskgraph_loop
-
-                        elapsed = taskgraph_loop(
-                            runnable,
-                            job.taskgraph,
-                            boot.tg_locks,
-                            boot.rank,
-                            job.timeout,
-                            tracer,
-                            stats=stats,
-                            tags=job.tags,
-                        )
-                    elif job.mcast is not None:
-                        if job.mcast.boundary_seg is not None:
-                            plan_segs.setdefault(job.fingerprint, set()).add(
-                                job.mcast.boundary_seg
-                            )
-                        chan_key = (job.fingerprint, job.mcast)
-                        channel = channels.get(chan_key)
-                        if channel is None:
-                            channel = MulticastChannel(
-                                job.mcast,
-                                boot.mcast_sems,
-                                boot.rank,
-                                arrays=collect_arrays(
-                                    cache[job.fingerprint][0]
-                                ),
-                                attach_cache=seg_cache,
-                            )
-                            channels[chan_key] = channel
-                        channel.drain()
-                        channel.reset_stats()
-                        if job.sanitize is not None:
-                            from repro.analyze.sanitizer import SanitizerState
-
-                            state = SanitizerState(job.sanitize, boot.rank)
-                            try:
-                                elapsed = sanitized_multicast_loop(
-                                    runnable,
-                                    job.chunks,
-                                    channel,
-                                    job.timeout,
-                                    tracer,
-                                    state,
-                                    stats=stats,
-                                )
-                            finally:
-                                state.detach()
-                        else:
-                            elapsed = multicast_pipeline_loop(
-                                runnable,
-                                job.chunks,
-                                channel,
-                                job.timeout,
-                                tracer,
-                                job.chunk_dim,
-                                job.boundary_rows,
-                                stats=stats,
-                                tags=job.tags,
-                            )
-                    else:
-                        recv, send = (
-                            boot.links_fwd if job.ascending else boot.links_bwd
-                        )
-                        peer = (
-                            boot.pred_fwd if job.ascending else boot.pred_bwd
-                        )
-                        if job.sanitize is not None:
-                            from repro.analyze.sanitizer import SanitizerState
-
-                            state = SanitizerState(job.sanitize, boot.rank)
-                            try:
-                                elapsed = sanitized_pipeline_loop(
-                                    runnable,
-                                    job.chunks,
-                                    recv,
-                                    send,
-                                    job.timeout,
-                                    tracer,
-                                    state,
-                                    stats=stats,
-                                )
-                            finally:
-                                state.detach()
-                        else:
-                            elapsed = pipeline_loop(
-                                runnable,
-                                job.chunks,
-                                recv,
-                                send,
-                                job.timeout,
-                                tracer,
-                                job.chunk_dim,
-                                job.boundary_rows,
-                                stats=stats,
-                                tags=job.tags,
-                                peer=peer,
-                            )
-                except BaseException:
-                    err = traceback.format_exc()
-            if err is not None:
-                # Ship the worker's flight-recorder tail home with the
-                # traceback: the post-mortem of what this process was doing
-                # in the moments before it failed.
-                results.put(
-                    (
-                        "error",
+                    elapsed = run_blocks(
+                        runnable,
+                        spec,
                         boot.rank,
-                        {
-                            "seq": job.seq,
-                            "detail": err,
-                            "flight": FLIGHT.dump(),
-                        },
+                        tracer,
+                        stats,
+                        links=boot.links_fwd if job.ascending else boot.links_bwd,
+                        peer=boot.pred_fwd if job.ascending else boot.pred_bwd,
+                        channel=channel,
+                        tg_locks=boot.tg_locks,
                     )
-                )
+                except BaseException:
+                    err = error_payload(job.seq)
+            if err is not None:
+                results.put(("error", boot.rank, err))
             else:
                 results.put(
-                    (
-                        "ok",
-                        boot.rank,
-                        {
-                            "seq": job.seq,
-                            "elapsed": elapsed,
-                            "events": tracer.drain(),
-                            # The always-on incremental metrics flush: rides
-                            # the existing result channel, costs a handful of
-                            # floats per job.
-                            "stats": stats,
-                        },
-                    )
+                    ("ok", boot.rank, ok_payload(job.seq, elapsed, tracer, stats))
                 )
     finally:
         for channel in channels.values():
@@ -650,32 +527,46 @@ class WorkerPool:
                 sanitize=sanitize,
             )
 
-    def _ensure_workers_alive(self) -> None:
-        """Fail fast when a worker process died (kill -9, OOM, segfault)."""
-        dead = [
+    def _dead_ranks(self) -> list[int]:
+        """Ranks whose worker process is gone (kill -9, OOM, segfault)."""
+        return [
             rank
             for rank, proc in zip(self.grid, self._procs)
             if not proc.is_alive()
         ]
-        if dead:
-            self._broken = True
-            raise PoolBrokenError(
-                f"pool worker(s) {dead} died; the pool is broken — "
-                "respawn it (see PoolSupervisor) before the next request"
+
+    def _multicast_spec(self, entry: _PlanEntry, run_plan: RunPlan) -> MulticastSpec:
+        """The plan entry's cached epoch-fabric spec (and boundary pool)."""
+        plan = run_plan.wavefront
+        key = (plan.wavefront_dim, run_plan.ascending, run_plan.staging)
+        spec_entry = entry.mcast.get(key)
+        if spec_entry is None:
+            layout = run_plan.layout
+            bpool = (
+                BoundaryPool(self.grid.size, layout.slot_elems)
+                if layout is not None
+                else None
             )
+            spec_entry = (
+                run_plan.multicast_spec(
+                    self._mcast_fabric.name,
+                    bpool.name if bpool is not None else None,
+                ),
+                bpool,
+            )
+            entry.mcast[key] = spec_entry
+        # Zero the epochs/credits from the previous run; safe because
+        # submissions serialise and every worker is idle here.
+        self._mcast_fabric.reset()
+        return spec_entry[0]
 
     def _execute(
         self,
         compiled: CompiledScan,
         *,
-        schedule: str | None,
-        block: int | None,
-        wavefront_dim: int | None,
         timeout: float | None,
         tracer,
-        multicast: bool | str | None = None,
-        double_buffer: bool | None = None,
-        sanitize: bool | None = None,
+        **plan_kwargs,
     ) -> ParallelRun:
         if self._closed:
             raise MachineError("worker pool is closed")
@@ -684,400 +575,80 @@ class WorkerPool:
                 "worker pool is broken (a previous run failed); "
                 "close() it and build a new pool"
             )
-        self._ensure_workers_alive()
-        schedule = resolve_schedule(schedule)
-        if sanitize is None:
-            sanitize = os.environ.get("REPRO_SANITIZE", "") not in ("", "0")
+        dead = self._dead_ranks()
+        if dead:
+            self._broken = True
+            raise PoolBrokenError(
+                f"pool worker(s) {dead} died; the pool is broken — "
+                "respawn it (see PoolSupervisor) before the next request"
+            )
         timeout = self.timeout if timeout is None else timeout
-        grid = self.grid
         obs = resolve_tracer(tracer)
         setup_start = time.perf_counter()
-
-        plan = plan_wavefront(compiled, wavefront_dim)
-        if plan.chunk_dim is None and grid.dims[0] > 1 and schedule == "pipelined":
-            raise DistributionError(
-                "no chunkable dimension: this block cannot be pipelined"
-            )
-        if schedule == "taskgraph" and grid.rank != 1:
-            raise MachineError(
-                "schedule=\"taskgraph\" runs on rank-1 grids: the scheduler "
-                "itself spreads work along the chunk dimension"
-            )
-        dist = _build_distribution(plan, grid)
-        loops = compiled.loops
-        ascending = loops.signs[plan.wavefront_dim] >= 0
-        reverse_chunks = (
-            plan.chunk_dim is not None and loops.signs[plan.chunk_dim] < 0
-        )
-        locals_by_rank = {rank: dist.local_region(rank) for rank in grid}
-
-        # Fabric selection before block sizing — the autotuner's cost model
-        # depends on whether a release is one pipe round or one epoch stamp.
-        fabric = "pipes"
-        groups = None
-        mcast_mode = resolve_multicast(multicast)
-        if (
-            schedule == "pipelined"
-            and mcast_mode != "off"
-            and plan.chunk_dim is not None
-        ):
-            groups = plan_groups(
-                compiled,
-                plan,
-                self._chains_by_dir[ascending],
-                locals_by_rank,
-                grid.size,
-            )
-            if groups is not None and (
-                mcast_mode == "on" or groups.max_fanout >= 2
-            ):
-                fabric = "multicast"
-            else:
-                groups = None
-
-        oversub = None
-        if schedule == "naive":
-            block_size = None
-        elif block is not None:
-            if block < 1:
-                raise MachineError(f"block size must be >= 1, got {block}")
-            block_size = block
-            if schedule == "taskgraph":
-                from repro.parallel.taskgraph import resolve_oversub
-
-                oversub = resolve_oversub()
-        elif schedule == "taskgraph":
-            from repro.parallel.autotune import taskgraph_tiling
-
-            oversub, block_size = taskgraph_tiling(
-                compiled, grid.dims[0], plan=plan
-            )
-        else:
-            from repro.parallel.autotune import tuned_block_size
-
-            block_size = tuned_block_size(
-                compiled,
-                grid.dims[0],
-                plan=plan,
-                fabric=fabric,
-                fanout=groups.max_fanout if groups is not None else 1,
-            )
-
-        if os.environ.get("REPRO_CERTIFY", "") not in ("", "0"):
-            from repro.analyze.certify import certify_execution
-
-            # Certify exactly what is about to run on the pooled workers.
-            if schedule == "taskgraph":
-                certify_execution(
-                    compiled,
-                    schedule="taskgraph",
-                    grid=grid,
-                    block=block_size,
-                    wavefront_dim=wavefront_dim,
-                    oversub=oversub,
-                )
-            else:
-                certify_execution(
-                    compiled,
-                    schedule=schedule,
-                    grid=grid,
-                    block=block_size,
-                    wavefront_dim=wavefront_dim,
-                    multicast=(fabric == "multicast"),
-                    double_buffer=double_buffer,
-                )
-
-        chunks_by_rank: dict[int, tuple[Region, ...]] = {}
-        n_chunks = 1
-        if schedule in ("pipelined", "naive"):
-            for rank in grid:
-                local = locals_by_rank[rank]
-                width = (
-                    local.extent(plan.chunk_dim)
-                    if plan.chunk_dim is not None
-                    else 1
-                )
-                per_block = width if block_size is None else block_size
-                chunks_by_rank[rank] = _worker_chunks(
-                    plan, local, max(1, per_block), reverse_chunks
-                )
-                n_chunks = max(n_chunks, len(chunks_by_rank[rank]))
-            # Pre-dispatch: raising mid-dispatch would abandon jobs already
-            # sent and break the pool.
-            check_chain_legality(compiled, plan, grid.dims[0], n_chunks)
-
         with obs.span("prepare", "setup"):
             compiled.prepare()  # hoisted temps must be current before refresh
+        # Every refusal is raised here, pre-dispatch: raising mid-dispatch
+        # would abandon jobs already sent and break the pool.
+        run_plan = resolve_run(compiled, self.grid, tracer=obs, **plan_kwargs)
         entry = self._entry_for(compiled, obs)
-
         mcast_spec = None
-        if fabric == "multicast":
-            staging = resolve_double_buffer(double_buffer)
-            key = (plan.wavefront_dim, ascending, staging)
-            spec_entry = entry.mcast.get(key)
-            if spec_entry is None:
-                layout = boundary_layout(compiled, plan) if staging else None
-                bpool = (
-                    BoundaryPool(grid.size, layout.slot_elems)
-                    if layout is not None
-                    else None
-                )
-                rows_by_rank = tuple(
-                    None
-                    if locals_by_rank[rank].is_empty()
-                    else locals_by_rank[rank].range(plan.wavefront_dim)
-                    for rank in grid
-                )
-                spec_entry = (
-                    MulticastSpec(
-                        epoch_seg=self._mcast_fabric.name,
-                        n_ranks=grid.size,
-                        groups=groups,
-                        wave_dim=plan.wavefront_dim,
-                        wave_ascending=ascending,
-                        rows_by_rank=rows_by_rank,
-                        boundary_seg=bpool.name if bpool is not None else None,
-                        layout=layout if bpool is not None else None,
-                        chunk_dim=plan.chunk_dim,
-                    ),
-                    bpool,
-                )
-                entry.mcast[key] = spec_entry
-            mcast_spec = spec_entry[0]
-            # Zero the epochs/credits from the previous run; safe because
-            # submissions serialise and every worker is idle here.
-            self._mcast_fabric.reset()
-
-        graph = None
-        state = None
-        tg_spec = None
-        if schedule == "taskgraph":
-            from repro.compiler.taskdag import derive_taskgraph
-            from repro.parallel.taskgraph import TaskgraphState
-
-            with obs.span("taskdag", "setup"):
-                graph = derive_taskgraph(
-                    compiled,
-                    plan,
-                    [dist.local_region(rank) for rank in grid],
-                    oversub,
-                    block_size,
-                )
-            # Per-run scheduler segment: pending counts, deques, stamps.
-            # Sanitizing rides the scheduler stamps, not a shadow segment.
-            inject = None
-            if sanitize:
-                from repro.analyze.sanitizer import INJECT_ENV, parse_inject
-
-                inject = parse_inject(os.environ.get(INJECT_ENV))
-                if inject is not None and inject[0] != "early-fire":
-                    inject = None  # other kinds target the pipe/epoch loops
-            state = TaskgraphState(graph, grid.size, inject=inject)
-            tg_spec = state.spec(graph, grid.size, sanitize)
-
-        shadow = None
-        if sanitize and tg_spec is None:
-            from repro.analyze.sanitizer import (
-                INJECT_ENV,
-                ShadowPool,
-                parse_inject,
-            )
-
-            # Per-run stamp plane, released in the finally below: one
-            # sanitized request can never leak stamps into the next.
-            shadow = ShadowPool(
-                plan,
-                grid,
-                chunks_by_rank,
-                inject=parse_inject(os.environ.get(INJECT_ENV)),
-                # Multicast clocks ride the epochs: one immutable clock row
-                # per (rank, block) in the shadow segment.
-                epoch_clocks=n_chunks if mcast_spec is not None else 0,
-            )
-
-        self.stats["executes"] += 1
-        self._seq += 1
-        seq = self._seq
-        # The serving layer's request ids arrive via the active request
-        # context; stamping them onto the dispatch span and the jobs is what
-        # links serve_request → dispatch → per-block worker spans.
-        tags = current_tags()
-        with obs.span("dispatch", "setup", **tags):
-            for rank in grid:
-                if tg_spec is None:
-                    chunks = chunks_by_rank[rank]
-                else:
-                    chunks = ()
-                    n_chunks = graph.n_live
-                first_time = rank not in entry.shipped
-                if first_time:
-                    self.stats["blobs_shipped"] += 1
-                job = PoolJob(
-                    seq=seq,
-                    fingerprint=entry.fingerprint,
-                    blob=entry.blob if first_time else None,
-                    specs=entry.shared.specs if first_time else None,
-                    chunks=chunks,
-                    ascending=ascending,
-                    chunk_dim=plan.chunk_dim,
-                    boundary_rows=plan.boundary_rows,
-                    timeout=timeout,
-                    trace=obs.enabled,
-                    tags=tags or None,
-                    taskgraph=tg_spec,
-                    mcast=mcast_spec,
-                    sanitize=shadow.spec if shadow is not None else None,
-                )
-                self._jobs[rank].send(("run", job))
-                entry.shipped.add(rank)
-
+        if run_plan.fabric == "multicast":
+            mcast_spec = self._multicast_spec(entry, run_plan)
+        resources = RunResources(run_plan)
         try:
+            self.stats["executes"] += 1
+            self._seq += 1
+            seq = self._seq
+            # The serving layer's request ids arrive via the active request
+            # context; stamping them onto the dispatch span and the jobs is
+            # what links serve_request → dispatch → per-block worker spans.
+            tags = current_tags()
+            with obs.span("dispatch", "setup", **tags):
+                for rank in self.grid:
+                    first_time = rank not in entry.shipped
+                    if first_time:
+                        self.stats["blobs_shipped"] += 1
+                    job = PoolJob(
+                        seq=seq,
+                        fingerprint=entry.fingerprint,
+                        blob=entry.blob if first_time else None,
+                        specs=entry.shared.specs if first_time else None,
+                        ascending=run_plan.ascending,
+                        job=resources.job(
+                            rank, mcast_spec, timeout, obs.enabled, tags or None
+                        ),
+                    )
+                    self._jobs[rank].send(("run", job))
+                    entry.shipped.add(rank)
             try:
-                with obs.span("barrier", "sync"):
-                    self._barrier.wait(timeout=timeout)
-            except Exception as exc:
-                self._broken = True
-                detail = self._first_error(seq)
-                raise PoolBrokenError(
-                    f"pool workers failed to start: {exc}{detail}"
-                ) from exc
-            setup_time = time.perf_counter() - setup_start
-
-            outcomes: dict[int, float] = {}
-            run_stats: dict[int, dict] = {}
-            deadline = time.monotonic() + timeout
-            while len(outcomes) < grid.size:
-                # Short poll slices instead of one long get(): a worker
-                # killed mid-run is noticed within a slice, not after the
-                # full timeout.
-                try:
-                    status, rank, payload = self._results.get(timeout=0.25)
-                except Exception:
-                    self._ensure_workers_alive()
-                    if time.monotonic() > deadline:
-                        self._broken = True
-                        raise PoolBrokenError(
-                            f"lost contact with "
-                            f"{grid.size - len(outcomes)} pool "
-                            f"worker(s) after {timeout:.0f}s"
-                        ) from None
-                    continue
-                if payload.get("seq") != seq:
-                    continue  # stale report from an earlier failed run
-                if status != "ok":
-                    self._broken = True
-                    detail = payload["detail"]
-                    if "SanitizerError" in detail:
-                        # The race report, not the pool plumbing, is the
-                        # story; the pool still breaks (workers may hold
-                        # half-drained channels).
-                        raise SanitizerError(
-                            f"worker {rank} detected a wavefront race:\n"
-                            f"{detail}"
-                        )
-                    flight_dump = payload.get("flight")
-                    if flight_dump and flight_dump.get("events"):
-                        detail += (
-                            "\nworker flight recorder (last events before "
-                            "failure):\n" + format_flight_tail(flight_dump)
-                        )
-                    raise PoolBrokenError(f"worker {rank} failed:\n{detail}")
-                outcomes[rank] = payload["elapsed"]
-                obs.absorb(payload["events"])
-                run_stats[rank] = payload.get("stats") or {}
-            with obs.span("gather", "setup"):
-                entry.shared.gather()
-            if shadow is not None:
-                # Clock accounting over the result channel: every rank must
-                # have advanced its own clock through all its blocks.  A
-                # short count means completions went missing — a protocol
-                # hole the per-block checks cannot see from the other side.
-                for rank in grid:
-                    clocks = run_stats.get(rank, {}).get("clocks")
-                    expected = len(chunks_by_rank.get(rank, ()))
-                    if clocks is None or clocks[rank] != expected:
-                        got = "none" if clocks is None else clocks[rank]
-                        raise SanitizerError(
-                            f"sanitizer clock accounting failed: worker "
-                            f"{rank} retired {got} of {expected} blocks"
-                        )
-        finally:
-            if state is not None:
-                state.release()
-            if shadow is not None:
-                shadow.release()
-
-        report = None
-        if graph is not None:
-            from repro.parallel.taskgraph import report_from_stats
-
-            report = report_from_stats(graph, run_stats)
-
-        worker_times = tuple(outcomes[rank] for rank in grid)
-        self._observe_run(
-            plan, block_size, max(worker_times), seq, tags, run_stats
-        )
-        trace = None
-        if obs.enabled:
-            region = plan.region
-            trace = Trace.from_tracer(
-                obs,
-                clock="wall",
-                meta={
-                    "backend": "parallel",
-                    "pool": True,
-                    "schedule": schedule,
-                    "grid": list(grid.dims),
-                    "n_procs": grid.size,
-                    "pipeline_procs": grid.dims[0],
-                    "block_size": block_size,
-                    "n_chunks": n_chunks,
-                    "rows": region.extent(plan.wavefront_dim),
-                    "cols": (
-                        region.extent(plan.chunk_dim)
-                        if plan.chunk_dim is not None
-                        else 1
-                    ),
-                    "boundary_rows": plan.boundary_rows,
-                    "halo_rows": plan.halo_rows,
-                    "wavefront_dim": plan.wavefront_dim,
-                    "chunk_dim": plan.chunk_dim,
-                    "wall_time": max(worker_times),
-                    "setup_time": setup_time,
-                    "fabric": fabric,
-                    "fanout": (
-                        groups.max_fanout if groups is not None else 1
-                    ),
-                    "sanitize": bool(sanitize),
-                },
-            )
-            if report is not None:
-                trace.meta.update(
-                    oversub=oversub,
-                    n_tasks=report.n_tasks,
-                    n_pruned=report.n_pruned,
-                    n_edges=report.n_edges,
-                    steals=report.steals,
+                meet_barrier(
+                    self._barrier, self._results, timeout, obs,
+                    seq=seq, broken=PoolBrokenError,
                 )
-        return ParallelRun(
-            schedule=schedule,
-            grid_dims=grid.dims,
-            block_size=block_size,
-            n_chunks=n_chunks,
-            wall_time=max(worker_times),
-            worker_times=worker_times,
-            setup_time=setup_time,
-            plan=plan,
-            trace=trace,
-            taskgraph=report,
-            fabric=fabric,
-        )
+                setup_time = time.perf_counter() - setup_start
+                outcomes, run_stats = collect(
+                    self._results, run_plan, timeout, obs,
+                    dead_ranks=self._dead_ranks, seq=seq, broken=PoolBrokenError,
+                )
+                with obs.span("gather", "setup"):
+                    entry.shared.gather()
+                run = finish(
+                    run_plan, outcomes, run_stats, setup_time, obs, pool=True
+                )
+            except BaseException:
+                # Any failed run breaks the pool: workers may be stuck
+                # mid-pipeline or hold half-drained channels.
+                self._broken = True
+                raise
+        finally:
+            resources.release()
+        self._observe_run(run, run_plan.wavefront, seq, tags, run_stats)
+        return run
 
     def _observe_run(
         self,
+        run: ParallelRun,
         plan,
-        block_size: int | None,
-        wall: float,
         seq: int,
         tags: dict,
         run_stats: dict[int, dict],
@@ -1089,6 +660,7 @@ class WorkerPool:
         steady-state profile feeds the online model monitor, and the run
         leaves one bounded event in the flight recorder.
         """
+        block_size, wall = run.block_size, run.wall_time
         busy = wait = elements = tokens = blocks = 0.0
         for rank, st in run_stats.items():
             if not st:
@@ -1158,16 +730,6 @@ class WorkerPool:
             wall=wall,
             **tags,
         )
-
-    def _first_error(self, seq: int) -> str:
-        """Best-effort: pull this run's first worker error off the queue."""
-        try:
-            while True:
-                status, rank, payload = self._results.get(timeout=1.0)
-                if status == "error" and payload.get("seq") == seq:
-                    return f"\nworker {rank}:\n{payload['detail']}"
-        except Exception:
-            return ""
 
 
 class PoolSupervisor:

@@ -221,7 +221,7 @@ def taskgraph_loop(
 ) -> float:
     """One worker's run of the shared DAG: pop local, steal, fire, complete.
 
-    Mirrors :func:`repro.parallel.worker.pipeline_loop`'s contract: returns
+    Same contract as :func:`repro.parallel.worker.block_loop`: returns
     busy-loop seconds, records the :mod:`repro.obs` span/counter schema when
     ``tracer`` is enabled (spans tagged ``schedule="taskgraph"``), and fills
     ``stats`` with the pool's incremental flush — plus the scheduler's own

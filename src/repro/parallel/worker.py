@@ -1,29 +1,45 @@
-"""The SPMD worker: one OS process per processor-grid cell.
+"""The SPMD worker: one block loop over a wait/release sync protocol.
 
-Each worker unpickles its own copy of the compiled block (preserving array
-identity within the copy), rebinds every array onto the parent's shared
-segments, and then runs the classic pipelined loop: receive the token for
-block ``k``, execute the block's local portion with the *same*
+Every static-order schedule — naive, pipelined on pipes, pipelined on the
+multicast epoch fabric, sanitized or not, forked per run or pooled — runs
+the same :func:`block_loop`: *wait* for block ``k``'s inputs, execute the
+block's local portion with the same
 :func:`~repro.runtime.vectorized.execute_vectorized` the sequential engine
-uses, send the token downstream.
+uses, *release* block ``k`` downstream.  What differs is the ``sync``
+object the loop waits and releases on:
+
+* :class:`PipeSync` — one token per block over the chain's pipe
+  (:mod:`repro.parallel.channels`);
+* :class:`EpochSync` — epoch waits plus boundary absorb, then stage plus
+  one epoch stamp (:mod:`repro.parallel.collectives`);
+* :class:`repro.analyze.sanitizer.SanitizedSync` — wraps either of the
+  above with the race sanitizer's vector clocks, checks and fault
+  injections (``REPRO_SANITIZE=1``).
+
+:func:`run_blocks` picks the sync for both process entry points
+(:func:`run_worker` here, :func:`repro.parallel.pool.run_pool_worker`), so a
+fabric or the sanitizer exists in exactly one place.  The dynamic
+``schedule="taskgraph"`` loop (:func:`repro.parallel.taskgraph.taskgraph_loop`)
+stays its own function: pop/steal control flow is not a static block order.
 
 Hoisted parallel operators were evaluated once by the parent before the
-segments were filled, so the worker strips ``hoisted`` from its copy — the
+segments were filled, so a worker strips ``hoisted`` from its copy — the
 temporaries' values are already in shared memory, and re-evaluating them
 mid-wave would race against neighbours' stores.
 
-When the task asks for tracing (``WorkerTask.trace``) the loop records the
-:mod:`repro.obs` event schema — ``recv_wait``/``compute``/``send`` spans per
-block plus blocks/tokens/elements/bytes counters — into a per-process
-buffer that rides home on the existing result queue.  Untraced runs branch
-on one cached boolean per event site, keeping the hot loop at its
-pre-observability cost.
+The loop always fills ``stats`` (busy/wait seconds, tokens, blocks,
+elements: the flush the live metrics registry and the model monitor read)
+and feeds the process flight recorder when it is on; with tracing it also
+records the :mod:`repro.obs` schema — ``recv_wait``/``compute``/``send``
+spans per block plus blocks/tokens/elements/bytes counters — into a
+per-process buffer that rides home on the result queue.
 """
 
 from __future__ import annotations
 
 import gc
 import pickle
+import sys
 import time
 import traceback
 from dataclasses import dataclass, replace
@@ -31,12 +47,7 @@ from multiprocessing.connection import Connection
 
 from repro.obs.live.flight import FLIGHT
 from repro.obs.trace import NULL_TRACER, Tracer
-from repro.parallel.channels import (
-    recv_clocked_token,
-    recv_token,
-    send_clocked_token,
-    send_token,
-)
+from repro.parallel.channels import recv_token, send_token
 from repro.parallel.sharedmem import ArraySpec, AttachedArrays, collect_arrays
 from repro.runtime.kernels import plan_kind, resolve_engine
 from repro.runtime.vectorized import execute_vectorized
@@ -46,428 +57,322 @@ from repro.zpl.regions import Region
 ELEMENT_BYTES = 8
 
 
+@dataclass(frozen=True)
+class BlockJob:
+    """One rank's share of one run, as planned (plain data: it rides the
+    fork-per-run Process arguments and the pool's job pipe alike)."""
+
+    #: This worker's pipeline blocks, already localised and in wave order
+    #: (empty under ``schedule="taskgraph"``).
+    chunks: tuple[Region, ...]
+    #: The plan's chunk dimension (block widths for the trace), if any.
+    chunk_dim: int | None
+    #: Boundary elements per unit block width (the model's ``m``).
+    boundary_rows: int
+    timeout: float
+    #: Record :mod:`repro.obs` spans and counters for this run.
+    trace: bool = False
+    #: Request-context tags (serving request ids) stamped onto this job's
+    #: spans and flight events — the worker half of end-to-end tracing.
+    tags: dict | None = None
+    #: :class:`repro.parallel.taskgraph.TaskgraphSpec` under
+    #: ``schedule="taskgraph"``: the worker joins the run's shared scheduler
+    #: segment instead of a token fabric.
+    taskgraph: object | None = None
+    #: :class:`repro.parallel.collectives.MulticastSpec` when the planner
+    #: selected the epoch fabric.
+    mcast: object | None = None
+    #: :class:`repro.analyze.sanitizer.SanitizerSpec` when a static-order
+    #: run shadow-executes; kept untyped so the worker does not import the
+    #: analyzer unless asked.  Taskgraph runs sanitize through ``taskgraph``.
+    sanitize: object | None = None
+
+
 @dataclass
 class WorkerTask:
-    """Everything one worker needs, shipped through the Process arguments."""
+    """Everything one forked worker needs, shipped as Process arguments."""
 
     rank: int
     compiled_blob: bytes
     specs: list[ArraySpec]
-    #: This worker's pipeline blocks, already localised and in wave order.
-    chunks: tuple[Region, ...]
-    recv: Connection | None
-    send: Connection | None
-    timeout: float
-    #: The plan's chunk dimension (block widths for the trace), if any.
-    chunk_dim: int | None = None
-    #: Boundary elements per unit block width (the model's ``m``).
-    boundary_rows: int = 0
-    #: Record :mod:`repro.obs` spans and counters for this run.
-    trace: bool = False
-    #: Race-sanitizer spec (:class:`repro.analyze.sanitizer.SanitizerSpec`)
-    #: when ``REPRO_SANITIZE=1``; kept untyped so the worker module does not
-    #: import the analyzer unless shadow execution was requested.
-    sanitize: object | None = None
-    #: Task-graph spec (:class:`repro.parallel.taskgraph.TaskgraphSpec`)
-    #: when ``schedule="taskgraph"``: the worker joins the shared scheduler
-    #: instead of the token pipeline (``chunks``/``recv``/``send`` unused).
-    taskgraph: object | None = None
+    job: BlockJob
+    recv: Connection | None = None
+    send: Connection | None = None
+    #: Predecessor rank on the pipe fabric.
+    peer: int | None = None
     #: The run's ``(graph_lock, deque_locks)`` — synchronisation primitives
     #: travel by Process-argument inheritance, never over a pipe.
     tg_locks: object | None = None
-    #: Multicast-fabric spec (:class:`repro.parallel.collectives.MulticastSpec`)
-    #: when the planner selected the epoch fabric: the worker publishes and
-    #: waits on shared-memory epochs instead of pipe tokens (``recv``/``send``
-    #: unused).
-    mcast: object | None = None
-    #: The fabric's per-rank semaphores — like ``tg_locks``, these inherit
-    #: through the Process arguments and never ride a pipe.
+    #: The epoch fabric's per-rank semaphores (inherited like ``tg_locks``).
     mcast_sems: object | None = None
-    #: Predecessor rank on the pipe fabric (timeout diagnostics only).
-    peer: int | None = None
+
+
+class PipeSync:
+    """The point-to-point fabric: block ``k`` is one token down the pipe."""
+
+    #: The ``REPRO_SANITIZE_INJECT`` kind that targets this fabric.
+    inject_kind = "early-release"
+
+    def __init__(
+        self,
+        recv: Connection | None,
+        send: Connection | None,
+        timeout: float,
+        peer: int | None,
+    ):
+        self._recv, self._send = recv, send
+        self._timeout, self._peer = timeout, peer
+        #: Ranks whose release of block ``k`` this rank waits on.
+        self.producers = () if recv is None else (peer,)
+        #: Whether a release reaches anyone (traffic accounting).
+        self.releases = send is not None
+
+    def wait(self, k: int) -> int:
+        """Block until block ``k`` may run; returns the tokens consumed."""
+        if self._recv is None:
+            return 0
+        recv_token(self._recv, k, self._timeout, self._peer)
+        return 1
+
+    def release(self, k: int, chunk: Region) -> None:
+        """Publish "block ``k`` is computed" to whoever waits on it."""
+        if self._send is not None:
+            send_token(self._send, k)
+
+    def stats(self) -> dict:
+        return {}
+
+
+class EpochSync:
+    """The multicast fabric: waits are epoch reads (plus the double-buffer
+    absorb), a release is ``stage`` + one stamp serving every consumer."""
+
+    inject_kind = "early-publish"
+
+    def __init__(self, channel, chunks: tuple[Region, ...], timeout: float):
+        self._channel, self._chunks, self._timeout = channel, chunks, timeout
+        self._absorbed = 0
+        self.producers = channel.producers
+        self.releases = bool(channel.consumers)
+
+    def wait(self, k: int) -> int:
+        if not self.producers:
+            return 0
+        channel = self._channel
+        channel.wait_block(k, self._timeout)
+        self._absorbed = channel.absorb_through(k, self._absorbed, self._chunks)
+        return len(self.producers)
+
+    def release(self, k: int, chunk: Region) -> None:
+        self._channel.stage(k, chunk, self._timeout)
+        self._channel.publish(k)
+
+    def stats(self) -> dict:
+        return self._channel.stats()
+
+
+def block_loop(
+    runnable,
+    chunks: tuple[Region, ...],
+    sync,
+    tracer,
+    chunk_dim: int | None,
+    boundary_rows: int,
+    stats: dict,
+    tags: dict | None = None,
+) -> float:
+    """The static-order inner loop: wait → compute block → release.
+
+    Returns the busy seconds from the first wait to the last release and
+    fills ``stats`` with the run's aggregate numbers (``busy``/``wait``
+    seconds, ``tokens``, ``blocks``, ``elements``, plus whatever the sync
+    reports).  ``tracer`` records the per-block span schema when enabled
+    and is threaded into :func:`execute_vectorized` so kernel-compile
+    spans ride home too; span names are the same on every fabric, so the
+    phase analytics and residual tables apply unchanged.  ``tags`` (e.g.
+    the serving request ids) are stamped onto every span and flight
+    event, which is what makes end-to-end request tracing work.
+    """
+    tracing = tracer.enabled
+    flight = FLIGHT if FLIGHT.enabled else None
+    extra = tags or {}
+    # The plan family is loop-invariant: resolve it once so every compute
+    # span carries its kind (skewed/flat/interp) for the phase analytics.
+    kind = plan_kind(runnable) if tracing else None
+    kernel_tracer = tracer if tracing else None
+    # Engine resolution reads environment knobs; loop-invariant, so pay for
+    # it once per job instead of once per block.
+    engine = resolve_engine(None)
+    releases = sync.releases
+    busy_s = wait_s = 0.0
+    tokens = 0
+    start = time.perf_counter()
+    for k, chunk in enumerate(chunks):
+        t = time.perf_counter()
+        got = sync.wait(k)
+        if got:
+            t_done = time.perf_counter()
+            wait_s += t_done - t
+            tokens += got
+            if tracing:
+                tracer.add_span("recv_wait", "comm", t, t_done, block=k, **extra)
+                tracer.count("tokens_recv", got)
+        if not chunk.is_empty():
+            t = time.perf_counter()
+            execute_vectorized(
+                runnable, within=chunk, engine=engine, tracer=kernel_tracer
+            )
+            t_done = time.perf_counter()
+            busy_s += t_done - t
+            if tracing:
+                tracer.add_span(
+                    "compute",
+                    "compute",
+                    t,
+                    t_done,
+                    block=k,
+                    elements=chunk.size,
+                    width=_width(chunk, chunk_dim),
+                    plan=kind,
+                    **extra,
+                )
+                tracer.count("blocks_executed")
+                tracer.count("elements_computed", chunk.size)
+            elif flight is not None:
+                flight.span(
+                    "block", t, t_done, block=k, elements=chunk.size, **extra
+                )
+        if tracing and releases:
+            t = time.perf_counter()
+            sync.release(k, chunk)
+            tracer.add_span(
+                "send", "comm", t, time.perf_counter(), block=k, **extra
+            )
+            tracer.count("tokens_sent")
+            tracer.count(
+                "bytes_moved",
+                boundary_rows * _width(chunk, chunk_dim) * ELEMENT_BYTES,
+            )
+        else:
+            sync.release(k, chunk)
+    elapsed = time.perf_counter() - start
+    stats["elapsed"] = elapsed
+    stats["busy"] = busy_s
+    stats["wait"] = wait_s
+    stats["tokens"] = tokens
+    stats["blocks"] = sum(1 for c in chunks if not c.is_empty())
+    stats["elements"] = sum(c.size for c in chunks if not c.is_empty())
+    stats.update(sync.stats())
+    return elapsed
 
 
 def _width(chunk: Region, chunk_dim: int | None) -> int:
     return chunk.extent(chunk_dim) if chunk_dim is not None else 1
 
 
-def sanitized_pipeline_loop(
+def run_blocks(
     runnable,
-    chunks: tuple[Region, ...],
-    recv: Connection | None,
-    send: Connection | None,
-    timeout: float,
+    job: BlockJob,
+    rank: int,
     tracer,
-    state,
-    stats: dict | None = None,
-) -> float:
-    """The pipelined loop under shadow execution (``REPRO_SANITIZE=1``).
-
-    Same recv → compute → send skeleton as :func:`pipeline_loop`, with the
-    sanitizer's vector-clock protocol woven in: tokens carry clocks, every
-    primed read of a block is happens-before-checked before the block runs,
-    and completion stamps the shared shadow plane.  ``state`` is a
-    :class:`repro.analyze.sanitizer.SanitizerState`.  The injected
-    early-release fault (``REPRO_SANITIZE_INJECT``) lives here so the stock
-    loop stays byte-for-byte untouched.  ``stats`` (when given) receives the
-    worker's final vector clock — the pool's parent-side clock accounting
-    rides the result channel on it.
-    """
-    inject = state.spec.inject
-    tracing = tracer.enabled
-    engine = resolve_engine(None)
-    start = time.perf_counter()
-    for k, chunk in enumerate(chunks):
-        if recv is not None:
-            state.join(recv_clocked_token(recv, k, timeout))
-            if tracing:
-                tracer.count("tokens_recv")
-        state.check(chunk, k)
-        released_early = (
-            send is not None
-            and inject is not None
-            and inject[0] == "early-release"
-            and inject[1] == state.rank
-            and inject[2] == k
-        )
-        if released_early:
-            # The injected protocol violation: publish block k downstream
-            # before computing it.  The clock is the honest, un-advanced
-            # one, so downstream's happens-before check must trip.
-            send_clocked_token(send, k, state.token())
-        if not chunk.is_empty():
-            execute_vectorized(runnable, within=chunk, engine=engine, tracer=tracer)
-            if tracing:
-                tracer.count("blocks_executed")
-                tracer.count("elements_computed", chunk.size)
-        state.complete(chunk, k)
-        if send is not None and not released_early:
-            send_clocked_token(send, k, state.token())
-            if tracing:
-                tracer.count("tokens_sent")
-    if tracing:
-        tracer.count("sanitize_checks", state.checks)
-        tracer.count("sanitize_cells", state.cells)
-    if stats is not None:
-        stats["clocks"] = list(state.token())
-    return time.perf_counter() - start
-
-
-def sanitized_multicast_loop(
-    runnable,
-    chunks: tuple[Region, ...],
+    stats: dict,
+    *,
+    links: tuple[Connection | None, Connection | None],
+    peer: int | None,
     channel,
-    timeout: float,
-    tracer,
-    state,
-    stats: dict | None = None,
+    tg_locks,
 ) -> float:
-    """The multicast epoch loop under shadow execution.
+    """Run one rank's job on whichever loop and sync its plan calls for.
 
-    Same wait → absorb → compute → stage → publish skeleton as
-    :func:`multicast_pipeline_loop`, with the sanitizer's clocks riding the
-    epochs: a producer writes its clock into the shadow segment's
-    per-``(rank, block)`` epoch-clock row *before* stamping the epoch, and
-    a consumer joins each producer's row right after its epoch wait — the
-    exact clocked-token protocol, minus the pipes.  The injected
-    ``early-publish`` fault lives here: stage + publish before computing,
-    with the honest, un-advanced clock row, so every consumer's
-    happens-before check must trip regardless of interleaving.
+    ``links``/``peer`` are this rank's ends of the pipe fabric, ``channel``
+    its :class:`~repro.parallel.collectives.MulticastChannel` (``None``
+    unless ``job.mcast`` is set), ``tg_locks`` the taskgraph lock set — the
+    pieces each process lifecycle inherits its own way.
     """
-    inject = state.spec.inject
-    tracing = tracer.enabled
-    engine = resolve_engine(None)
-    waits = channel.producers
-    absorbed = 0
-    start = time.perf_counter()
-    for k, chunk in enumerate(chunks):
-        if waits:
-            channel.wait_block(k, timeout)
-            for producer in waits:
-                state.join_epoch(producer, k)
-            absorbed = channel.absorb_through(k, absorbed, chunks)
-            if tracing:
-                tracer.count("tokens_recv", len(waits))
-        state.check(chunk, k)
-        published_early = (
-            inject is not None
-            and inject[0] == "early-publish"
-            and inject[1] == state.rank
-            and inject[2] == k
+    if job.taskgraph is not None:
+        from repro.parallel.taskgraph import taskgraph_loop
+
+        return taskgraph_loop(
+            runnable,
+            job.taskgraph,
+            tg_locks,
+            rank,
+            job.timeout,
+            tracer,
+            stats=stats,
+            tags=job.tags,
         )
-        if published_early:
-            # The injected protocol violation: stamp epoch k before
-            # computing its block.  The clock row is the honest,
-            # un-advanced one, so consumers' happens-before checks trip.
-            state.publish_clocks(k)
-            channel.stage(k, chunk, timeout)
-            channel.publish(k)
-        if not chunk.is_empty():
-            execute_vectorized(runnable, within=chunk, engine=engine, tracer=tracer)
-            if tracing:
-                tracer.count("blocks_executed")
-                tracer.count("elements_computed", chunk.size)
-        state.complete(chunk, k)
-        if not published_early:
-            state.publish_clocks(k)
-            channel.stage(k, chunk, timeout)
-            channel.publish(k)
-            if tracing and channel.consumers:
-                tracer.count("tokens_sent")
-    if tracing:
-        tracer.count("sanitize_checks", state.checks)
-        tracer.count("sanitize_cells", state.cells)
-    if stats is not None:
-        stats["clocks"] = list(state.token())
-        stats.update(channel.stats())
-    return time.perf_counter() - start
+    if channel is not None:
+        sync = EpochSync(channel, job.chunks, job.timeout)
+    else:
+        sync = PipeSync(*links, job.timeout, peer)
+    state = None
+    if job.sanitize is not None:
+        from repro.analyze.sanitizer import SanitizedSync, SanitizerState
+
+        state = SanitizerState(job.sanitize, rank)
+        sync = SanitizedSync(sync, state, job.chunks)
+    try:
+        elapsed = block_loop(
+            runnable, job.chunks, sync, tracer,
+            job.chunk_dim, job.boundary_rows, stats, job.tags,
+        )
+        if state is not None and tracer.enabled:
+            tracer.count("sanitize_checks", state.checks)
+            tracer.count("sanitize_cells", state.cells)
+        return elapsed
+    finally:
+        if state is not None:
+            state.detach()
 
 
-def pipeline_loop(
-    runnable,
-    chunks: tuple[Region, ...],
-    recv: Connection | None,
-    send: Connection | None,
-    timeout: float,
-    tracer,
-    chunk_dim: int | None,
-    boundary_rows: int,
-    stats: dict | None = None,
-    tags: dict | None = None,
-    peer: int | None = None,
-) -> float:
-    """The classic pipelined inner loop: recv token → compute block → send.
+def ok_payload(seq: int | None, elapsed: float, tracer, stats: dict) -> dict:
+    """A worker's success report (``seq`` tags pooled runs, else ``None``)."""
+    return {
+        "seq": seq,
+        "elapsed": elapsed,
+        "events": tracer.drain(),
+        # The always-on incremental metrics flush: rides the existing
+        # result channel, costs a handful of floats per job.
+        "stats": stats,
+    }
 
-    Shared by the fork-per-run worker (:func:`run_worker`) and the persistent
-    pool worker (:mod:`repro.parallel.pool`).  Returns the busy seconds from
-    the first token wait to the last send.  ``tracer`` records the standard
-    per-block event schema when enabled (one cached boolean per site keeps
-    the untraced loop at its pre-observability cost) and is threaded into
-    :func:`execute_vectorized` so kernel-compile spans ride home too.
 
-    Two always-on hooks sit below the tracer:
+def error_payload(seq: int | None = None) -> dict:
+    """A worker's failure report for the exception being handled.
 
-    * ``stats`` — when a dict is passed, the loop fills it with aggregate
-      steady-state numbers (``busy``/``wait`` seconds, ``tokens``,
-      ``blocks``, ``elements``): the incremental flush the pool ships to
-      the live metrics registry and the model monitor after every job.
-    * the process flight recorder — when enabled, each block lands one
-      bounded ring event.  Both cost two clock reads per block (the
-      "lite" path) instead of the full span schema; a fully bare loop is
-      only run when tracing, stats, *and* the recorder are all off.
-
-    ``tags`` (e.g. the serving request ids) are stamped onto every span
-    and flight event, which is what makes end-to-end request tracing work.
+    Names the exception class so the parent classifies by type, and ships
+    the flight-recorder tail home with the traceback: the post-mortem of
+    what this process was doing in the moments before it failed.
     """
-    tracing = tracer.enabled
-    flight = FLIGHT if FLIGHT.enabled else None
-    lite = not tracing and (stats is not None or flight is not None)
-    extra = tags or {}
-    # The plan family is loop-invariant: resolve it once so every compute
-    # span carries its kind (skewed/flat/interp) for the phase analytics.
-    kind = plan_kind(runnable) if tracing else None
-    # Engine resolution reads environment knobs; loop-invariant, so pay for
-    # it once per job instead of once per block.
-    engine = resolve_engine(None)
-    busy_s = wait_s = 0.0
-    tokens = 0
-    start = time.perf_counter()
-    for k, chunk in enumerate(chunks):
-        if recv is not None:
-            if tracing or lite:
-                t = time.perf_counter()
-                recv_token(recv, k, timeout, peer)
-                t_done = time.perf_counter()
-                wait_s += t_done - t
-                tokens += 1
-                if tracing:
-                    tracer.add_span(
-                        "recv_wait", "comm", t, t_done, block=k, **extra
-                    )
-                    tracer.count("tokens_recv")
-            else:
-                recv_token(recv, k, timeout, peer)
-        if not chunk.is_empty():
-            if tracing:
-                t = time.perf_counter()
-                execute_vectorized(runnable, within=chunk, engine=engine, tracer=tracer)
-                t_done = time.perf_counter()
-                busy_s += t_done - t
-                tracer.add_span(
-                    "compute",
-                    "compute",
-                    t,
-                    t_done,
-                    block=k,
-                    elements=chunk.size,
-                    width=_width(chunk, chunk_dim),
-                    plan=kind,
-                    **extra,
-                )
-                tracer.count("blocks_executed")
-                tracer.count("elements_computed", chunk.size)
-            elif lite:
-                t = time.perf_counter()
-                execute_vectorized(runnable, within=chunk, engine=engine)
-                t_done = time.perf_counter()
-                busy_s += t_done - t
-                if flight is not None:
-                    flight.span(
-                        "block", t, t_done,
-                        block=k, elements=chunk.size, **extra,
-                    )
-            else:
-                execute_vectorized(runnable, within=chunk, engine=engine)
-        if send is not None:
-            if tracing:
-                t = time.perf_counter()
-                send_token(send, k)
-                tracer.add_span(
-                    "send", "comm", t, time.perf_counter(), block=k, **extra
-                )
-                tracer.count("tokens_sent")
-                tracer.count(
-                    "bytes_moved",
-                    boundary_rows * _width(chunk, chunk_dim) * ELEMENT_BYTES,
-                )
-            else:
-                send_token(send, k)
-    elapsed = time.perf_counter() - start
-    if stats is not None:
-        stats["elapsed"] = elapsed
-        stats["busy"] = busy_s
-        stats["wait"] = wait_s
-        stats["tokens"] = tokens
-        stats["blocks"] = sum(1 for c in chunks if not c.is_empty())
-        stats["elements"] = sum(c.size for c in chunks if not c.is_empty())
-    return elapsed
-
-
-def multicast_pipeline_loop(
-    runnable,
-    chunks: tuple[Region, ...],
-    channel,
-    timeout: float,
-    tracer,
-    chunk_dim: int | None,
-    boundary_rows: int,
-    stats: dict | None = None,
-    tags: dict | None = None,
-) -> float:
-    """The pipelined loop on the multicast epoch fabric.
-
-    Same wait → compute → release skeleton as :func:`pipeline_loop`, but the
-    synchronisation runs through a
-    :class:`~repro.parallel.collectives.MulticastChannel`: the wait is a
-    shared-memory epoch read per producer (plus the double-buffer absorb
-    when staging is on), and the release is ``stage`` + one ``publish``
-    stamp serving every consumer at once.  Span names are kept identical
-    to the pipe loop (``recv_wait``/``compute``/``send``) so the phase
-    analytics and residual tables apply unchanged.
-    """
-    tracing = tracer.enabled
-    flight = FLIGHT if FLIGHT.enabled else None
-    lite = not tracing and (stats is not None or flight is not None)
-    extra = tags or {}
-    kind = plan_kind(runnable) if tracing else None
-    engine = resolve_engine(None)
-    waits = channel.producers
-    releases = channel.consumers
-    busy_s = wait_s = 0.0
-    tokens = 0
-    absorbed = 0
-    start = time.perf_counter()
-    for k, chunk in enumerate(chunks):
-        if waits:
-            if tracing or lite:
-                t = time.perf_counter()
-                channel.wait_block(k, timeout)
-                absorbed = channel.absorb_through(k, absorbed, chunks)
-                t_done = time.perf_counter()
-                wait_s += t_done - t
-                tokens += len(waits)
-                if tracing:
-                    tracer.add_span(
-                        "recv_wait", "comm", t, t_done, block=k, **extra
-                    )
-                    tracer.count("tokens_recv", len(waits))
-            else:
-                channel.wait_block(k, timeout)
-                absorbed = channel.absorb_through(k, absorbed, chunks)
-        if not chunk.is_empty():
-            if tracing:
-                t = time.perf_counter()
-                execute_vectorized(runnable, within=chunk, engine=engine, tracer=tracer)
-                t_done = time.perf_counter()
-                busy_s += t_done - t
-                tracer.add_span(
-                    "compute",
-                    "compute",
-                    t,
-                    t_done,
-                    block=k,
-                    elements=chunk.size,
-                    width=_width(chunk, chunk_dim),
-                    plan=kind,
-                    **extra,
-                )
-                tracer.count("blocks_executed")
-                tracer.count("elements_computed", chunk.size)
-            elif lite:
-                t = time.perf_counter()
-                execute_vectorized(runnable, within=chunk, engine=engine)
-                t_done = time.perf_counter()
-                busy_s += t_done - t
-                if flight is not None:
-                    flight.span(
-                        "block", t, t_done,
-                        block=k, elements=chunk.size, **extra,
-                    )
-            else:
-                execute_vectorized(runnable, within=chunk, engine=engine)
-        if tracing:
-            t = time.perf_counter()
-            channel.stage(k, chunk, timeout)
-            channel.publish(k)
-            tracer.add_span(
-                "send", "comm", t, time.perf_counter(), block=k, **extra
-            )
-            if releases:
-                tracer.count("tokens_sent")
-                tracer.count(
-                    "bytes_moved",
-                    boundary_rows * _width(chunk, chunk_dim) * ELEMENT_BYTES,
-                )
-        else:
-            channel.stage(k, chunk, timeout)
-            channel.publish(k)
-    elapsed = time.perf_counter() - start
-    if stats is not None:
-        stats["elapsed"] = elapsed
-        stats["busy"] = busy_s
-        stats["wait"] = wait_s
-        stats["tokens"] = tokens
-        stats["blocks"] = sum(1 for c in chunks if not c.is_empty())
-        stats["elements"] = sum(c.size for c in chunks if not c.is_empty())
-        stats.update(channel.stats())
-    return elapsed
+    return {
+        "seq": seq,
+        "error": type(sys.exc_info()[1]).__name__,
+        "detail": traceback.format_exc(),
+        "flight": FLIGHT.dump(),
+    }
 
 
 def run_worker(task: WorkerTask, barrier, results) -> None:
     """Process entry point (top-level so every start method can import it)."""
-    attached = None
-    shadow = None
-    tracer = Tracer(proc=task.rank) if task.trace else NULL_TRACER
+    attached = channel = None
+    job = task.job
+    tracer = Tracer(proc=task.rank) if job.trace else NULL_TRACER
     tracing = tracer.enabled
     try:
         t_entry = time.perf_counter()
         compiled = pickle.loads(task.compiled_blob)
         attached = AttachedArrays(compiled, task.specs)
         runnable = replace(compiled, hoisted=())
-        if task.sanitize is not None:
-            from repro.analyze.sanitizer import SanitizerState
+        if job.mcast is not None:
+            from repro.parallel.collectives import MulticastChannel
 
-            shadow = SanitizerState(task.sanitize, task.rank)
+            channel = MulticastChannel(
+                job.mcast,
+                task.mcast_sems,
+                task.rank,
+                arrays=collect_arrays(compiled),
+            )
         if tracing:
             tracer.add_span("startup", "setup", t_entry, time.perf_counter())
         # The inherited (forked) heap is garbage-collector ballast: freeze it
@@ -475,94 +380,26 @@ def run_worker(task: WorkerTask, barrier, results) -> None:
         # loop itself allocates, not on what the parent happened to import.
         gc.freeze()
         t_barrier = time.perf_counter()
-        barrier.wait(timeout=task.timeout)
+        barrier.wait(timeout=job.timeout)
         if tracing:
             tracer.add_span("barrier", "sync", t_barrier, time.perf_counter())
         stats: dict = {}
-        if task.taskgraph is not None:
-            from repro.parallel.taskgraph import taskgraph_loop
-
-            elapsed = taskgraph_loop(
-                runnable,
-                task.taskgraph,
-                task.tg_locks,
-                task.rank,
-                task.timeout,
-                tracer,
-                stats=stats,
-            )
-        elif task.mcast is not None:
-            from repro.parallel.collectives import MulticastChannel
-
-            channel = MulticastChannel(
-                task.mcast,
-                task.mcast_sems,
-                task.rank,
-                arrays=collect_arrays(compiled),
-            )
-            try:
-                channel.drain()
-                if shadow is not None:
-                    elapsed = sanitized_multicast_loop(
-                        runnable,
-                        task.chunks,
-                        channel,
-                        task.timeout,
-                        tracer,
-                        shadow,
-                        stats=stats,
-                    )
-                else:
-                    elapsed = multicast_pipeline_loop(
-                        runnable,
-                        task.chunks,
-                        channel,
-                        task.timeout,
-                        tracer,
-                        task.chunk_dim,
-                        task.boundary_rows,
-                        stats=stats,
-                    )
-            finally:
-                channel.detach()
-        elif shadow is not None:
-            elapsed = sanitized_pipeline_loop(
-                runnable,
-                task.chunks,
-                task.recv,
-                task.send,
-                task.timeout,
-                tracer,
-                shadow,
-            )
-        else:
-            elapsed = pipeline_loop(
-                runnable,
-                task.chunks,
-                task.recv,
-                task.send,
-                task.timeout,
-                tracer,
-                task.chunk_dim,
-                task.boundary_rows,
-                stats=stats,
-                peer=task.peer,
-            )
-        results.put(
-            (
-                "ok",
-                task.rank,
-                {
-                    "elapsed": elapsed,
-                    "events": tracer.drain(),
-                    "stats": stats,
-                },
-            )
+        elapsed = run_blocks(
+            runnable,
+            job,
+            task.rank,
+            tracer,
+            stats,
+            links=(task.recv, task.send),
+            peer=task.peer,
+            channel=channel,
+            tg_locks=task.tg_locks,
         )
+        results.put(("ok", task.rank, ok_payload(None, elapsed, tracer, stats)))
     except BaseException:
-        results.put(("error", task.rank, traceback.format_exc()))
+        results.put(("error", task.rank, error_payload()))
     finally:
-        if shadow is not None:
-            shadow.detach()
+        if channel is not None:
+            channel.detach()
         if attached is not None:
             attached.detach()

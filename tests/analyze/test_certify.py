@@ -160,6 +160,75 @@ def test_repro_certify_env_taskgraph_clean(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# Certified is what runs: the model is a projection of the dispatched plan.
+# ---------------------------------------------------------------------------
+RUN_SHAPES = {
+    "pipes": dict(schedule="pipelined", multicast=False),
+    "multicast+double-buffer": dict(
+        schedule="pipelined", multicast=True, double_buffer=True
+    ),
+    "multicast-double-buffer": dict(
+        schedule="pipelined", multicast=True, double_buffer=False
+    ),
+    "taskgraph": dict(schedule="taskgraph", oversub=2),
+}
+
+
+@pytest.mark.parametrize("shape", RUN_SHAPES)
+def test_model_is_a_projection_of_the_run_plan(shape):
+    from repro.analyze.certify import project
+    from repro.parallel.plan import RunResources, resolve_run
+
+    compiled, _ = _single_stream()
+    kwargs = dict(grid=4, block=8, **RUN_SHAPES[shape])
+    run_plan = resolve_run(compiled, static=True, **kwargs)
+    model = project(run_plan)
+    assert model == build_schedule_model(compiled, **kwargs)
+    assert certify_model(model) == []
+    # The tiles the proofs range over are the regions the jobs carry.
+    resources = RunResources(run_plan)
+    try:
+        jobs = {r: resources.job(r, None, 1.0, False) for r in run_plan.grid}
+    finally:
+        resources.release()
+    if run_plan.graph is not None:
+        spec = jobs[0].taskgraph
+        assert all(job.taskgraph is spec for job in jobs.values())
+        assert model.tiles == spec.tiles == run_plan.graph.tiles
+        assert model.owners == spec.homes
+        assert all(not job.chunks for job in jobs.values())
+    else:
+        placed = [
+            (chunk, rank, k)
+            for rank in run_plan.grid
+            for k, chunk in enumerate(jobs[rank].chunks)
+        ]
+        assert model.tiles == tuple(chunk for chunk, _, _ in placed)
+        assert model.owners == tuple(rank for _, rank, _ in placed)
+        assert model.local_index == tuple(k for _, _, k in placed)
+    assert model.staging == (shape == "multicast+double-buffer")
+
+
+def test_preflight_certifies_the_dispatched_plan(monkeypatch):
+    # REPRO_CERTIFY=1 hands the hook the RunPlan itself — the object the
+    # executor goes on to dispatch — not keyword arguments to re-plan from.
+    from repro.analyze import certify as certify_module
+    from repro.parallel.plan import RunPlan, resolve_run
+
+    seen = []
+    monkeypatch.setenv("REPRO_CERTIFY", "1")
+    monkeypatch.setattr(
+        certify_module, "certify_execution",
+        lambda target, **kwargs: seen.append((target, kwargs)),
+    )
+    compiled, _ = _single_stream()
+    run_plan = resolve_run(compiled, 2, schedule="pipelined", block=8)
+    assert seen == [(run_plan, {})] and isinstance(run_plan, RunPlan)
+    resolve_run(compiled, 2, schedule="pipelined", block=8, static=True)
+    assert len(seen) == 1  # the analyzer's own planning takes no pre-flight
+
+
+# ---------------------------------------------------------------------------
 # The command line.
 # ---------------------------------------------------------------------------
 def test_cli_certify_clean_exits_zero(zpl_file, capsys):

@@ -7,11 +7,12 @@ deterministically.  Worker counts stay at two, matching the rest of the
 parallel suite.
 
 Coverage extends to every fabric and both process backends: the multicast
-epoch fabric (clocks ride per-``(rank, block)`` epoch-clock rows; the
-``early-publish`` injection must trip) and the persistent worker pool
-(clocks ride the result channel; a sanitized run stays bit-identical and
-every injection kind still trips, breaking the pool as any failed run
-does).
+epoch fabric (the ``early-publish`` injection must trip) and the persistent
+worker pool (a sanitized run stays bit-identical and every injection kind
+still trips, breaking the pool as any failed run does).  The sanitizer is
+one wrapper around the sync protocol of one block loop, so the closing
+section runs the same clean and must-trip cases on both executors and
+checks a sanitized run is as observable as a plain one.
 """
 
 import numpy as np
@@ -21,6 +22,8 @@ from repro import zpl
 from repro.analyze.sanitizer import parse_inject
 from repro.compiler import compile_scan
 from repro.errors import PoolBrokenError, SanitizerError
+from repro.obs import Tracer
+from repro.obs.phases import analyze_phases
 from repro.parallel import execute
 from repro.parallel.pool import WorkerPool
 from repro.runtime import execute_vectorized, run_and_capture
@@ -244,3 +247,62 @@ def test_pool_env_knob_enables_sanitizer(monkeypatch):
         )
     for want, have in zip(oracle, got):
         np.testing.assert_array_equal(have, want)
+
+
+# ---------------------------------------------------------------------------
+# Executor parity: one wrapped protocol under both process lifecycles.
+# ---------------------------------------------------------------------------
+@pytest.fixture(params=["fork", "pool"])
+def on_executor(request):
+    if request.param == "fork":
+        yield {"grid": 2}
+    else:
+        with WorkerPool(2) as pool:
+            yield {"pool": pool}
+
+
+@pytest.mark.parametrize(
+    "kwargs, fabric",
+    [
+        (dict(schedule="naive"), "pipes"),
+        (dict(schedule="pipelined", block=8, multicast=False), "pipes"),
+        (dict(schedule="pipelined", block=8, multicast=True), "multicast"),
+    ],
+    ids=["naive", "pipes", "multicast"],
+)
+def test_sanitized_run_is_clean_and_observable(on_executor, kwargs, fabric):
+    compiled, arrays = _single_stream()
+    run = _assert_sanitized_matches(
+        compiled, arrays, tracer=Tracer(), **kwargs, **on_executor
+    )
+    assert run.fabric == fabric
+    trace = run.trace
+    assert trace.meta["sanitize"] is True
+    # The same span and counter schema as an unsanitized run...
+    for proc in trace.procs():
+        blocks = [
+            s.args["block"] for s in trace.worker_spans("compute")
+            if s.proc == proc
+        ]
+        assert blocks == list(range(run.n_chunks))
+    assert trace.counter_total("tokens_recv") == run.n_chunks
+    assert trace.counter_total("tokens_sent") == run.n_chunks
+    assert trace.counter_total("bytes_moved") > 0
+    assert len(analyze_phases(trace).workers) == 2  # `obs summarize` works
+    # ...plus the sanitizer's own: every block of both ranks was checked.
+    assert trace.counter_total("sanitize_checks") == 2 * run.n_chunks
+
+
+@pytest.mark.parametrize(
+    "multicast, inject",
+    [(False, "early-release:0:2"), (True, "early-publish:0:2")],
+    ids=["pipes", "multicast"],
+)
+def test_mid_stream_injection_trips(on_executor, multicast, inject, monkeypatch):
+    monkeypatch.setenv("REPRO_SANITIZE_INJECT", inject)
+    compiled, _ = _single_stream()
+    with pytest.raises(SanitizerError, match="wavefront race"):
+        execute(
+            compiled, schedule="pipelined", block=8, multicast=multicast,
+            sanitize=True, **on_executor,
+        )

@@ -28,7 +28,7 @@ from repro.parallel.collectives import (
     resolve_double_buffer,
     resolve_multicast,
 )
-from repro.parallel.executor import (
+from repro.parallel.plan import (
     _build_distribution,
     _chains,
     check_chain_legality,

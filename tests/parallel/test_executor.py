@@ -152,3 +152,63 @@ def test_worker_failure_raises_instead_of_hanging():
     compiled = compile_scan(block)
     with pytest.raises(MachineError, match="worker"):
         execute(compiled, grid=2, schedule="pipelined", block=4, timeout=30.0)
+
+
+def test_killed_forked_worker_raises_typed_error_fast(monkeypatch):
+    # A worker SIGKILLed mid-run never reports.  The collector must notice
+    # the dead process within a couple of poll slices — not after the 60 s
+    # timeout the caller passed — and tear every shared segment down.
+    # (Thousands of one-column blocks keep the pipeline busy for seconds;
+    # the suite-wide sanitize/certify CI knobs would spend those on checks.)
+    monkeypatch.delenv("REPRO_CERTIFY", raising=False)
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+    import multiprocessing
+    import signal
+    import threading
+    import time
+
+    from repro import zpl
+    from repro.obs import Tracer
+
+    if not os.path.isdir("/dev/shm"):
+        pytest.skip("needs /dev/shm to observe leaked segments")
+    rows, cols = 64, 10000  # one column per block: seconds of pipeline
+    a = zpl.ZArray(zpl.Region.of((1, rows), (1, cols)), name="a")
+    a.fill(0.5)
+    with zpl.covering(zpl.Region.of((2, rows), (1, cols))):
+        with zpl.scan(execute=False) as block:
+            a[...] = 0.9 * (a.p @ zpl.NORTH) + 0.1
+    compiled = compile_scan(block)
+    segments = set(os.listdir("/dev/shm"))
+    tracer = Tracer()
+    outcome = {}
+
+    def run():
+        try:
+            execute(
+                compiled, grid=2, schedule="pipelined", block=1,
+                timeout=60.0, tracer=tracer,
+            )
+        except BaseException as exc:
+            outcome["error"] = exc
+        outcome["at"] = time.monotonic()
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    deadline = time.monotonic() + 30.0
+    # The parent's barrier span closes once every worker is in its loop.
+    while not any(s.name == "barrier" for s in list(tracer.spans)):
+        assert time.monotonic() < deadline, "workers never met the barrier"
+        time.sleep(0.001)
+    (victim,) = [
+        p for p in multiprocessing.active_children()
+        if p.name == "repro-worker-1"
+    ]
+    os.kill(victim.pid, signal.SIGKILL)
+    killed_at = time.monotonic()
+    thread.join(timeout=30.0)
+    assert not thread.is_alive()
+    assert isinstance(outcome.get("error"), MachineError), outcome
+    assert "died" in str(outcome["error"])
+    assert outcome["at"] - killed_at < 5.0
+    assert set(os.listdir("/dev/shm")) <= segments

@@ -25,7 +25,7 @@ from repro.compiler.taskdag import derive_taskgraph
 from repro.errors import DistributionError, MachineError, SanitizerError
 from repro.machine.schedules import plan_wavefront
 from repro.parallel import WorkerPool, execute
-from repro.parallel.executor import _as_grid, _build_distribution
+from repro.parallel.plan import _as_grid, _build_distribution
 from repro.runtime import execute_vectorized, run_and_capture
 from tests.conftest import record_tomcatv_block
 
