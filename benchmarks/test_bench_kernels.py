@@ -6,7 +6,11 @@ single process):
 
 * engine throughput — the interpreted slab engine against the compiled
   kernel engine (cold first run, then warm minima), asserting the kernel
-  path is at least **2×** faster;
+  path is at least **2×** faster.  The ratio was stated about the numpy row
+  loop (hoisted interpretation, same row-steps), so it is asserted on that
+  lowering (``kernel_numpy_seconds``, the toolchain made to look absent) as
+  well as on what ``engine="kernel"`` runs by default — the native loop
+  nest where the host has a compiler, which must not lose to the row loop;
 * dispatch cost — the per-block cost a pipelined schedule pays, for the
   interpreted engine (the pre-kernel ~9 ms/block recorded in
   ``BENCH_parallel.json``) against a persistent :class:`WorkerPool`
@@ -29,6 +33,7 @@ from repro.runtime import KERNEL_STATS, execute_vectorized
 from repro.runtime.interp import ArraySnapshot
 from repro.util.benchjson import read_bench, write_bench
 from repro.util.timing import WallTimer
+from tests.conftest import numpy_lowerings
 
 #: Acceptance-criterion mesh: the paper's Tomcatv size.
 N = 256
@@ -64,6 +69,8 @@ def test_kernel_engine_artifact():
     kernel_cold = cold_timer.elapsed
     kernel_best = _timed(compiled, snap, REPEATS, engine="kernel")
     kernel_stats = KERNEL_STATS.snapshot()
+    with numpy_lowerings():
+        numpy_best = _timed(compiled, snap, 1 + REPEATS, engine="kernel")
 
     # Dispatch cost per pipeline block: interpreted fork-per-run vs a warm
     # persistent pool (one token + one warm dispatch).
@@ -82,6 +89,7 @@ def test_kernel_engine_artifact():
             "interp_seconds": interp_best,
             "kernel_cold_seconds": kernel_cold,
             "kernel_seconds": kernel_best,
+            "kernel_numpy_seconds": numpy_best,
             "kernel_speedup": interp_best / kernel_best,
         },
         {
@@ -108,10 +116,15 @@ def test_kernel_engine_artifact():
     assert written["results"][0]["kernel_seconds"] > 0
 
     # Acceptance criteria — these are the CI gates.
-    assert kernel_best * 2 <= interp_best, (
-        f"kernel engine must be >=2x faster than the interpreted engine on "
-        f"Tomcatv forward n={N}: kernel {kernel_best:.4f}s vs "
-        f"interp {interp_best:.4f}s"
+    for label, best in (("kernel", kernel_best), ("numpy kernel", numpy_best)):
+        assert best * 2 <= interp_best, (
+            f"{label} engine must be >=2x faster than the interpreted engine "
+            f"on Tomcatv forward n={N}: {label} {best:.4f}s vs "
+            f"interp {interp_best:.4f}s"
+        )
+    assert kernel_best <= numpy_best * 1.1, (
+        f"the default lowering must not lose to the numpy row loop: "
+        f"{kernel_best:.4f}s vs {numpy_best:.4f}s"
     )
     assert dispatch_pooled * 5 <= dispatch_interp, (
         f"pooled dispatch must be >=5x cheaper than the interpreted "

@@ -48,7 +48,6 @@ end is ``python -m repro.analyze certify``.
 
 from __future__ import annotations
 
-import os
 from collections import Counter, deque
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -57,18 +56,9 @@ from repro.analyze.diagnostics import Because, Diagnostic, Severity, render_all
 from repro.errors import CertifyError, MachineError
 from repro.zpl.regions import Region
 
-#: Environment knob: ``1`` certifies every ``RunPlan`` resolved for an
-#: ``execute()`` (fork-per-run and pool paths both honour it).
-CERTIFY_ENV = "REPRO_CERTIFY"
-
 #: Pseudo-schedules the CLI exposes: the three executor schedules plus
 #: ``multicast`` (the pipelined schedule with the epoch fabric forced on).
 PSEUDO_SCHEDULES = ("naive", "pipelined", "multicast", "taskgraph")
-
-
-def certify_enabled() -> bool:
-    """True when ``REPRO_CERTIFY`` asks for the pre-flight check."""
-    return os.environ.get(CERTIFY_ENV, "") not in ("", "0")
 
 
 def schedule_kwargs(pseudo: str) -> dict:

@@ -78,6 +78,7 @@ CODES: dict[str, tuple[Severity, str]] = {
     "W108": (Severity.WARNING, "taskgraph schedule recommended"),
     "W109": (Severity.WARNING, "multicast fabric forced on fan-out < 2"),
     "W110": (Severity.WARNING, "checker unavailable in this configuration"),
+    "W111": (Severity.WARNING, "native loop nest unavailable"),
     # Explanations (requested via `repro.analyze explain`).
     "I301": (Severity.INFO, "fusion blocked"),
     "I302": (Severity.INFO, "skew ineligible"),

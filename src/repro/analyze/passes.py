@@ -45,6 +45,7 @@ from repro.compiler.wsv import DimClass, classify
 from repro.errors import ReproError
 from repro.machine.params import CRAY_T3E
 from repro.models.pipeline_model import PipelineModel
+from repro.runtime.kernels import native_obstacle
 from repro.zpl.parser import Program
 from repro.zpl.scan import ScanBlock
 from repro.zpl.span import span_of
@@ -692,7 +693,23 @@ def explain_skew(
     except ReproError:
         return []  # over-constrained: E002 already explains everything
     dims = looped_dims(loops)
-    data = {"looped_dims": list(dims)} | ({"block": block} if block else {})
+    # A block with no looped dimension is one ufunc pass per statement and
+    # keeps numpy by design; any other block that would is a W111.
+    obstacle = native_obstacle(statements) if dims else None
+    data = {"looped_dims": list(dims), "native": bool(dims) and obstacle is None}
+    if block:
+        data["block"] = block
+    w111 = [] if obstacle is None else [
+        Diagnostic(
+            "W111",
+            f"native loop nest unavailable: {obstacle} — the block runs its "
+            f"numpy lowering (one ufunc call per node per row-step)",
+            span=span_of(statements[0]),
+            hint="results are identical; only the constant factor changes "
+                 "(docs/performance.md, \"The per-row-step floor\")",
+            data={"reason": obstacle} | ({"block": block} if block else {}),
+        )
+    ]
     if len(dims) < 2:
         return [
             Diagnostic(
@@ -703,7 +720,7 @@ def explain_skew(
                 hint="nothing to do; the row loop is already the whole nest",
                 data=data,
             )
-        ]
+        ] + w111
     if len(dims) > MAX_SKEW_RANK:
         return [
             Diagnostic(
@@ -714,7 +731,7 @@ def explain_skew(
                 hint="reduce the rank or accept the flat point loop",
                 data=data,
             )
-        ]
+        ] + w111
     skew = derive_time_vector(loops, deps, region.shape)
     if skew is None:
         return [
@@ -734,9 +751,29 @@ def explain_skew(
                 hint="the block runs with the flat point loop",
                 data=data,
             )
-        ]
+        ] + w111
     planes = skew.planes(region.shape)
     sliced = [d for d in dims if d not in skew.dims]
+    coefficient = dict(zip(skew.dims, skew.tau))
+    data |= {
+        "tau": [coefficient.get(d, 0) for d in dims],
+        "axis_aligned": skew.lowering == "rows",
+        "lowering": skew.lowering or "flat",
+        "planes": planes,
+    }
+    if skew.lowering is None:
+        return [
+            Diagnostic(
+                "I302",
+                f"skew ineligible: the {planes} planes of {skew!r} are not "
+                f"lines (three or more components, or no unit coefficient), "
+                f"so numpy has no strided sweep for them",
+                span=span_of(statements[0]),
+                hint="the native loop nest runs the block in loop order; "
+                     "without it the flat point loop does",
+                data=data,
+            )
+        ] + w111
     if skew.lowering == "rows":
         how = (
             f"dimension {skew.dims[0]} carries every dependence; the rest "
@@ -746,26 +783,18 @@ def explain_skew(
         how = (
             f"executes {planes} sheared diagonals over dimensions "
             f"{skew.dims}: strided views, no index tables"
-            if skew.lowering == "shear" else
-            f"executes {planes} gathered hyperplanes over dimensions {skew.dims}"
         )
         if sliced:
             how += f"; looped dimension(s) {sliced} carry nothing and vectorise"
-    coefficient = dict(zip(skew.dims, skew.tau))
     return [
         Diagnostic(
             "I302",
             f"skew eligible: {skew!r} — {how}",
             span=span_of(statements[0]),
             hint="the kernel engine auto-selects this plan",
-            data=data | {
-                "tau": [coefficient.get(d, 0) for d in dims],
-                "axis_aligned": skew.lowering == "rows",
-                "lowering": skew.lowering,
-                "planes": planes,
-            },
+            data=data,
         )
-    ]
+    ] + w111
 
 
 def explain_program(program: Program) -> list[Diagnostic]:

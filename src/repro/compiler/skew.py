@@ -56,8 +56,8 @@ from repro.compiler.wsv import DimClass
 #: Largest |τ component| the search will try (per looped dimension).
 MAX_COEFF = 3
 
-#: Looped-dimension counts the skewed plan family supports.  Beyond four
-#: dimensions the candidate search and the index tables stop paying off.
+#: Looped-dimension counts the time-vector search covers.  Beyond four
+#: dimensions the candidate enumeration stops paying off.
 MAX_SKEW_RANK = 4
 
 
@@ -79,14 +79,15 @@ class Skew:
         return len(self.dims)
 
     @property
-    def lowering(self) -> str:
-        """How the kernel layer sweeps the planes: ``rows`` (one dimension: a
-        sliced row loop), ``shear`` (a pair with a unit coefficient: each plane
-        is a line, hence a strided slice) or ``gather`` (index tables)."""
+    def lowering(self) -> str | None:
+        """How numpy sweeps the planes: ``rows`` (one dimension: a sliced row
+        loop), ``shear`` (a pair with a unit coefficient: each plane is a
+        line, hence a strided slice), or ``None`` — a plane that is not a
+        line has no numpy sweep, and the block runs its flat family."""
         if self.rank == 1:
             return "rows"
         unit = any(abs(t) == 1 for t in self.tau)
-        return "shear" if self.rank == 2 and unit else "gather"
+        return "shear" if self.rank == 2 and unit else None
 
     def time(self, index: Sequence[int]) -> int:
         """The hyperplane (execution time) of one iteration point."""

@@ -45,6 +45,7 @@ from repro.parallel.collectives import (
     resolve_multicast,
 )
 from repro.parallel.worker import BlockJob
+from repro.runtime.kernels import ensure_native
 from repro.zpl.regions import Region
 
 #: Environment knob: hard cap on worker counts chosen *by default* (CI safety).
@@ -353,6 +354,10 @@ def resolve_run(
             "no chunkable dimension: this block cannot be pipelined"
         )
     dist = _build_distribution(plan, grid)
+    if not static:
+        # Workers never run the C compiler: publish the block's native
+        # object from here, so all they do is load it.
+        ensure_native(compiled)
     signs = compiled.loops.signs
     ascending = signs[plan.wavefront_dim] >= 0
     locals_by_rank = {rank: dist.local_region(rank) for rank in grid}

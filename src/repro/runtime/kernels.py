@@ -38,22 +38,40 @@ looped dimensions are non-parallel (Needleman-Wunsch, Smith-Waterman,
 multi-direction recurrences) the flat plans above degenerate into an
 O(n·m) point loop, so the template additionally derives a hyperplane
 schedule (:mod:`repro.compiler.skew`: traversal signs scaled by 0..3,
-fewest planes first) and, when one is legal, generates a *skewed* kernel
-from the same emitter.  A τ with one nonzero component — a single dimension
-carries every dependence — is lowered as the flat family's row loop over
-that dimension alone, every other dimension sliced: no index tables, no
-gathers.  A τ with two components, one of them ±1 — the anti-diagonal
-τ = (1, 1) of every alignment DP — keeps that same straight-line body: a
-diagonal of a strided array is a strided array, so the bind *shears* each
-view (``W[t, q] = V[t - c·q, q]``, one ``as_strided`` call) and plane ``t``
-is the slice ``W[t, a:b]``, read and stored in place.  Only where a plane
-is not a line (three or more components, or a pair with no unit
-coefficient) does the bind precompute, per covering region, the index
-tables of every hyperplane, and the kernel gathers and scatters one whole
-plane per statement through them.  Every lowering is O(n+m) interpreter
-iterations instead of O(n·m), with masks and contraction spelled exactly as
-in the flat family; :attr:`repro.compiler.skew.Skew.lowering` is the one
-place that names which applies.
+fewest planes first) and, when numpy can sweep it, generates a *skewed*
+kernel from the same emitter.  A τ with one nonzero component — a single
+dimension carries every dependence — is lowered as the flat family's row
+loop over that dimension alone, every other dimension sliced.  A τ with two
+components, one of them ±1 — the anti-diagonal τ = (1, 1) of every
+alignment DP — keeps that same straight-line body: a diagonal of a strided
+array is a strided array, so the bind *shears* each view
+(``W[t, q] = V[t - c·q, q]``, one ``as_strided`` call) and plane ``t`` is
+the slice ``W[t, a:b]``, read and stored in place.  Both are O(n+m)
+interpreter iterations instead of O(n·m), with masks and contraction
+spelled exactly as in the flat family; :attr:`repro.compiler.skew.Skew.lowering`
+is the one place that names which applies, and a plane that is not a line
+(three or more components, or a pair with no unit coefficient) has no numpy
+sweep: it runs the flat family.
+
+**The native lowering.**  Every numpy lowering above approximates, with one
+ufunc call per node per row, the loop nest the paper's compiler emits.  Where
+the host has a C compiler the emitter's second back end (:class:`_CEmitter`)
+writes that nest itself — every dimension in ``loops.order`` with
+``loops.signs``, statements in lexical order at each point, exactly what
+:func:`~repro.runtime.loopnest.execute_loopnest` runs — as one C function
+over the same slots (base pointer and element strides per ``(array, offset)``
+view; extents, start coordinates and signs are run-time arguments, so the
+text is region- and shape-independent), and :mod:`repro.runtime.native`
+builds it once per machine behind a source-hash disk cache.  It is a
+*lowering*, not an engine: ``engine="kernel"`` runs it for either plan family
+whenever it exists, :func:`plan_kind` still answers ``flat``/``skewed``, and
+``"flat"``/``"interp"`` still mean numpy.  Bit-identity defines what it
+covers: float64 storage and exactly rounded operators only (``+ - * /``,
+unary ``-``, ``abs``, ``sqrt``, ``floor``/``ceil``, ``max``/``min`` with
+numpy's NaN and ±0 choices, comparisons, ``where``); anything else — and any
+block with no looped dimension, which is already one ufunc pass per
+statement — keeps the numpy lowering, counted in ``KERNEL_STATS.fallbacks``
+and reported by ``repro.analyze explain`` as W111 when that was not the plan.
 
 The engine selection contract is shared by every consumer: ``"kernel"``
 (the default) runs plans from here, auto-selecting the skewed family when
@@ -91,8 +109,11 @@ from repro.errors import ArrayError, MachineError
 from repro.obs.live.context import current_tags
 from repro.obs.live.flight import FLIGHT
 from repro.obs.trace import NULL_TRACER
+from repro.runtime import native
 from repro.zpl.arrays import ZArray
-from repro.zpl.expr import BinOp, Const, IndexExpr, Node, Ref, UnOp, Where
+from repro.zpl.expr import (
+    BinOp, Const, IndexExpr, Node, ParallelOp, Ref, UnOp, Where,
+)
 from repro.zpl.regions import Region
 from repro.zpl.statements import Assign
 
@@ -109,14 +130,11 @@ ENGINES = ("kernel", "flat", "interp")
 
 _OFF_VALUES = ("0", "false", "off", "no", "interp")
 
-#: Flat plans kept per template.  A plan is a tuple of views, so the cap only
-#: has to exceed the block regions one decomposition cycles through (a p=16
-#: simulator sweep of Tomcatv 129^2 touches 460).
+#: Plans kept per template and lowering.  A plan is a tuple of views (or one
+#: packed argument block), so the cap only has to exceed the block regions one
+#: decomposition cycles through (a p=16 simulator sweep of Tomcatv 129^2
+#: touches 460).
 PLAN_CACHE_CAP = 1024
-
-#: Gathering skewed plans kept per template: each owns index tables of one
-#: integer per looped coordinate per point, so far fewer are worth keeping.
-SKEW_PLAN_CACHE_CAP = 64
 
 
 def _env_engine() -> str | None:
@@ -262,11 +280,9 @@ class _Emitter:
     later statements see earlier stores).  A ``shear`` kernel is the same
     body over sheared views: ``N`` holds the ``(t, a, b)`` range of every
     plane and a row is ``r3 = v3[t, a:b]`` (looped-dimension coordinate grids
-    are bound like views).  Only a ``gather`` kernel differs: it
-    takes the hyperplane index tables as ``N`` and gathers/scatters ``v3[I]``
-    at the point of use, with no ``out=`` stores.  Everything else —
-    expression trees, mask blending, contraction, the copy-or-not decision —
-    is spelled identically for every lowering.
+    are bound like views).  Everything else — expression trees, mask
+    blending, contraction, the copy-or-not decision — is spelled identically
+    for both lowerings.
     """
 
     def __init__(self, looped: tuple[int, ...], rank: int,
@@ -276,7 +292,6 @@ class _Emitter:
         self.contracted_ids = contracted_ids
         #: :attr:`Skew.lowering` of the family (``rows`` for flat plans).
         self.lowering = lowering
-        self.gathers = lowering == "gather"
         self.slots: list[tuple] = []
         self._slot_of: dict[tuple, int] = {}
         self.namespace: dict[str, object] = {
@@ -298,12 +313,8 @@ class _Emitter:
     def _view(self, array: ZArray, offset: tuple[int, ...]) -> int:
         return self._slot(("view", id(array), offset), ("view", array, offset))
 
-    def _read(self, j: int) -> str:
-        return f"v{j}[I]" if self.gathers else f"r{j}"
-
     def _store(self, j: int, value: str) -> None:
-        target = f"v{j}[I]" if self.gathers else f"r{j}[...]"
-        self.body.append(f"{target} = {value}")
+        self.body.append(f"r{j}[...] = {value}")
 
     def _call(self, node: BinOp | UnOp | Where, extra: str = "") -> str:
         fn = np.where if isinstance(node, Where) else node._fn
@@ -318,7 +329,7 @@ class _Emitter:
             local = self.locals.get(id(node.array))
             if local is not None:
                 return local
-            return self._read(self._view(node.array, tuple(node.offset)))
+            return f"r{self._view(node.array, tuple(node.offset))}"
         if isinstance(node, (BinOp, UnOp, Where)):
             return self._call(node)
         if isinstance(node, IndexExpr):
@@ -327,8 +338,7 @@ class _Emitter:
             j = self._slot(("coords", node.dim), ("coords", node.dim))
             if node.dim not in self.looped:
                 return f"v{j}"
-            k = self.looped.index(node.dim)
-            return f"v{j}[I[{k}]]" if self.gathers else f"v{j}[k{k}]"
+            return f"v{j}[k{self.looped.index(node.dim)}]"
         raise MachineError(
             f"kernel builder cannot express {type(node).__name__} nodes"
         )
@@ -348,14 +358,12 @@ class _Emitter:
         tid = id(stmt.target)
         if tid in self.contracted_ids:
             value = self.expr(expr)
-            if (isinstance(expr, Ref) and not self.gathers
-                    and id(expr.array) not in self.locals):
+            if isinstance(expr, Ref) and id(expr.array) not in self.locals:
                 value += ".copy()"  # a live row view: later stores would show
             if not self._dense(expr):
                 shape = f"v{self._slot(('shape',), ('shape',))}"
                 if self.lowering != "rows":  # one leading plane axis
-                    n = "I[0].size" if self.gathers else "b - a"
-                    shape = f"({n},) + {shape}"
+                    shape = f"(b - a,) + {shape}"
                 value = f"broadcast_to(asarray({value}, dtype=float), {shape})"
             name = self.locals.setdefault(tid, f"c{len(self.locals)}")
             self.body.append(f"{name} = {value}")
@@ -363,15 +371,12 @@ class _Emitter:
         zero = (0,) * self.rank
         t = self._view(stmt.target, zero)
         if stmt.mask is not None:
-            keep = self._read(self._view(stmt.mask, zero))
-            self._store(
-                t, f"where({keep} != 0, {self.expr(expr)}, {self._read(t)})"
-            )
+            keep = self._view(stmt.mask, zero)
+            self._store(t, f"where(r{keep} != 0, {self.expr(expr)}, r{t})")
         elif needs_copy:
             self._store(t, f"{self.expr(expr)}.copy()")
         elif (
-            not self.gathers
-            and stmt.target.dtype == np.float64
+            stmt.target.dtype == np.float64
             and isinstance(expr, (BinOp, UnOp))
             and expr.op in _OUT_OPS
         ):
@@ -386,26 +391,181 @@ class _Emitter:
             lines.append(f"    ({names}) = V")
         shear = self.lowering == "shear"
         loops = range(len(self.looped))
-        if self.gathers:
-            lines.append("    for I in N:")
-        elif shear:
+        if shear:
             lines.append("    for t, a, b in N:")
         else:
             if loops:
                 lines.append("    (" + "".join(f"n{k}, " for k in loops) + ") = N")
             lines += ["    " * (k + 1) + f"for k{k} in range(n{k}):" for k in loops]
         depth = len(loops) + 1 if self.lowering == "rows" else 2
-        body = self.body
-        if not self.gathers:
-            row = "[t, a:b]" if shear else (
-                "[" + ", ".join(f"k{k}" for k in loops) + "]" if loops else ""
-            )
-            body = [
-                f"r{j} = v{j}{row}"
-                for j, slot in enumerate(self.slots) if slot[0] in ("view", "grid")
-            ] + body
+        row = "[t, a:b]" if shear else (
+            "[" + ", ".join(f"k{k}" for k in loops) + "]" if loops else ""
+        )
+        body = [
+            f"r{j} = v{j}{row}"
+            for j, slot in enumerate(self.slots) if slot[0] in ("view", "grid")
+        ] + self.body
         pad = "    " * depth
         return "\n".join(lines + [pad + line for line in body]) + "\n"
+
+
+#: What the C back end writes per operator: exactly rounded, so the stored
+#: bits match numpy's whatever the compiler (no fast-math, no contraction).
+_C_BINOPS = {op: f"({{}} {op} {{}})" for op in ("+", "-", "*", "/", *_COMPARISONS)}
+_C_BINOPS |= {"max": "mx({}, {})", "min": "mn({}, {})"}
+_C_UNOPS = {"-": "(-{})", "abs": "fabs({})", "sqrt": "sqrt({})",
+            "floor": "floor({})", "ceil": "ceil({})"}
+
+#: ``np.maximum``/``np.minimum`` as numpy's x86 loops compute them (and as
+#: ``evaluate_at`` therefore does): a NaN first operand wins, otherwise an
+#: unordered or *equal* comparison yields the second — so ``max(0.0, -0.0)``
+#: is ``-0.0``.  Not C's ``fmax``/``fmin``, which drop NaNs.
+_C_PRELUDE = """\
+#include <math.h>
+static inline double mx(double a, double b) { double m = a > b ? a : b; return a != a ? a : m; }
+static inline double mn(double a, double b) { double m = a < b ? a : b; return a != a ? a : m; }
+"""
+
+
+def _c_const(value: float) -> str:
+    """A C literal with exactly ``value``'s bits (hex floats; builtins for
+    the non-finite ones)."""
+    if math.isfinite(value):
+        return f"({value.hex()})"
+    builtin = '__builtin_nan("")' if math.isnan(value) else "__builtin_inf()"
+    return f"({'-' if math.copysign(1.0, value) < 0 else ''}{builtin})"
+
+
+def _is_bool(node: Node) -> bool:
+    """True when numpy evaluates ``node`` to booleans, not float64."""
+    if isinstance(node, Where):
+        return _is_bool(node.if_true) and _is_bool(node.if_false)
+    return isinstance(node, BinOp) and node.op in _COMPARISONS
+
+
+def _native_unsupported(statements) -> str | None:
+    """The first construct the C back end would not reproduce bit for bit.
+
+    A parallel operator passes: lowering hoists it into a float64 temporary
+    before the kernel layer sees the block (a stray one makes the template
+    unsupported altogether), and ``repro.analyze`` asks about blocks it has
+    not lowered.
+    """
+
+    def walk(node: Node) -> str | None:
+        if isinstance(node, ParallelOp):
+            return None
+        if isinstance(node, Ref) and node.array.dtype != np.float64:
+            return f"{node.array.dtype} array {node.array.name!r}"
+        if isinstance(node, (BinOp, UnOp)):
+            table = _C_BINOPS if isinstance(node, BinOp) else _C_UNOPS
+            if node.op not in table:
+                return f"operator {node.op!r} (not exactly rounded)"
+            # numpy keeps bool ∘ bool in bool (True + True is True).
+            if node.op not in _COMPARISONS and all(map(_is_bool, node.children())):
+                return f"operator {node.op!r} on comparison results"
+        elif not isinstance(node, (Const, Ref, IndexExpr, Where)):
+            return f"{type(node).__name__} node"
+        return next(filter(None, map(walk, node.children())), None)
+
+    for stmt in statements:
+        for array in (stmt.target, stmt.mask):
+            if array is not None and array.dtype != np.float64:
+                return f"{array.dtype} array {array.name!r}"
+        why = walk(stmt.expr)
+        if why is not None:
+            return why
+    return None
+
+
+class _CEmitter(_Emitter):
+    """The emitter's second back end: the block as the C nest the oracle runs.
+
+    Same slots, same contraction bookkeeping, different text: every dimension
+    is looped, in ``loops.order`` — the bind folds each traversal sign into
+    the view's base pointer and strides, so the C always counts ``i`` up
+    from zero — and the body is scalar: statements in lexical order at each
+    point, a mask as a select on the store, a contracted temporary as a
+    ``double``, an :class:`IndexExpr` as ``start + sign·i``.  The function
+    takes one packed ``long long`` block (:meth:`KernelTemplate._bind_native`
+    fills it): ``rank`` extents, start coordinates and signs, then base
+    address and ``rank`` element strides per view slot.  No ``restrict``:
+    views of one array overlap, and the reloads that costs are the oracle's
+    semantics.  Nothing in the text depends on a region, a shape, an address
+    or a hash order, so equal programs give equal bytes in every interpreter.
+    """
+
+    def __init__(self, order: tuple[int, ...], contracted_ids: frozenset[int]):
+        super().__init__(order, len(order), contracted_ids, "rows")
+        self.index_dims: set[int] = set()
+
+    def _at(self, array: ZArray, offset: tuple[int, ...]) -> str:
+        j = self._view(array, offset)
+        index = " + ".join(f"i{d} * s{j}_{d}" for d in range(self.rank))
+        return f"v{j}[{index}]"
+
+    def expr(self, node: Node) -> str:
+        if isinstance(node, Const):
+            return _c_const(node.value)
+        if isinstance(node, Ref):
+            local = self.locals.get(id(node.array))
+            return local or self._at(node.array, tuple(node.offset))
+        if isinstance(node, IndexExpr):
+            self.index_dims.add(node.dim)
+            return f"x{node.dim}"
+        args = [self.expr(child) for child in node.children()]
+        if isinstance(node, Where):
+            if not _is_bool(node.cond):
+                args[0] = f"({args[0]} != 0.0)"
+            return "({} ? {} : {})".format(*args)
+        table = _C_BINOPS if isinstance(node, BinOp) else _C_UNOPS
+        return table[node.op].format(*args)
+
+    def statement(self, stmt: Assign) -> None:  # no copies: values are scalars
+        value = self.expr(stmt.expr)  # before the target becomes a local
+        tid = id(stmt.target)
+        if tid in self.contracted_ids:
+            name = self.locals.setdefault(tid, f"c{len(self.locals)}")
+            self.body.append(f"{name} = {value};")
+            return
+        zero = (0,) * self.rank
+        target = self._at(stmt.target, zero)
+        if stmt.mask is not None:
+            value = f"({self._at(stmt.mask, zero)} != 0.0) ? {value} : {target}"
+        self.body.append(f"{target} = {value};")
+
+    def source(self) -> str:
+        rank = self.rank
+        # ``KernelPlan.run`` calls every kernel as ``fn(trips, views)``.
+        lines = [_C_PRELUDE + "void kernel(const long long *A, const void *views)", "{"]
+        lines.append(
+            "    const long long "
+            + ", ".join(f"n{d} = A[{d}]" for d in range(rank)) + ";"
+        )
+        for j in range(len(self.slots)):
+            base = 3 * rank + j * (rank + 1)
+            strides = ", ".join(
+                f"s{j}_{d} = A[{base + 1 + d}]" for d in range(rank)
+            )
+            lines.append(
+                f"    double *const v{j} = (double *)A[{base}]; "
+                f"const long long {strides};"
+            )
+        for depth, d in enumerate(self.looped, 1):
+            lines.append(
+                "    " * depth
+                + f"for (long long i{d} = 0; i{d} < n{d}; i{d}++)"
+                + (" {" if depth == rank else "")
+            )
+        body = [
+            f"const double x{d} = (double)(A[{rank + d}] + A[{2 * rank + d}] * i{d});"
+            for d in sorted(self.index_dims)
+        ]
+        if self.locals:
+            body.append("double " + ", ".join(self.locals.values()) + ";")
+        pad = "    " * (rank + 1)
+        lines += [pad + line for line in body + self.body]
+        return "\n".join(lines + ["    " * rank + "}", "}"]) + "\n"
 
 
 class _Kernel(NamedTuple):
@@ -414,14 +574,17 @@ class _Kernel(NamedTuple):
     fn: Callable
     source: str
     slots: tuple[tuple, ...]
+    #: How a native kernel was obtained (``cache``: hit/miss, ``cc_ms``).
+    info: dict = {}
 
 
 class KernelPlan:
     """One region's bound kernel: the generated function and its slot values.
 
     ``trips`` is the trip-count tuple of a row-loop plan, the ``(t, a, b)``
-    plane ranges of a sheared one or the hyperplane index tables of a
-    gathering one, ``n_planes`` the loop-body executions per run either way
+    plane ranges of a sheared one or the packed argument block of a native
+    one (whose ``views`` is ``None``: the addresses are in the block);
+    ``n_planes`` the loop-body executions per run of the plan family
     (hyperplanes swept, or row steps); ``binding`` records the storage
     buffers the views were sliced from.
     """
@@ -449,7 +612,7 @@ class KernelPlan:
 
 
 # ---------------------------------------------------------------------------
-# Region binding: pre-sliced views and hyperplane tables
+# Region binding: pre-sliced views and plane ranges
 # ---------------------------------------------------------------------------
 def _bind_view(
     array: ZArray,
@@ -509,51 +672,12 @@ def _plane_ranges(n_u: int, n_q: int, c: int) -> tuple[tuple[int, int, int], ...
     return tuple(r for r in ranges if r[1] < r[2])
 
 
-def hyperplane_tables(
-    region: Region, loops, skew
-) -> tuple[tuple[tuple[np.ndarray, ...], ...], np.ndarray]:
-    """Partition a region's looped subspace into hyperplanes of equal τ·i.
-
-    Only the ``gather`` lowering (:attr:`Skew.lowering`: three or more τ
-    components, or a pair with no unit coefficient) binds through these; a
-    line-shaped plane is a slice of a sheared view instead (:func:`_shear`).
-
-    Returns ``(planes, times)``: ``planes[p]`` is one tuple of index arrays
-    — entry ``k`` holds, for every iteration point on plane ``p``, its
-    ``skew.dims[k]`` coordinate *relative to the region's lower corner*, so
-    the same tables index every pre-sliced view of a plan — and ``times[p]``
-    is the plane's τ·i value on those relative coordinates, strictly
-    increasing.  Built fully vectorised: one meshgrid, one stable argsort on
-    the time key, one split at the time boundaries; the per-plane arrays are
-    views of the sorted buffers, so total index-table storage is
-    ``rank × n_points`` integers regardless of plane count.
-    """
-    axes = [
-        np.asarray(loops.indices(region, d), dtype=np.intp) - region.lo[d]
-        for d in skew.dims
-    ]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    coords = [m.ravel() for m in mesh]
-    t = sum(tau * c for tau, c in zip(skew.tau, coords))
-    order = np.argsort(t, kind="stable")
-    t_sorted = t[order]
-    sorted_coords = [c[order] for c in coords]
-    bounds = np.flatnonzero(np.diff(t_sorted)) + 1
-    starts = np.concatenate(([0], bounds))
-    stops = np.concatenate((bounds, [t_sorted.size]))
-    planes = tuple(
-        tuple(c[a:b] for c in sorted_coords)
-        for a, b in zip(starts, stops)
-    )
-    return planes, t_sorted[starts]
-
-
 class KernelTemplate:
     """Per-plan compile-time state: generated kernels plus the region-plan cache."""
 
     __slots__ = ("_compiled", "statements", "loops", "region", "contracted",
                  "contracted_ids", "looped", "supported", "skew", "plans",
-                 "_kernels")
+                 "_kernels", "_native", "native_error")
 
     def __init__(self, statements, region: Region, loops=None, contracted=()):
         self._compiled = None
@@ -569,13 +693,19 @@ class KernelTemplate:
         self.supported = all(
             _supported_expr(stmt.expr, region.rank) for stmt in statements
         )
-        #: Legal hyperplane schedule, or None (one looped dim, no legal τ,
-        #: or unsupported expressions).  Set once by :func:`template_for`.
+        #: Legal hyperplane schedule numpy can sweep, or None (one looped dim,
+        #: no legal τ, a plane that is not a line, or unsupported
+        #: expressions).  Set once by :func:`template_for`.
         self.skew = None
-        #: (region.ranges, skewed) -> plan, insertion-ordered (LRU eviction).
+        #: (region.ranges, skewed | "native") -> plan, insertion-ordered (LRU
+        #: eviction).
         self.plans: dict[tuple, KernelPlan] = {}
         #: (skewed, copy flags) -> generated kernel.
         self._kernels: dict[tuple, _Kernel] = {}
+        #: (host asked, its answer): what :meth:`native` found, and where.
+        self._native: tuple = (None, None)
+        #: Why :meth:`native` answered None although a nest was wanted.
+        self.native_error: str | None = None
 
     def kernel(self, skewed: bool = False) -> _Kernel:
         """The generated kernel of one plan family (compiled once, cached).
@@ -618,6 +748,40 @@ class KernelTemplate:
         self._kernels[key] = kern
         return kern
 
+    def native(self) -> _Kernel | None:
+        """The host-compiled loop nest of this block, or ``None`` (memoised).
+
+        ``None`` without a :attr:`native_error` is by design — no looped
+        dimension means one ufunc pass per statement already, and a compile
+        would buy nothing.  ``None`` *with* one is a fallback: an operator
+        or dtype outside the exactly rounded set (decided by inspection), or
+        a host that cannot build or load (decided once per process by
+        :mod:`repro.runtime.native`).  It is counted, and ``repro.analyze
+        explain`` reports it as W111.
+        """
+        host = native.HOST
+        if self._native[0] is not host:
+            self._native = (host, self._lower_native(host))
+        return self._native[1]
+
+    def _lower_native(self, host: native.Host) -> _Kernel | None:
+        self.native_error = None
+        if not (self.looped and self.supported):
+            return None
+        why = _native_unsupported(self.statements)
+        if why is None:
+            emitter = _CEmitter(self.loops.order, self.contracted_ids)
+            for stmt in self.statements:
+                emitter.statement(stmt)
+            source = emitter.source()
+            fn, info = host.load(source)
+            if fn is not None:
+                return _Kernel(fn, source, tuple(emitter.slots), info)
+            why = info["error"]
+        self.native_error = why
+        KERNEL_STATS.fallbacks += 1
+        return None
+
     def _nest(self, skewed: bool) -> tuple[tuple[int, ...], tuple[int, ...], str]:
         """``(looped dims, descending dims, lowering)`` of one plan family.
 
@@ -630,21 +794,27 @@ class KernelTemplate:
             signs = [self.loops.signs[d] for d in dims]
         else:
             dims, signs, how = self.skew.dims, self.skew.tau, self.skew.lowering
-            if how == "gather":
-                return dims, (), how
             if abs(signs[0]) != 1:
                 dims, signs = dims[::-1], signs[::-1]
         return dims, tuple(d for d, s in zip(dims, signs) if s < 0), how
 
     @property
     def source(self) -> str:
-        """Generated source of the kernel the default engine runs."""
-        return self.kernel(self.skew is not None).source
+        """Generated source of the kernel the default engine runs: the C nest
+        where the host built it, else the numpy lowering's Python."""
+        return (self.native() or self.kernel(self.skew is not None)).source
 
     def instantiate(
-        self, region: Region, tracer=NULL_TRACER, skewed: bool = False
+        self, region: Region, tracer=NULL_TRACER, skewed: bool = False,
+        native: bool = False,
     ) -> KernelPlan:
-        key = (region.ranges, skewed)
+        """The bound plan of ``region`` for one plan family (cached, LRU).
+
+        ``native`` binds the family's plan to the host-compiled nest
+        (:meth:`native` must have answered) instead of its numpy kernel.
+        """
+        lowered = "native" if native else skewed
+        key = (region.ranges, lowered)
         plan = self.plans.get(key)
         if plan is not None:
             if plan.valid():
@@ -666,28 +836,36 @@ class KernelTemplate:
         if skewed:
             KERNEL_STATS.skew_plan_builds += 1
         start = time.perf_counter()
-        plan = self._build(region, skewed)
-        lowering = self._nest(skewed)[2]
+        plan = self._build(region, skewed, native)
         if tracer.enabled:
+            kern = self._native[1] if native else self.kernel(skewed)
             tracer.count("kernel_plan_misses")
             tracer.add_span(
                 "kernel_compile", "compile", start, time.perf_counter(),
-                region=repr(region), skewed=skewed, lowering=lowering,
-                lines=self.kernel(skewed).source.count("\n"),
+                region=repr(region), skewed=skewed,
+                lowering=self._nest(skewed)[2],
+                lines=kern.source.count("\n"), native=native, **kern.info,
             )
         self.plans[key] = plan
-        cap = SKEW_PLAN_CACHE_CAP if lowering == "gather" else PLAN_CACHE_CAP
-        if len(self.plans) > cap:  # evict this family's least recently used
-            family = [k for k in self.plans if k[1] == skewed]
-            for stale in family[: len(family) - cap]:
+        if len(self.plans) > PLAN_CACHE_CAP:  # evict this lowering's LRU
+            family = [k for k in self.plans if k[1] == lowered]
+            for stale in family[: len(family) - PLAN_CACHE_CAP]:
                 del self.plans[stale]
         return plan
 
-    def _build(self, region: Region, skewed: bool = False) -> KernelPlan:
+    def _build(
+        self, region: Region, skewed: bool = False, native: bool = False
+    ) -> KernelPlan:
         """Bind one region: slice the views, fill the slots, count the trips."""
-        kern = self.kernel(skewed)
         looped, reverse, lowering = self._nest(skewed)
-        rows, gathers = lowering == "rows", lowering == "gather"
+        rows = lowering == "rows"
+        if native:
+            n_planes = (
+                self.skew.planes(region.shape) if skewed
+                else math.prod(map(region.extent, looped))
+            )
+            return self._bind_native(region, n_planes)
+        kern = self.kernel(skewed)
         par = tuple(d for d in range(region.rank) if d not in looped)
         perm = looped + par
         c = max(map(abs, self.skew.tau)) if lowering == "shear" else 0
@@ -715,15 +893,40 @@ class KernelTemplate:
                 values.append(_shear(np.broadcast_to(coords.reshape(axis), box), c))
             else:
                 values.append(self._coords(region, spec[0], par, reverse, rows))
-        if gathers:
-            trips, _ = hyperplane_tables(region, self.loops, self.skew)
-        elif c:
+        if c:
             trips = _plane_ranges(*map(region.extent, looped), c)
         else:
             trips = tuple(region.extent(d) for d in looped)
         return KernelPlan(
             kern.fn, trips, tuple(values), tuple(binding.values()),
             math.prod(trips) if rows else len(trips),
+        )
+
+    def _bind_native(self, region: Region, n_planes: int) -> KernelPlan:
+        """Pack the argument block :class:`_CEmitter`'s function reads.
+
+        :func:`_bind_view` does the coverage check and folds shift and
+        traversal sign into each view, so element ``[0, ..., 0]`` is the
+        first iteration point and the strides already run the loop's way.
+        """
+        import ctypes
+
+        kern, signs = self._native[1], self.loops.signs
+        dims = tuple(range(region.rank))
+        reverse = tuple(d for d in dims if signs[d] < 0)
+        block = [*region.shape]
+        block += (region.hi[d] if d in reverse else region.lo[d] for d in dims)
+        block += (-1 if d in reverse else 1 for d in dims)
+        binding: dict[int, tuple[ZArray, np.ndarray]] = {}
+        for _, array, offset in kern.slots:
+            view = _bind_view(array, offset, region, dims, reverse, binding)
+            if view.dtype != np.float64:  # storage rebound under the template
+                raise ArrayError(f"{array!r} no longer holds float64 storage")
+            block.append(view.ctypes.data)
+            block += (step // view.itemsize for step in view.strides)
+        return KernelPlan(
+            kern.fn, (ctypes.c_longlong * len(block))(*block), None,
+            tuple(binding.values()), n_planes,
         )
 
     @staticmethod
@@ -734,8 +937,6 @@ class KernelTemplate:
             # ``coords[k]`` must stay a Python float, as the oracle's is.
             return tuple(map(float, region.indices(dim, reverse=dim in reverse)))
         coords = np.arange(lo, hi + 1, dtype=float)
-        if dim not in par:  # gathered through the plane's index table
-            return coords.reshape((-1,) + (1,) * len(par))
         shape = [1] * len(par)
         shape[par.index(dim)] = -1
         return coords.reshape((() if rows else (1,)) + tuple(shape))
@@ -756,7 +957,9 @@ def template_for(compiled: CompiledScan) -> KernelTemplate:
     )
     template._compiled = weakref.ref(compiled)
     if template.supported:
-        template.skew = derive_skew(compiled)
+        skew = derive_skew(compiled)
+        if skew is not None and skew.lowering is not None:
+            template.skew = skew
     KERNEL_STATS.template_builds += 1
     _TEMPLATES[key] = template
     weakref.finalize(compiled, _TEMPLATES.pop, key, None)
@@ -770,13 +973,41 @@ def _family(template: KernelTemplate, mode: str) -> str:
     return "skewed" if mode == "kernel" and template.skew is not None else "flat"
 
 
+def native_obstacle(statements) -> str | None:
+    """Why a looped block of ``statements`` would keep its numpy lowering in
+    this process, or ``None`` — by inspection only: the first construct
+    outside the exactly rounded set, else what is known of the toolchain
+    (no compiler, unusable cache directory, an earlier failed compile)."""
+    return _native_unsupported(statements) or native.HOST.probe()
+
+
+def _runs_native(template: KernelTemplate, mode: str) -> bool:
+    """Does engine ``mode`` run this block's plans through the compiled nest?
+
+    Only ``"kernel"`` — best available — ever does; ``"flat"`` keeps meaning
+    the numpy point/row loop.
+    """
+    return mode == "kernel" and template.native() is not None
+
+
+def ensure_native(compiled: CompiledScan) -> None:
+    """Build or load ``compiled``'s native object *now*, in this process.
+
+    The planning side of a pooled or forked run calls this before it
+    dispatches: worker processes never run the compiler
+    (:mod:`repro.runtime.native`), they load what the planner published.
+    """
+    if resolve_engine(None) == "kernel":
+        template_for(compiled).native()
+
+
 def _dispatch(template: KernelTemplate, compiled: CompiledScan, region: Region,
-              skewed: bool, obs) -> None:
+              skewed: bool, obs, native: bool = False) -> None:
     """The one dispatch tail: prepare, bind (or hit the cache), run, count."""
     compiled.prepare()
     if region.is_empty():
         return
-    plan = template.instantiate(region, obs, skewed=skewed)
+    plan = template.instantiate(region, obs, skewed=skewed, native=native)
     plan.run()
     if skewed:
         KERNEL_STATS.hyperplanes += plan.n_planes
@@ -816,7 +1047,8 @@ def try_execute_kernels(
             obs.count("kernel_fallbacks")
         return False
     region = compiled.region if within is None else compiled.region.intersect(within)
-    _dispatch(template, compiled, region, kind == "skewed", obs)
+    _dispatch(template, compiled, region, kind == "skewed", obs,
+              _runs_native(template, mode))
     return True
 
 
@@ -878,7 +1110,8 @@ class PlanRunner:
             execute_vectorized(self.compiled, tracer=tracer, engine="interp")
             return
         _dispatch(self._template, self.compiled, self.compiled.region,
-                  self.kind == "skewed", obs)
+                  self.kind == "skewed", obs,
+                  _runs_native(self._template, self.engine))
 
 
 def plan_kind(compiled: CompiledScan, engine: str | None = None) -> str:

@@ -30,6 +30,7 @@ from repro.errors import (
     RegionMismatchError,
     UndefinedPrimeError,
 )
+from repro.runtime import native
 from repro.zpl import NORTH, Region, ZArray
 from repro.zpl.parser import parse_program
 
@@ -389,18 +390,46 @@ def test_i302_dp_recurrence_skew_eligible():
     assert d.data["planes"] == 15 + 15 - 1  # anti-diagonals of the 15x15 region
 
 
-def test_i302_three_carriers_still_gather():
+def _three_carriers():
     region = Region.of((1, 8), (1, 8), (1, 8))
-    program = parse_program(
+    return parse_program(
         "[2..n, 2..n, 2..n] scan\n"
         "  a := 0.3 * (a'@(-1,0,0) + a'@(0,-1,0) + a'@(0,0,-1));\n"
         "end;",
         {"a": ZArray(region, name="a", fill=0.5)},
         constants={"n": 8}, filename="t.zpl",
     )
-    d = only(explain_program(program), "I302")
-    assert "gathered hyperplanes" in d.message
-    assert d.data["tau"] == [1, 1, 1] and d.data["lowering"] == "gather"
+
+
+def test_i302_three_carriers_have_no_numpy_sweep():
+    """τ = (1, 1, 1): the native nest with a compiler, the flat loop without."""
+    d = only(explain_program(_three_carriers()), "I302")
+    assert "not lines" in d.message and "skew ineligible" in d.message
+    assert d.data["tau"] == [1, 1, 1] and d.data["lowering"] == "flat"
+    assert d.data["planes"] == 19
+    assert d.data["native"] is (native.HOST.probe() is None)
+
+
+def test_i302_and_w111_without_a_compiler(no_compiler):
+    out = explain_program(_three_carriers())
+    assert only(out, "I302").data["native"] is False
+    w = only(out, "W111")
+    assert "no C compiler" in w.message and w.data["reason"].startswith("no C")
+
+
+def test_w111_names_the_unsupported_construct():
+    program, _ = lint("[2..n, 1..n] scan  a := exp(a'@north) * 0.1;  end;")
+    out = explain_program(program)
+    assert only(out, "I302").data["native"] is False
+    assert "operator 'exp'" in only(out, "W111").message
+
+
+def test_no_w111_for_a_supported_block_or_one_with_no_looped_dimension():
+    if native.HOST.probe() is not None:
+        pytest.skip("this host has no toolchain: W111 is the right answer")
+    program, _ = lint("[2..n, 1..n] scan  a := a'@north * 0.5;  end;")
+    out = explain_program(program)
+    assert "W111" not in codes(out) and only(out, "I302").data["native"] is True
 
 
 @pytest.mark.parametrize(

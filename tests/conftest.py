@@ -2,15 +2,64 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
 from repro import zpl
+from repro.runtime import execute_vectorized, native, run_and_capture
 
 
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
+
+
+@contextmanager
+def numpy_lowerings():
+    """Make the toolchain look absent: every block runs its numpy lowering.
+
+    Templates memoise their native kernel per :data:`native.HOST`, so
+    swapping the host is all it takes — the same compiled block runs the
+    compiled nest outside the ``with`` and numpy inside it.
+    """
+    saved, native.HOST = native.HOST, native.Host("no C compiler (test fixture)")
+    try:
+        yield
+    finally:
+        native.HOST = saved
+
+
+@pytest.fixture
+def no_compiler():
+    """A host without a C compiler, for tests about the numpy lowerings."""
+    with numpy_lowerings():
+        yield
+
+
+def engine_matrix(compiled, arrays) -> dict[str, list[np.ndarray]]:
+    """Storage after each way to run a block, from identical initial state:
+    the native nest (``kernel`` where the host can build it), the numpy
+    ``kernel`` lowering, ``flat`` and ``interp``."""
+    def run(engine):
+        return run_and_capture(
+            lambda c: execute_vectorized(c, engine=engine), compiled, arrays
+        )
+
+    results = {engine: run(engine) for engine in ("kernel", "flat", "interp")}
+    with numpy_lowerings():
+        results["kernel/numpy"] = run("kernel")
+    return results
+
+
+def assert_bit_identical(results: dict[str, list[np.ndarray]], arrays) -> None:
+    """Every entry of an :func:`engine_matrix` equals ``interp`` bit for bit."""
+    for engine, got in results.items():
+        for array, g, i in zip(arrays, got, results["interp"]):
+            assert g.tobytes() == i.tobytes(), (
+                f"array {array.name}: {engine} != interp"
+            )
 
 
 def make_tomcatv_arrays(n: int, rng: np.random.Generator | None = None):

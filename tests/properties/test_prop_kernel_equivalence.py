@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from repro import zpl
 from repro.compiler import compile_scan, contract, contractible
 from repro.runtime import execute_loopnest, execute_vectorized, run_and_capture
+from tests.conftest import assert_bit_identical, engine_matrix
 
 #: Primed directions per rank (non-positive components: always a legal WSV).
 NEG_POOLS = {
@@ -130,6 +131,9 @@ def test_kernel_engine_matches_interp_and_oracle(program):
     kernel = run_and_capture(
         lambda c: execute_vectorized(c, engine="kernel"), compiled, arrays
     )
+    # ``kernel`` ran the native nest where the host has a compiler: it must
+    # equal every numpy way to run the block, bit for bit.
+    assert_bit_identical(engine_matrix(compiled, arrays) | {"default": kernel}, arrays)
 
     contracted_ids = {id(a) for a in compiled.contracted}
     for array, o, i, k in zip(arrays, oracle, interp, kernel):

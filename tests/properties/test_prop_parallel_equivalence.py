@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from repro.compiler import compile_scan
 from repro.parallel import execute
 from repro.runtime import execute_loopnest, execute_vectorized, run_and_capture
+from tests.conftest import assert_bit_identical, engine_matrix
 from tests.properties.test_prop_scan_equivalence import scan_programs
 
 N_PROCS = 2
@@ -34,6 +35,9 @@ def test_parallel_backend_matches_sequential_engines(program, schedule):
     fast = run_and_capture(execute_vectorized, compiled, arrays)
     for o, f in zip(oracle, fast):
         np.testing.assert_array_equal(f, o)
+    # ``fast`` ran the native nest where the host has a compiler: it must
+    # equal every numpy way to run the block, bit for bit.
+    assert_bit_identical(engine_matrix(compiled, arrays) | {"default": fast}, arrays)
 
     def run_parallel(c):
         execute(

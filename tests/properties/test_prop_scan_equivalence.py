@@ -17,6 +17,7 @@ from repro import zpl
 from repro.compiler import compile_scan
 from repro.machine import MachineParams, naive_wavefront, pipelined_wavefront
 from repro.runtime import execute_loopnest, execute_vectorized, run_and_capture
+from tests.conftest import assert_bit_identical, engine_matrix
 
 PARAMS = MachineParams(name="prop", alpha=20.0, beta=1.5)
 
@@ -85,6 +86,9 @@ def test_all_engines_and_schedules_agree(program):
     fast = run_and_capture(execute_vectorized, compiled, arrays)
     for o, f in zip(oracle, fast):
         np.testing.assert_allclose(f, o, rtol=1e-12, atol=1e-12)
+    # ``fast`` ran the native nest where the host has a compiler: it must
+    # equal every numpy way to run the block, bit for bit.
+    assert_bit_identical(engine_matrix(compiled, arrays) | {"default": fast}, arrays)
 
     def run_pipelined(c):
         pipelined_wavefront(c, PARAMS, n_procs=procs, block_size=block_size)

@@ -19,6 +19,7 @@ from repro.compiler import compile_scan, contract, contractible
 from repro.errors import DistributionError
 from repro.parallel import execute
 from repro.runtime import execute_loopnest, execute_vectorized, run_and_capture
+from tests.conftest import assert_bit_identical, engine_matrix
 
 N_PROCS = 2
 
@@ -128,6 +129,9 @@ def test_taskgraph_matches_all_engines(program):
         if compiled.is_contracted(array):
             continue  # the oracle materialises contracted temporaries
         np.testing.assert_allclose(f, o, rtol=1e-12, atol=1e-12)
+    # ``fast`` ran the native nest where the host has a compiler: it must
+    # equal every numpy way to run the block, bit for bit.
+    assert_bit_identical(engine_matrix(compiled, arrays) | {"default": fast}, arrays)
 
     def run_schedule(schedule):
         return run_and_capture(

@@ -3,6 +3,10 @@
 Every equivalence here is *bit* identity against the scalar loop-nest oracle
 (the bodies use exactly rounded arithmetic only, so nothing may differ), and
 against the tree-walking engine for storage the oracle treats differently.
+
+This module is about the *numpy* lowerings and their Python text, so it runs
+as a host without a C compiler would (``no_compiler``); the compiled nest has
+``test_native_kernels.py``.
 """
 
 import linecache
@@ -15,6 +19,7 @@ from numpy.lib.array_utils import byte_bounds
 
 from repro.apps import alignment, gauss_seidel, sweep3d, tomcatv
 from repro.compiler import Skew, compile_scan, compile_statements, contract
+from repro.compiler.skew import derive_skew
 from repro.errors import ArrayError
 from repro.machine import CRAY_T3E
 from repro.machine.schedules import pipelined_wavefront
@@ -29,13 +34,14 @@ from repro.runtime import (
     run_and_capture,
 )
 from repro.runtime.kernels import (
-    SKEW_PLAN_CACHE_CAP,
     _bind_view,
     statement_kernel,
     template_for,
 )
 from repro.zpl.statements import Assign
 from tests.conftest import record_tomcatv_block
+
+pytestmark = pytest.mark.usefixtures("no_compiler")
 
 
 def assert_matches_oracle(compiled, arrays, engines=("kernel", "flat")):
@@ -303,12 +309,12 @@ class TestSingleCarrierLowering:
     @pytest.mark.parametrize("build", [wide_block, diagonal_block])
     def test_row_loop_plans_live_under_the_flat_cache_cap(self, build):
         """Sheared plans are the row-loop body over a handful of views too."""
-        compiled, _ = build(n=2 * (SKEW_PLAN_CACHE_CAP + 8) + 1)
+        compiled, _ = build(n=2 * 72 + 1)
         template = template_for(compiled)
         lo, hi = compiled.region.range(0)
         for start in range(lo, hi, 2):
             execute_vectorized(compiled, within=compiled.region.slab(0, start, start + 1))
-        assert len(template.plans) == SKEW_PLAN_CACHE_CAP + 8
+        assert len(template.plans) == 72
 
 
 def assert_sheared(compiled, region=None):
@@ -464,15 +470,16 @@ class TestShearedLowering:
         assert "c0 = r0.copy()" in template_for(compiled).source
         assert_matches_oracle(compiled, [a, t, x])
 
-    def test_three_component_tau_still_gathers(self):
+    def test_three_component_tau_has_no_numpy_sweep(self):
+        """A plane that is not a line: numpy runs the flat point loop."""
         state = sweep3d.build(6)
         compiled = sweep3d.compile_octant(state, (1, 1, 1))
+        skew = derive_skew(compiled)
+        assert skew.tau == (1, 1, 1) and skew.lowering is None
         template = template_for(compiled)
-        assert template.skew.tau == (1, 1, 1) and template.skew.lowering == "gather"
-        assert "[I]" in template.source and "for I in N:" in template.source
+        assert template.skew is None and plan_kind(compiled) == "flat"
+        assert "for k2 in range(n2):" in template.source
         assert_matches_oracle(compiled, collect_arrays(compiled))
-        plan = template.plans[compiled.region.ranges, True]
-        assert all(index.dtype == np.intp for index in plan.trips[0])
 
 
 class TestGeneratedSource:
