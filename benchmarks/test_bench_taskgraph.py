@@ -50,10 +50,10 @@ import numpy as np
 
 from repro import zpl
 from repro.compiler import compile_scan
+from repro.compiler.schedule import _build_distribution, plan_wavefront
 from repro.compiler.taskdag import derive_taskgraph
-from repro.machine.schedules import plan_wavefront
 from repro.parallel import WorkerPool, oversubscription
-from repro.parallel.plan import _as_grid, _build_distribution
+from repro.parallel.plan import _as_grid
 from repro.runtime import execute_vectorized
 from repro.runtime.kernels import template_for
 from repro.runtime.interp import ArraySnapshot

@@ -251,8 +251,7 @@ def project(run_plan) -> ScheduleModel:
     else:
         sync["token_edges"] = tuple(
             (upstream, downstream)
-            for chain in run_plan.chains
-            for upstream, downstream in zip(chain, chain[1:])
+            for downstream, upstream in run_plan.pred_by_rank.items()
         )
     return ScheduleModel(
         schedule=run_plan.schedule,

@@ -568,7 +568,7 @@ def multicast_advisor(
     """
     try:
         from repro.compiler.lowering import compile_scan
-        from repro.machine.schedules import plan_wavefront
+        from repro.compiler.schedule import plan_wavefront
         from repro.parallel.collectives import resolve_multicast
         from repro.parallel.plan import resolve_run
 
@@ -578,9 +578,8 @@ def multicast_advisor(
         plan = plan_wavefront(compiled, None)
         if plan.chunk_dim is None:
             return []  # cannot pipeline at all; the fabric never engages
-        extent = plan.region.extent(plan.wavefront_dim)
         run_plan = resolve_run(
-            compiled, max(2, min(procs, extent)), schedule="pipelined",
+            compiled, max(2, min(procs, plan.rows)), schedule="pipelined",
             static=True,
         )
     except ReproError:

@@ -141,19 +141,15 @@ class SanitizerSpec:
 class ShadowPool:
     """Parent-side owner of the shared stamp plane + the static planes."""
 
-    def __init__(
-        self,
-        plan,
-        grid,
-        chunks_by_rank: dict[int, tuple[Region, ...]],
-        inject: tuple[str, int, int] | None = None,
-        epoch_clocks: int = 0,
-    ):
+    def __init__(self, geometry, inject: tuple[str, int, int] | None = None):
+        """Lay the planes out from a chunked ``ScheduleGeometry``."""
+        plan, grid = geometry.wavefront, geometry.grid
+        epoch_clocks = geometry.n_chunks
         region = plan.region
         base = region.lo
         owner = np.full(region.shape, -1, dtype=np.int32)
         block_index = np.full(region.shape, -1, dtype=np.int32)
-        for rank, chunks in chunks_by_rank.items():
+        for rank, chunks in geometry.chunks_by_rank.items():
             for k, chunk in enumerate(chunks):
                 if chunk.is_empty():
                     continue

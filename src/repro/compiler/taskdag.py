@@ -6,7 +6,7 @@ UDVs but far from *necessary* — a block may fire the moment the blocks its
 dependences actually reach have completed.  This module derives that exact
 partial order at plan time:
 
-* **Tiles** come from :func:`repro.machine.schedules.taskgraph_intervals`:
+* **Tiles** come from :func:`repro.compiler.schedule.taskgraph_intervals`:
   the pipelined schedule's own chunk boundaries along the chunk dimension
   crossed with over-decomposed per-rank slabs along the wavefront
   dimension (so stolen work still lands near its home rank's data).
@@ -40,7 +40,7 @@ import numpy as np
 
 from repro.compiler.lowering import CompiledScan
 from repro.errors import DistributionError
-from repro.machine.schedules import WavefrontPlan, taskgraph_intervals
+from repro.compiler.schedule import WavefrontPlan, taskgraph_intervals
 from repro.zpl.regions import Region
 
 

@@ -38,7 +38,7 @@ from repro.machine.schedules import (
     plan_wavefront,
 )
 from repro.models.amdahl import PhaseKind, ProgramProfile
-from repro.models.pipeline_model import model2
+from repro.models.pipeline_model import model2_of
 from repro.util.tables import format_bar_chart
 
 DESCRIPTION = "Fig. 7: pipelined vs non-pipelined parallel speedup, Tomcatv & SIMPLE"
@@ -115,19 +115,10 @@ def _scaled_optimal_b(
     compiled: CompiledScan, params: MachineParams, p: int, work: float
 ) -> int:
     """Model2's best block size when each element costs ``work`` units."""
-    plan = plan_wavefront(compiled)
-    rows = compiled.region.extent(plan.wavefront_dim)
-    cols = (
-        compiled.region.extent(plan.chunk_dim)
-        if plan.chunk_dim is not None
-        else 1
-    )
     scaled = dataclasses.replace(
         params, alpha=params.alpha / work, beta=params.beta / work
     )
-    return model2(
-        scaled, rows, p, boundary_rows=max(1, plan.boundary_rows), cols=cols
-    ).optimal_block_size()
+    return model2_of(plan_wavefront(compiled), scaled, p).optimal_block_size()
 
 
 def _wavefront_phase_times(

@@ -90,12 +90,7 @@ def run(n: int = 129, p: int = 8, quick: bool = False) -> SuiteStudyResult:
             probe = make_simulated_probe(compiled, params, p)
             from repro.machine import plan_wavefront
 
-            plan = plan_wavefront(compiled)
-            cols = (
-                compiled.region.extent(plan.chunk_dim)
-                if plan.chunk_dim is not None
-                else 1
-            )
+            cols = plan_wavefront(compiled).cols
             sweep = {b: probe(b) for b in range(1, cols + 1)}
             best_b = min(sweep, key=sweep.get)
             best_t = sweep[best_b]

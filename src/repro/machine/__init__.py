@@ -6,13 +6,15 @@ Layers, bottom up:
 * :mod:`repro.machine.params` — α+β communication model + cache geometry,
   with ``CRAY_T3E`` / ``SGI_POWERCHALLENGE`` / ``HYPOTHETICAL_HIGH_BETA``
   presets calibrated against the paper's reported numbers;
-* :mod:`repro.machine.grid` / :mod:`repro.machine.distribution` — processor
-  meshes and block data distributions;
+* :class:`ProcessorGrid` / :class:`BlockMap` / :class:`WavefrontPlan` —
+  processor meshes, block distributions, the wavefront plan: value-free
+  geometry re-exported from the schedule IR (:mod:`repro.compiler.schedule`);
 * :mod:`repro.machine.comm` / :mod:`repro.machine.simulator` — the
   message-passing fabric and per-run machine façade;
-* :mod:`repro.machine.schedules` — naive, pipelined and transpose wavefront
-  schedules plus the fully parallel schedule, all operating on compiled scan
-  blocks and producing both values and virtual times.
+* :mod:`repro.machine.schedules` — naive, pipelined (rank-1 and mesh) and
+  transpose wavefront schedules plus the fully parallel schedule, all
+  operating on compiled scan blocks and producing both values and virtual
+  times; the wavefront ones walk the geometry ``execute()`` runs.
 """
 
 from repro.machine.event import Simulator, Store, Timeout
@@ -24,8 +26,8 @@ from repro.machine.params import (
     HYPOTHETICAL_HIGH_BETA,
     PRESETS,
 )
-from repro.machine.grid import ProcessorGrid
-from repro.machine.distribution import BlockMap
+from repro.compiler.grid import ProcessorGrid
+from repro.compiler.distribution import BlockMap
 from repro.machine.comm import Activity, Endpoint, Message, Network, ProcStats, RecvRequest
 from repro.machine.simulator import Machine, RunResult
 from repro.machine.gantt import render_gantt
@@ -36,10 +38,9 @@ from repro.machine.program import (
     optimal_spec,
     simulate_program,
 )
+from repro.compiler.schedule import WavefrontPlan, plan_wavefront
 from repro.machine.schedules import (
     DistributedOutcome,
-    WavefrontPlan,
-    plan_wavefront,
     pipelined_wavefront,
     pipelined_wavefront_mesh,
     naive_wavefront,

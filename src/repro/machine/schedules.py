@@ -8,15 +8,26 @@ Section 4):
   along the wavefront dimension.
 * :func:`pipelined_wavefront` — each processor works in blocks of ``b``
   columns, forwarding each block's boundary as soon as it is computed
-  (Fig. 4(b)).  The naive schedule is the special case ``b = full width``.
+  (Fig. 4(b)).  The naive schedule is the special case ``b = full width``;
+  :func:`pipelined_wavefront_mesh` is the general case on a 2-D grid, of
+  which a rank-1 grid is the one-column mesh.
 * :func:`transpose_wavefront` — the alternative the paper's Section 2.2
   discusses: redistribute the data so the wavefront dimension is local,
   compute with no pipelining, and redistribute back (two all-to-alls).
 
+The naive, pipelined and mesh schedules are thin entry points over one
+discrete-event walker (:func:`_walk`).  Each plans its
+:class:`~repro.compiler.schedule.ScheduleGeometry` with the planner
+:func:`repro.parallel.execute` uses — same refusals, same typed errors —
+and the walker derives nothing of its own: predecessors and successors are
+the geometry's ``chains``, the blocks its ``chunks_by_rank``, a token
+``boundary_rows × block width`` elements.
+
 All schedules operate on a real :class:`~repro.compiler.lowering.CompiledScan`;
 with ``compute_values=True`` the actual element values are produced (and are
-bit-identical to the sequential engines — the simulation's event order
-respects every dependence), while the virtual clock charges the α+β model.
+bit-identical to the sequential engines: the planner refuses every chain
+whose dependences the down-the-chain, block-order messages would not
+enforce), while the virtual clock charges the α+β model.
 ``compute_values=False`` skips the numpy work for large timing sweeps.
 
 Terminology: the *wavefront dimension* ``w`` is distributed across the
@@ -29,99 +40,27 @@ starts (their values are loop-invariant).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, Sequence
+from typing import Generator
 
+from repro.compiler.grid import ProcessorGrid
 from repro.compiler.lowering import CompiledScan
+from repro.compiler.schedule import (
+    ScheduleGeometry,
+    WavefrontPlan,
+    _build_distribution,
+    place,
+    plan_wavefront,
+    shift_depths,
+)
 from repro.compiler.wsv import DimClass
-from repro.errors import DistributionError, MachineError
+from repro.errors import DistributionError
 from repro.machine.comm import Endpoint
-from repro.machine.distribution import BlockMap
-from repro.machine.grid import ProcessorGrid
 from repro.machine.params import MachineParams
 from repro.machine.simulator import Machine, RunResult
 from repro.runtime.vectorized import execute_vectorized
-from repro.zpl.regions import Region
 
 #: Tag used by the pre-pipeline halo exchange.
 HALO_TAG = -1
-
-
-@dataclass(frozen=True)
-class WavefrontPlan:
-    """Static facts a distributed schedule needs about a compiled block."""
-
-    compiled: CompiledScan
-    #: The distributed dimension the wavefront travels along.
-    wavefront_dim: int
-    #: The dimension blocked into pipeline chunks (None: nothing chunkable).
-    chunk_dim: int | None
-    #: Per boundary crossing: elements per unit of chunk width that must flow
-    #: with the wave (sum over block-written arrays of their shift depths).
-    boundary_rows: int
-    #: Same, for arrays the block only reads (pre-exchanged halo).
-    halo_rows: int
-
-    @property
-    def region(self) -> Region:
-        return self.compiled.region
-
-
-def _chunkable(compiled: CompiledScan, dim: int) -> bool:
-    """A dimension is chunkable when every UDV component along it has one
-    consistent sign (or zero): iterating chunks in that direction then
-    respects all cross-chunk dependences."""
-    signs = {
-        (1 if d.vector[dim] > 0 else -1)
-        for d in compiled.dependences
-        if d.vector[dim] != 0
-    }
-    return len(signs) <= 1
-
-
-def plan_wavefront(compiled: CompiledScan, wavefront_dim: int | None = None) -> WavefrontPlan:
-    """Derive the distribution plan for a compiled scan block.
-
-    ``wavefront_dim`` defaults to the compiler's first pipelined dimension.
-    Raises :class:`DistributionError` when the block has no wavefront (use the
-    fully parallel schedule) or the requested dimension carries no wavefront.
-    """
-    loops = compiled.loops
-    if wavefront_dim is None:
-        if not loops.wavefront_dims:
-            raise DistributionError(
-                "block has no pipelined dimension; use parallel_schedule"
-            )
-        wavefront_dim = loops.wavefront_dims[0]
-    elif wavefront_dim not in loops.wavefront_dims:
-        raise DistributionError(
-            f"dimension {wavefront_dim} is not a wavefront dimension "
-            f"(wavefront dims: {loops.wavefront_dims})"
-        )
-
-    chunk_dim = None
-    for dim in loops.order[::-1]:  # prefer inner (parallel) dimensions
-        if dim != wavefront_dim and _chunkable(compiled, dim):
-            chunk_dim = dim
-            break
-
-    written = {id(a) for a in compiled.written_arrays()}
-    boundary_rows = 0
-    halo_rows = 0
-    per_array_written: dict[int, int] = {}
-    per_array_read: dict[int, int] = {}
-    for stmt in compiled.statements:
-        for ref in stmt.expr.refs():
-            depth = abs(ref.offset[wavefront_dim])
-            if depth == 0:
-                continue
-            key = id(ref.array)
-            if key in written:
-                per_array_written[key] = max(per_array_written.get(key, 0), depth)
-            else:
-                per_array_read[key] = max(per_array_read.get(key, 0), depth)
-    boundary_rows = sum(per_array_written.values())
-    halo_rows = sum(per_array_read.values())
-    return WavefrontPlan(compiled, wavefront_dim, chunk_dim, boundary_rows, halo_rows)
 
 
 @dataclass(frozen=True)
@@ -134,6 +73,8 @@ class DistributedOutcome:
     block_size: int | None
     n_chunks: int
     schedule: str
+    #: The geometry the walker ran (wavefront schedules only).
+    geometry: ScheduleGeometry | None = None
 
     @property
     def total_time(self) -> float:
@@ -144,62 +85,6 @@ class DistributedOutcome:
             f"DistributedOutcome({self.schedule}, p={self.n_procs}, "
             f"b={self.block_size}, t={self.total_time:.1f})"
         )
-
-
-def _chunk_regions(region: Region, dim: int, width: int, reverse: bool) -> list[Region]:
-    """Split ``region`` along ``dim`` into blocks of at most ``width``."""
-    lo, hi = region.range(dim)
-    chunks = []
-    cursor = lo
-    while cursor <= hi:
-        top = min(cursor + width - 1, hi)
-        chunks.append(region.slab(dim, cursor, top))
-        cursor = top + 1
-    return chunks[::-1] if reverse else chunks
-
-
-def taskgraph_intervals(
-    plan: WavefrontPlan,
-    locals_by_rank: Sequence[Region],
-    oversub: int,
-    block_size: int,
-) -> tuple[list[tuple[int, int, int]], list[tuple[int, int] | None]]:
-    """The two tiling axes of a task-graph decomposition.
-
-    Returns ``(wave, chunk)``:
-
-    * ``wave`` — ``(lo, hi, home_rank)`` intervals along the wavefront
-      dimension, in traversal order.  Each rank's static local slab (the
-      same :class:`~repro.machine.distribution.BlockMap` split the
-      pipelined schedule uses, so locality matches) is over-decomposed
-      into up to ``oversub`` sub-slabs: the slack the stealing scheduler
-      rebalances when per-block costs are skewed.
-    * ``chunk`` — ``(lo, hi)`` intervals along the chunk dimension in
-      traversal order, with exactly the pipelined schedule's block
-      boundaries (:func:`_chunk_regions` at ``block_size``), or ``[None]``
-      when the block has no chunkable dimension (rank-1 chains taskgraph
-      can still run, one tile per wave slab).
-    """
-    region = plan.region
-    loops = plan.compiled.loops
-    w, c = plan.wavefront_dim, plan.chunk_dim
-    wave: list[tuple[int, int, int]] = []
-    for rank, local in enumerate(locals_by_rank):
-        if local.is_empty():
-            continue
-        for piece in local.split(w, max(1, min(oversub, local.extent(w)))):
-            if not piece.is_empty():
-                lo, hi = piece.range(w)
-                wave.append((lo, hi, rank))
-    wave.sort(key=lambda t: t[0], reverse=loops.signs[w] < 0)
-    if c is None:
-        return wave, [None]
-    reverse = loops.signs[c] < 0
-    chunk = [
-        piece.range(c)
-        for piece in _chunk_regions(region, c, max(1, block_size), reverse)
-    ]
-    return wave, chunk
 
 
 def pipelined_wavefront(
@@ -221,27 +106,12 @@ def pipelined_wavefront(
     dimension; each processor computes blocks of ``block_size`` along the
     chunk dimension, forwarding boundaries eagerly.
     """
-    if n_procs < 1:
-        raise MachineError(f"n_procs must be >= 1, got {n_procs}")
-    if block_size < 1:
-        raise MachineError(f"block_size must be >= 1, got {block_size}")
-    plan = plan_wavefront(compiled, wavefront_dim)
-    if plan.chunk_dim is None and n_procs > 1:
-        raise DistributionError(
-            "no chunkable dimension: this block cannot be pipelined"
-        )
-    return _run_wavefront(
-        plan,
-        params,
-        n_procs,
-        block_size,
-        compute_values,
-        work_per_element,
-        send_overhead,
-        wire_latency,
-        schedule="pipelined",
-        trace_activity=trace_activity,
-        tracer=tracer,
+    grid = ProcessorGrid((n_procs,))
+    geometry = place(compiled, grid, "pipelined", wavefront_dim).chunked(block_size)
+    return _walk(
+        geometry, params, "pipelined", compute_values, work_per_element,
+        send_overhead=send_overhead, wire_latency=wire_latency,
+        trace_activity=trace_activity, tracer=tracer,
     )
 
 
@@ -258,114 +128,113 @@ def naive_wavefront(
     tracer=None,
 ) -> DistributedOutcome:
     """Run a scan block with naive (whole-block) communication (Fig. 4(a))."""
-    plan = plan_wavefront(compiled, wavefront_dim)
-    full = 1 if plan.chunk_dim is None else plan.region.extent(plan.chunk_dim)
-    return _run_wavefront(
-        plan,
-        params,
-        n_procs,
-        max(1, full),
-        compute_values,
-        work_per_element,
-        send_overhead,
-        wire_latency,
-        schedule="naive",
-        trace_activity=trace_activity,
-        tracer=tracer,
+    grid = ProcessorGrid((n_procs,))
+    geometry = place(compiled, grid, "naive", wavefront_dim).chunked(None)
+    return _walk(
+        geometry, params, "naive", compute_values, work_per_element,
+        send_overhead=send_overhead, wire_latency=wire_latency,
+        trace_activity=trace_activity, tracer=tracer,
     )
 
 
-def _run_wavefront(
-    plan: WavefrontPlan,
+def pipelined_wavefront_mesh(
+    compiled: CompiledScan,
     params: MachineParams,
-    n_procs: int,
+    mesh: tuple[int, int],
     block_size: int,
-    compute_values: bool,
-    work_per_element: float,
-    send_overhead: float,
-    wire_latency: float,
-    schedule: str,
-    trace_activity: bool = False,
+    wavefront_dim: int | None = None,
+    compute_values: bool = True,
+    work_per_element: float = 1.0,
     tracer=None,
 ) -> DistributedOutcome:
-    compiled = plan.compiled
-    region = plan.region
-    w = plan.wavefront_dim
-    loops = compiled.loops
-    grid = ProcessorGrid((n_procs,))
-    dist = BlockMap(region, grid, tuple(0 if k == w else None for k in range(region.rank)))
+    """Pipelined execution on a 2-D processor mesh (the paper's Fig. 4 shape).
 
-    if plan.chunk_dim is None:
-        chunks = [region]
-    else:
-        reverse = loops.signs[plan.chunk_dim] < 0
-        chunks = _chunk_regions(region, plan.chunk_dim, block_size, reverse)
+    ``mesh = (pw, pc)`` distributes the wavefront dimension across ``pw``
+    processors and the chunk dimension across ``pc``.  Each column of the
+    mesh runs an independent pipeline chain over its slice of the chunk
+    dimension, so the per-chain boundary messages shrink by a factor of
+    ``pc`` — the surface-to-volume effect that motivates 2-D distributions.
 
-    # Processor chain order along the wave: ascending local regions for
-    # ascending traversal, reversed otherwise.
-    chain = list(range(n_procs))
-    if loops.signs[w] < 0:
-        chain.reverse()
-
-    if compute_values:
-        compiled.prepare()
-
-    machine = Machine(
-        params,
-        n_procs,
-        send_overhead=send_overhead,
-        wire_latency=wire_latency,
-        trace_activity=trace_activity,
-        tracer=tracer,
+    Requires the chunk dimension to be completely parallel (no dependence
+    component at all): a dependence along a distributed chunk dimension
+    would couple the chains.
+    """
+    pw, pc = mesh
+    geometry = place(
+        compiled, ProcessorGrid((pw, pc)), "pipelined", wavefront_dim
+    ).chunked(block_size)
+    return _walk(
+        geometry, params, f"pipelined-mesh{mesh}", compute_values,
+        work_per_element, tracer=tracer,
     )
 
-    def body(ep: Endpoint, position: int) -> Generator:
-        proc = chain[position]
-        local = dist.local_region(proc)
-        pred = chain[position - 1] if position > 0 else None
-        succ = chain[position + 1] if position + 1 < n_procs else None
-        local_width = (
-            local.extent(plan.chunk_dim) if plan.chunk_dim is not None else 1
-        )
-        # Pre-exchange the read-only halo (old values, off the critical path
-        # of the wave: a single message before the pipeline starts).
-        if succ is not None and plan.halo_rows > 0:
-            ep.send(succ, size=max(1, plan.halo_rows * local_width), tag=HALO_TAG)
-        if pred is not None and plan.halo_rows > 0:
-            yield from ep.recv(pred, tag=HALO_TAG)
-        for k, chunk in enumerate(chunks):
-            local_chunk = local.intersect(chunk)
-            chunk_width = (
-                chunk.extent(plan.chunk_dim) if plan.chunk_dim is not None else 1
-            )
+
+def _walk(
+    geometry: ScheduleGeometry,
+    params: MachineParams,
+    schedule: str,
+    compute_values: bool,
+    work_per_element: float,
+    **machine_options,
+) -> DistributedOutcome:
+    """Run a planned geometry on the virtual clock, one process per rank.
+
+    Each rank pre-exchanges the read-only halo (old values, off the wave's
+    critical path: one message down the chain and, on a mesh, one to each
+    side neighbour for shifts along the chunk dimension), then per block
+    waits for its predecessor's token, computes, and forwards its own.
+    """
+    plan, grid = geometry.wavefront, geometry.grid
+    compiled = plan.compiled
+    w, c = plan.wavefront_dim, plan.chunk_dim
+    side_halo = 0
+    if grid.rank == 2:
+        side_halo = sum(max(d) for d in shift_depths(compiled, c)[1].values())
+    if compute_values:
+        compiled.prepare()
+    machine = Machine(params, grid.size, **machine_options)
+
+    def width(region) -> int:
+        return region.extent(c) if c is not None else 1
+
+    def body(ep: Endpoint, pred: int | None, succ: int | None) -> Generator:
+        local = geometry.locals_by_rank[ep.rank]
+        if side_halo > 0 and local.extent(w) > 0:
+            sides = (grid.neighbor(ep.rank, 1, -1), grid.neighbor(ep.rank, 1, 1))
+            sides = [other for other in sides if other is not None]
+            size = max(1, side_halo * local.extent(w))
+            for other in sides:
+                ep.send(other, size=size, tag=HALO_TAG - 1)
+            for other in sides:
+                yield from ep.recv(other, tag=HALO_TAG - 1)
+        if plan.halo_rows > 0:
+            if succ is not None:
+                ep.send(
+                    succ, size=max(1, plan.halo_rows * width(local)), tag=HALO_TAG
+                )
+            if pred is not None:
+                yield from ep.recv(pred, tag=HALO_TAG)
+        for k, chunk in enumerate(geometry.chunks_by_rank[ep.rank]):
             if pred is not None and plan.boundary_rows > 0:
                 yield from ep.recv(pred, tag=k)
-            if not local_chunk.is_empty():
+            if not chunk.is_empty():
                 if compute_values:
-                    execute_vectorized(compiled, within=local_chunk)
-                yield from ep.compute(
-                    local_chunk.size * work_per_element, label=k
-                )
+                    execute_vectorized(compiled, within=chunk)
+                yield from ep.compute(chunk.size * work_per_element, label=k)
             if succ is not None and plan.boundary_rows > 0:
                 ep.send(
-                    succ,
-                    size=max(1, plan.boundary_rows * chunk_width),
-                    tag=k,
+                    succ, size=max(1, plan.boundary_rows * width(chunk)), tag=k
                 )
-        return
 
-    for position in range(n_procs):
-        rank = chain[position]
-        machine.sim.process(body(machine.endpoint(rank), position), name=f"proc{rank}")
+    for chain in geometry.chains:
+        for pred, rank, succ in zip((None, *chain), chain, (*chain[1:], None)):
+            machine.sim.process(
+                body(machine.endpoint(rank), pred, succ), name=f"proc{rank}"
+            )
 
-    run = machine.run()
     return DistributedOutcome(
-        run=run,
-        plan=plan,
-        n_procs=n_procs,
-        block_size=block_size,
-        n_chunks=len(chunks),
-        schedule=schedule,
+        machine.run(), plan, grid.size, geometry.block_size,
+        geometry.n_chunks, schedule, geometry,
     )
 
 
@@ -389,27 +258,15 @@ def parallel_schedule(
         raise DistributionError(
             f"dimension {dist_dim} carries a wavefront; use pipelined_wavefront"
         )
-    grid = ProcessorGrid((n_procs,))
-    dist = BlockMap(
-        region, grid, tuple(0 if k == dist_dim else None for k in range(region.rank))
-    )
     # Halo depth: the deepest shifted read along the distributed dimension,
     # summed over arrays (each array is a separate neighbour message).
-    depth_up = 0
-    depth_down = 0
-    per_array: dict[int, list[int]] = {}
-    for stmt in compiled.statements:
-        for ref in stmt.expr.refs():
-            off = ref.offset[dist_dim]
-            if off == 0:
-                continue
-            rec = per_array.setdefault(id(ref.array), [0, 0])
-            if off < 0:
-                rec[0] = max(rec[0], -off)
-            else:
-                rec[1] = max(rec[1], off)
-    depth_up = sum(rec[0] for rec in per_array.values())
-    depth_down = sum(rec[1] for rec in per_array.values())
+    written, read_only = shift_depths(compiled, dist_dim)
+    depths = [*written.values(), *read_only.values()]
+    depth_up = sum(neg for neg, _pos in depths)
+    depth_down = sum(pos for _neg, pos in depths)
+    plan = WavefrontPlan(compiled, dist_dim, None, 0, max(depth_up, depth_down))
+    grid = ProcessorGrid((n_procs,))
+    dist = _build_distribution(plan, grid)
 
     if compute_values:
         compiled.prepare()
@@ -437,7 +294,6 @@ def parallel_schedule(
     for rank in range(n_procs):
         machine.spawn(body, rank)
     run = machine.run()
-    plan = WavefrontPlan(compiled, dist_dim, None, 0, max(depth_up, depth_down))
     return DistributedOutcome(run, plan, n_procs, None, 1, "parallel")
 
 
@@ -486,127 +342,3 @@ def transpose_wavefront(
         machine.spawn(body, rank)
     run = machine.run()
     return DistributedOutcome(run, plan, n_procs, None, 1, "transpose")
-
-
-def pipelined_wavefront_mesh(
-    compiled: CompiledScan,
-    params: MachineParams,
-    mesh: tuple[int, int],
-    block_size: int,
-    wavefront_dim: int | None = None,
-    compute_values: bool = True,
-    work_per_element: float = 1.0,
-    tracer=None,
-) -> DistributedOutcome:
-    """Pipelined execution on a 2-D processor mesh (the paper's Fig. 4 shape).
-
-    ``mesh = (pw, pc)`` distributes the wavefront dimension across ``pw``
-    processors and the chunk dimension across ``pc``.  Each column of the
-    mesh runs an independent pipeline chain over its slice of the chunk
-    dimension, so the per-chain boundary messages shrink by a factor of
-    ``pc`` — the surface-to-volume effect that motivates 2-D distributions.
-
-    Requires the chunk dimension to be completely parallel (no dependence
-    component at all): a dependence along a distributed chunk dimension
-    would couple the chains.
-    """
-    pw, pc = mesh
-    if pw < 1 or pc < 1:
-        raise MachineError(f"mesh extents must be >= 1, got {mesh}")
-    if block_size < 1:
-        raise MachineError(f"block_size must be >= 1, got {block_size}")
-    plan = plan_wavefront(compiled, wavefront_dim)
-    region = plan.region
-    w = plan.wavefront_dim
-    c = plan.chunk_dim
-    if c is None:
-        raise DistributionError("no chunkable dimension: cannot mesh-pipeline")
-    if any(d.vector[c] != 0 for d in compiled.dependences):
-        raise DistributionError(
-            f"dimension {c} carries a dependence; a 2-D mesh would couple "
-            f"the pipeline chains — use the 1-D pipelined schedule"
-        )
-    loops = compiled.loops
-
-    grid = ProcessorGrid((pw, pc))
-    dim_map: list[int | None] = [None] * region.rank
-    dim_map[w] = 0
-    dim_map[c] = 1
-    dist = BlockMap(region, grid, tuple(dim_map))
-
-    # Side halo: read-only arrays referenced with a shift along the chunk
-    # dimension need one pre-exchange between mesh columns.
-    written = {id(a) for a in compiled.written_arrays()}
-    side_halo = 0
-    per_array: dict[int, int] = {}
-    for stmt in compiled.statements:
-        for ref in stmt.expr.refs():
-            off = abs(ref.offset[c])
-            if off and id(ref.array) not in written:
-                key = id(ref.array)
-                per_array[key] = max(per_array.get(key, 0), off)
-    side_halo = sum(per_array.values())
-
-    if compute_values:
-        compiled.prepare()
-
-    machine = Machine(params, grid.size, tracer=tracer)
-
-    def body(ep: Endpoint, proc: int) -> Generator:
-        row, col = grid.coords(proc)
-        local = dist.local_region(proc)
-        # Chain neighbours along the wave (mesh dim 0), honouring direction.
-        step = -1 if loops.signs[w] < 0 else 1
-        pred = grid.neighbor(proc, 0, -step)
-        succ = grid.neighbor(proc, 0, step)
-        local_rows = local.extent(w)
-        local_cols = local.extent(c)
-        reverse = loops.signs[c] < 0
-        chunks = (
-            _chunk_regions(local, c, block_size, reverse)
-            if not local.is_empty()
-            else []
-        )
-        # Side halo between mesh columns (read-only data, off the wave path).
-        if side_halo > 0 and local_rows > 0:
-            for delta in (-1, 1):
-                other = grid.neighbor(proc, 1, delta)
-                if other is not None:
-                    ep.send(other, size=max(1, side_halo * local_rows), tag=HALO_TAG - 1)
-            for delta in (-1, 1):
-                other = grid.neighbor(proc, 1, delta)
-                if other is not None:
-                    yield from ep.recv(other, tag=HALO_TAG - 1)
-        # Wave halo within the chain.
-        if plan.halo_rows > 0:
-            if succ is not None:
-                ep.send(succ, size=max(1, plan.halo_rows * max(1, local_cols)), tag=HALO_TAG)
-            if pred is not None:
-                yield from ep.recv(pred, tag=HALO_TAG)
-        for k, chunk in enumerate(chunks):
-            chunk_width = chunk.extent(c)
-            if pred is not None and plan.boundary_rows > 0:
-                yield from ep.recv(pred, tag=k)
-            if not chunk.is_empty():
-                if compute_values:
-                    execute_vectorized(compiled, within=chunk)
-                yield from ep.compute(chunk.size * work_per_element, label=k)
-            if succ is not None and plan.boundary_rows > 0:
-                ep.send(succ, size=max(1, plan.boundary_rows * chunk_width), tag=k)
-        return
-
-    # Order process start-up so value computation respects the wave: within
-    # the DES, receives enforce ordering; chains are independent.
-    for proc in grid:
-        machine.sim.process(body(machine.endpoint(proc), proc), name=f"proc{proc}")
-
-    run = machine.run()
-    n_chunks = -(-dist.local_region(0).extent(c) // block_size) if pc else 1
-    return DistributedOutcome(
-        run=run,
-        plan=plan,
-        n_procs=grid.size,
-        block_size=block_size,
-        n_chunks=max(1, n_chunks),
-        schedule=f"pipelined-mesh{mesh}",
-    )

@@ -168,6 +168,12 @@ def model2(
     return PipelineModel(params, n, p, boundary_rows, ignore_beta=False, cols=cols)
 
 
+def model2_of(plan, params: MachineParams, p: int) -> PipelineModel:
+    """Model2 of a planned block: the ``rows``, ``cols`` and ``boundary_rows``
+    of its :class:`~repro.compiler.schedule.WavefrontPlan` (duck-typed)."""
+    return model2(params, plan.rows, p, max(1, plan.boundary_rows), plan.cols)
+
+
 def amortized_alpha(alpha_c: float, gamma: float, fanout: int) -> float:
     """The per-edge α of a multicast release: ``(α_c + γ·f) / f``.
 

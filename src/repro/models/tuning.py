@@ -29,7 +29,7 @@ from repro.compiler.lowering import CompiledScan
 from repro.errors import ModelError
 from repro.machine.params import MachineParams
 from repro.machine.schedules import pipelined_wavefront, plan_wavefront
-from repro.models.pipeline_model import model2
+from repro.models.pipeline_model import model2_of
 
 #: A probe runs the schedule at block size b and returns its time.
 Probe = Callable[[int], float]
@@ -64,23 +64,11 @@ def make_simulated_probe(
     return probe
 
 
-def _geometry(compiled: CompiledScan) -> tuple[int, int, int]:
-    plan = plan_wavefront(compiled)
-    rows = compiled.region.extent(plan.wavefront_dim)
-    cols = (
-        compiled.region.extent(plan.chunk_dim)
-        if plan.chunk_dim is not None
-        else 1
-    )
-    return rows, cols, max(1, plan.boundary_rows)
-
-
 def select_static(
     compiled: CompiledScan, params: MachineParams, n_procs: int
 ) -> TuningResult:
     """Equation (1) with the machine's published α and β.  Zero probes."""
-    rows, cols, m = _geometry(compiled)
-    b = model2(params, rows, n_procs, boundary_rows=m, cols=cols).optimal_block_size()
+    b = model2_of(plan_wavefront(compiled), params, n_procs).optimal_block_size()
     return TuningResult("static", b, probes=0, probe_times=())
 
 
@@ -97,13 +85,14 @@ def select_profiled(
     the per-message cost ``α + βmb`` times the message count — two probes at
     different block sizes determine both constants.
     """
-    rows, cols, m = _geometry(compiled)
+    plan = plan_wavefront(compiled)
+    cols, m = plan.cols, max(1, plan.boundary_rows)
     if probe is None:
         probe = make_simulated_probe(compiled, params, n_procs)
     b_lo, b_hi = probe_sizes
     if not 1 <= b_lo < b_hi <= cols:
         raise ModelError(f"probe sizes {probe_sizes} out of range 1..{cols}")
-    base = model2(params, rows, n_procs, boundary_rows=m, cols=cols)
+    base = model2_of(plan, params, n_procs)
     times = []
     for b in (b_lo, b_hi):
         times.append((b, probe(b)))
@@ -119,7 +108,7 @@ def select_profiled(
     alpha = max(alpha, 0.0)
     beta = max(beta_m / m, 0.0)
     fitted = MachineParams(name=f"{params.name} (profiled)", alpha=alpha, beta=beta)
-    b = model2(fitted, rows, n_procs, boundary_rows=m, cols=cols).optimal_block_size()
+    b = model2_of(plan, fitted, n_procs).optimal_block_size()
     return TuningResult("profiled", b, probes=2, probe_times=tuple(times))
 
 
@@ -134,7 +123,7 @@ def select_dynamic(
 
     Converges in O(log b_max) probes because T(b) is unimodal in b.
     """
-    rows, cols, m = _geometry(compiled)
+    cols = plan_wavefront(compiled).cols
     if probe is None:
         probe = make_simulated_probe(compiled, params, n_procs)
     hi = min(b_max or cols, cols)

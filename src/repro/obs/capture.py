@@ -10,22 +10,14 @@ measured host constants — which is what the residual analysis keys on.
 from __future__ import annotations
 
 from repro.apps import suite
+from repro.compiler.schedule import plan_wavefront
 from repro.machine.params import CRAY_T3E, MachineParams
 from repro.machine.schedules import (
     DistributedOutcome,
     naive_wavefront,
     pipelined_wavefront,
-    plan_wavefront,
 )
 from repro.obs.trace import Trace, Tracer
-
-
-def _geometry(plan) -> tuple[int, int]:
-    rows = plan.region.extent(plan.wavefront_dim)
-    cols = (
-        plan.region.extent(plan.chunk_dim) if plan.chunk_dim is not None else 1
-    )
-    return rows, cols
 
 
 def capture_simulator(
@@ -41,55 +33,36 @@ def capture_simulator(
     ``block=None`` picks the Eq. (1) optimum for ``params`` (default Cray
     T3E).  Values are not computed (``compute_values=False``): the trace
     is about time, and the virtual clock does not need the numpy work.
+    The trace meta is the walked geometry's own
+    (:meth:`~repro.compiler.schedule.ScheduleGeometry.meta`), so both
+    backends describe a schedule with the same keys.
     """
     params = params or CRAY_T3E
     compiled = suite.get(kernel).build(n)
     plan = plan_wavefront(compiled)
-    rows, cols = _geometry(plan)
-    m = max(1, plan.boundary_rows)
     if block is None:
-        if procs >= 2 and cols > 1:
-            from repro.models.pipeline_model import model2
+        from repro.parallel.autotune import optimal_block_size
 
-            block = model2(
-                params, rows, procs, boundary_rows=m, cols=cols
-            ).optimal_block_size(b_max=cols)
-        else:
-            block = cols
+        block = optimal_block_size(plan, params, procs)
     tracer = Tracer()
+    options = dict(n_procs=procs, compute_values=False, tracer=tracer)
     if schedule == "naive":
-        outcome = naive_wavefront(
-            compiled, params, n_procs=procs, compute_values=False, tracer=tracer
-        )
+        outcome = naive_wavefront(compiled, params, **options)
     else:
-        outcome = pipelined_wavefront(
-            compiled,
-            params,
-            n_procs=procs,
-            block_size=block,
-            compute_values=False,
-            tracer=tracer,
-        )
+        outcome = pipelined_wavefront(compiled, params, block_size=block, **options)
     trace = Trace.from_tracer(
         tracer,
         clock="virtual",
         meta={
+            **outcome.geometry.meta(),
             "backend": "simulator",
             "kernel": kernel,
-            "schedule": schedule,
-            "n_procs": procs,
-            "pipeline_procs": procs,
-            "block_size": outcome.block_size,
-            "n_chunks": outcome.n_chunks,
-            "rows": rows,
-            "cols": cols,
-            "boundary_rows": plan.boundary_rows,
             "total_time": outcome.total_time,
             "params": params.name,
             "model": {
                 "alpha": params.alpha,
                 "beta": params.beta,
-                "m": m,
+                "m": max(1, plan.boundary_rows),
                 "unit_seconds": 1.0,
             },
         },

@@ -257,8 +257,8 @@ def residual_table(trace: Trace) -> list[ResidualRow]:
             "wait"
         ].append(s.duration)
 
-    block_size = meta.get("block_size") or 0
     cols = meta.get("cols", 0)
+    block_size = meta.get("block_size") or cols  # None: one whole-width block
     out: list[ResidualRow] = []
     for k in sorted(by_block):
         rec = by_block[k]

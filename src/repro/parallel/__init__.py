@@ -5,11 +5,10 @@ runs the same compiled scan blocks on the *host*: one OS process per
 processor-grid cell, global arrays in :mod:`multiprocessing.shared_memory`,
 pipeline synchronisation over real pipes, and per-block local execution
 through the very same :func:`~repro.runtime.vectorized.execute_vectorized`
-the sequential engine uses — so the compiler output, the distribution
-machinery (:class:`~repro.machine.grid.ProcessorGrid`,
-:class:`~repro.machine.distribution.BlockMap`,
-:func:`~repro.machine.schedules.plan_wavefront`) and the semantics are all
-shared with the simulator, and the results are element-identical.
+the sequential engine uses — so the compiler output, the schedule geometry
+(:mod:`repro.compiler.schedule`: one planner, one set of refusals) and the
+semantics are all shared with the simulator, and the results are
+element-identical.
 
 Layers:
 

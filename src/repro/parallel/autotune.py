@@ -30,8 +30,9 @@ from multiprocessing.connection import Connection
 from repro.compiler.lowering import CompiledScan
 from repro.errors import MachineError
 from repro.machine.params import MachineParams
-from repro.machine.schedules import WavefrontPlan, _chunk_regions, plan_wavefront
-from repro.models.pipeline_model import model2
+from repro.compiler.grid import ProcessorGrid
+from repro.compiler.schedule import WavefrontPlan, place, plan_wavefront
+from repro.models.pipeline_model import model2_of
 from repro.models.tuning import Probe, TuningResult, select_dynamic
 from repro.parallel.sharedmem import collect_arrays
 from repro.runtime.interp import ArraySnapshot
@@ -151,6 +152,11 @@ def measure_compute_cost(
     return best / max(1, compiled.region.size)
 
 
+def _one_stage(compiled: CompiledScan, block: int):
+    """The whole region on one rank, cut into a run's pipeline blocks."""
+    return place(compiled, ProcessorGrid((1,)), "pipelined").chunked(block)
+
+
 def measure_block_overhead(
     compiled: CompiledScan,
     block: int = 8,
@@ -173,12 +179,7 @@ def measure_block_overhead(
     dispatch cost is orders of magnitude below the tree-walking
     ``engine="interp"`` number this library used to report.
     """
-    plan = plan_wavefront(compiled)
-    if plan.chunk_dim is None:
-        return 0.0
-    region = compiled.region
-    reverse = compiled.loops.signs[plan.chunk_dim] < 0
-    chunks = _chunk_regions(region, plan.chunk_dim, block, reverse)
+    chunks = _one_stage(compiled, block).chunks_by_rank[0]
     if len(chunks) < 2:
         return 0.0
     arrays = collect_arrays(compiled)
@@ -223,13 +224,8 @@ def measure_pool_dispatch(
     ``pool`` defaults to a throwaway single-worker pool (closed before
     returning); pass an existing pool to measure its grid instead.
     """
-    plan = plan_wavefront(compiled)
-    if plan.chunk_dim is None:
-        return 0.0
-    region = compiled.region
-    cols = region.extent(plan.chunk_dim)
-    reverse = compiled.loops.signs[plan.chunk_dim] < 0
-    n_blocked = len(_chunk_regions(region, plan.chunk_dim, block, reverse))
+    geometry = _one_stage(compiled, block)
+    cols, n_blocked = geometry.wavefront.cols, geometry.n_chunks
     if n_blocked < 2:
         return 0.0
     from repro.parallel.pool import WorkerPool
@@ -304,23 +300,14 @@ def normalized_params(
     )
 
 
-def _geometry(plan: WavefrontPlan) -> tuple[int, int, int]:
-    region = plan.region
-    rows = region.extent(plan.wavefront_dim)
-    cols = region.extent(plan.chunk_dim) if plan.chunk_dim is not None else 1
-    return rows, cols, max(1, plan.boundary_rows)
-
-
 def optimal_block_size(
     plan: WavefrontPlan, params: MachineParams, n_procs: int
 ) -> int:
     """Equation (1) (exact integer search) for a planned block on ``params``."""
-    rows, cols, m = _geometry(plan)
+    cols = plan.cols
     if n_procs < 2 or cols <= 1:
         return max(1, cols)  # no pipe to fill: one whole-width block
-    return model2(
-        params, rows, n_procs, boundary_rows=m, cols=cols
-    ).optimal_block_size(b_max=cols)
+    return model2_of(plan, params, n_procs).optimal_block_size(b_max=cols)
 
 
 def autotune(

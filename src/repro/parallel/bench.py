@@ -21,8 +21,9 @@ import numpy as np
 
 from repro.apps import tomcatv
 from repro.compiler.lowering import CompiledScan
+from repro.compiler.schedule import plan_wavefront
 from repro.errors import MachineError
-from repro.machine.schedules import pipelined_wavefront, plan_wavefront
+from repro.machine.schedules import naive_wavefront, pipelined_wavefront
 from repro.parallel.autotune import (
     CommParams,
     effective_params,
@@ -201,8 +202,6 @@ def speedup_curve(
             )
             predicted = sim.total_time * compute_seconds
         elif p >= 2:
-            from repro.machine.schedules import naive_wavefront
-
             sim = naive_wavefront(compiled, effective, n_procs=p, compute_values=False)
             predicted = sim.total_time * compute_seconds
         else:

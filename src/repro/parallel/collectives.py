@@ -42,13 +42,14 @@ import os
 import time
 from dataclasses import dataclass
 from multiprocessing import shared_memory
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro.compiler.lowering import CompiledScan
+from repro.compiler.schedule import WavefrontPlan, shift_depths
 from repro.compiler.taskdag import _projected_vectors
 from repro.errors import DistributionError, MachineError
-from repro.machine.schedules import WavefrontPlan
 from repro.parallel.sharedmem import BoundaryPool, _untracked_attach
 from repro.zpl.regions import Region
 
@@ -125,22 +126,17 @@ class MulticastGroups:
         return max(self.fanout, default=0)
 
 
-def rank_fanout(groups: MulticastGroups) -> int:
-    """The planner's selection number: max consumer tiles per stamp."""
-    return groups.max_fanout
-
-
 def plan_groups(
     compiled: CompiledScan,
     plan: WavefrontPlan,
-    chains: list[list[int]],
-    locals_by_rank: dict[int, Region],
+    chains: Sequence[Sequence[int]],
+    locals_by_rank: Mapping[int, Region] | Sequence[Region],
     n_ranks: int,
 ) -> MulticastGroups | None:
     """Derive the epoch-fabric groups, or ``None`` when pipes must be used.
 
     Works per chain (mesh columns are independent: the chunk dimension is
-    dependence-free by :func:`~repro.parallel.plan._build_distribution`).
+    dependence-free by :func:`~repro.compiler.schedule.place`).
     A consumer's slab needs the ``d`` wave-rows before its first row for
     every projected dependence depth ``d``; the ranks owning those rows are
     its producers.  Returns ``None`` when a projection points against the
@@ -252,24 +248,19 @@ def boundary_layout(
 ) -> BoundaryLayout | None:
     """The staging layout for ``plan``, or ``None`` when nothing flows.
 
-    Mirrors :func:`~repro.machine.schedules.plan_wavefront`'s boundary-rows
-    accounting: for each written array, the deepest wave-dimension shift
-    any reference makes is the number of halo rows consumers need.
+    The same accounting as the plan's ``boundary_rows``
+    (:func:`~repro.compiler.schedule.shift_depths`): for each written
+    array, the deepest wave-dimension shift any reference makes is the
+    number of halo rows consumers need.
     """
     from repro.parallel.sharedmem import collect_arrays
 
     w = plan.wavefront_dim
-    arrays = collect_arrays(compiled)
-    index_of = {id(a): i for i, a in enumerate(arrays)}
-    written = {id(a) for a in compiled.written_arrays()}
-    depth_by_index: dict[int, int] = {}
-    for stmt in compiled.statements:
-        for ref in stmt.expr.refs():
-            depth = abs(ref.offset[w])
-            if depth == 0 or id(ref.array) not in written:
-                continue
-            idx = index_of[id(ref.array)]
-            depth_by_index[idx] = max(depth_by_index.get(idx, 0), depth)
+    index_of = {id(a): i for i, a in enumerate(collect_arrays(compiled))}
+    depth_by_index = {
+        index_of[key]: max(depth)
+        for key, depth in shift_depths(compiled, w)[0].items()
+    }
     if not depth_by_index:
         return None
     region = plan.region

@@ -1,9 +1,9 @@
 """The multiprocess executor: real pipelined wavefronts on the host machine.
 
 This is the production counterpart of :mod:`repro.machine.schedules`: the
-same :func:`~repro.machine.schedules.plan_wavefront` derivation, the same
-:class:`~repro.machine.distribution.BlockMap` decomposition, the same naive
-and pipelined schedules — but run across real OS processes against shared
+same :class:`~repro.compiler.schedule.ScheduleGeometry` — wavefront plan,
+block distribution, chains and per-rank blocks — under the same naive and
+pipelined schedules, but run across real OS processes against shared
 memory, on the real clock.  The virtual-clock simulator predicts; this
 executor measures.
 
@@ -17,12 +17,12 @@ inherited pipes/semaphores/locks, and tear everything down.
 
 Topology
 --------
-A rank-1 :class:`~repro.machine.grid.ProcessorGrid` distributes the wavefront
+A rank-1 :class:`~repro.compiler.grid.ProcessorGrid` distributes the wavefront
 dimension: one pipeline chain (paper Fig. 4).  A rank-2 grid additionally
 distributes the chunk dimension: each mesh column runs an independent chain
 over its slice, which requires the chunk dimension to be fully parallel
-(exactly the constraint of
-:func:`~repro.machine.schedules.pipelined_wavefront_mesh`).
+(:func:`~repro.machine.schedules.pipelined_wavefront_mesh` is refused by
+the same check).
 
 Block sizes
 -----------
@@ -38,9 +38,9 @@ import multiprocessing as mp
 import pickle
 import time
 
+from repro.compiler.grid import ProcessorGrid
 from repro.compiler.lowering import CompiledScan
 from repro.errors import MachineError
-from repro.machine.grid import ProcessorGrid
 from repro.obs.trace import resolve_tracer
 from repro.parallel.channels import chain_links
 from repro.parallel.collectives import MulticastFabric

@@ -2,13 +2,16 @@
 
 The paper's point is that one schedule description — wavefront dimension,
 chunk dimension, block size ``b``, who releases whom — fixes both what runs
-and what Equation (1) predicts.  :func:`resolve_run` derives that
-description once, as a frozen :class:`RunPlan`, and everything else *reads*
-it: the fork-per-run executor and the worker pool build their jobs from it,
-the certifier projects its :class:`~repro.analyze.certify.ScheduleModel`
-from it, the sanitizer lays its shadow planes out from it, and the trace
-meta is :meth:`RunPlan.meta`.  ``REPRO_CERTIFY=1`` therefore certifies the
-very object that is dispatched.
+and what Equation (1) predicts.  That description is the value-free
+:class:`~repro.compiler.schedule.ScheduleGeometry` the simulator walks too;
+:func:`resolve_run` composes it with what only a real run has — fabric and
+multicast groups, autotuned block size, task graph, sanitizer knobs — into
+a frozen :class:`RunPlan`, and everything else *reads* it: the fork-per-run
+executor and the worker pool build their jobs from it, the certifier
+projects its :class:`~repro.analyze.certify.ScheduleModel` from it, the
+sanitizer lays its shadow planes out from it, and the trace meta is
+:meth:`RunPlan.meta`.  ``REPRO_CERTIFY=1`` therefore certifies the very
+object that is dispatched.
 
 The second half of the module is the part of a run both process lifecycles
 share once their workers exist: per-run shared state (:class:`RunResources`),
@@ -28,11 +31,15 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
+from repro.compiler.grid import ProcessorGrid
 from repro.compiler.lowering import CompiledScan
-from repro.errors import DistributionError, MachineError, SanitizerError
-from repro.machine.distribution import BlockMap
-from repro.machine.grid import ProcessorGrid
-from repro.machine.schedules import WavefrontPlan, _chunk_regions, plan_wavefront
+from repro.compiler.schedule import (
+    ScheduleGeometry,
+    WavefrontPlan,
+    chain_preds,
+    place,
+)
+from repro.errors import MachineError, SanitizerError
 from repro.obs.live import format_flight_tail
 from repro.obs.trace import NULL_TRACER, Trace
 from repro.parallel.collectives import (
@@ -46,7 +53,6 @@ from repro.parallel.collectives import (
 )
 from repro.parallel.worker import BlockJob
 from repro.runtime.kernels import ensure_native
-from repro.zpl.regions import Region
 
 #: Environment knob: hard cap on worker counts chosen *by default* (CI safety).
 MAX_PROCS_ENV = "REPRO_PARALLEL_MAX_PROCS"
@@ -90,142 +96,25 @@ def _as_grid(grid: ProcessorGrid | int | tuple[int, ...] | None) -> ProcessorGri
     return ProcessorGrid(tuple(grid))
 
 
-def _build_distribution(
-    plan: WavefrontPlan, grid: ProcessorGrid
-) -> BlockMap:
-    region = plan.region
-    w, c = plan.wavefront_dim, plan.chunk_dim
-    dim_map: list[int | None] = [None] * region.rank
-    dim_map[w] = 0
-    if grid.rank == 2:
-        if c is None:
-            raise DistributionError("no chunkable dimension: cannot mesh-distribute")
-        if any(d.vector[c] != 0 for d in plan.compiled.dependences):
-            raise DistributionError(
-                f"dimension {c} carries a dependence; a 2-D grid would couple "
-                f"the pipeline chains — use a rank-1 grid"
-            )
-        dim_map[c] = 1
-    elif grid.rank != 1:
-        raise MachineError(
-            f"the multiprocess backend supports rank-1 and rank-2 grids, "
-            f"got rank {grid.rank}"
-        )
-    return BlockMap(region, grid, tuple(dim_map))
-
-
-def _chains(grid: ProcessorGrid, ascending: bool) -> list[list[int]]:
-    """Processor ranks grouped into pipeline chains, in wave order."""
-    rows = list(range(grid.dims[0]))
-    if not ascending:
-        rows.reverse()
-    if grid.rank == 1:
-        return [[grid.proc((row,)) for row in rows]]
-    return [
-        [grid.proc((row, col)) for row in rows] for col in range(grid.dims[1])
-    ]
-
-
-def _worker_chunks(
-    plan: WavefrontPlan, local: Region, block_size: int, reverse: bool
-) -> tuple[Region, ...]:
-    """One worker's pipeline blocks.  All workers of a chain share the same
-    chunk-dimension ranges, so token ``k`` means the same columns chain-wide."""
-    if plan.chunk_dim is None or local.extent(plan.chunk_dim) == 0:
-        return (local,)
-    return tuple(_chunk_regions(local, plan.chunk_dim, block_size, reverse))
-
-
-def _default_block(plan: WavefrontPlan, n_stages: int) -> int:
-    """Static block-size heuristic for ``static`` planning.
-
-    The autotuner's cost model needs timing constants; the certifier only
-    needs *a* legal chunking, so it uses the classical half-the-columns-per
-    -stage starting point.
-    """
-    if plan.chunk_dim is None:
-        return 1
-    extent = plan.region.extent(plan.chunk_dim)
-    return max(1, extent // max(1, 2 * n_stages))
-
-
-def check_chain_legality(
-    compiled: CompiledScan, plan: WavefrontPlan, n_stages: int, n_chunks: int
-) -> None:
-    """Refuse chain distributions the one-way boundary protocol cannot honour.
-
-    Two shapes are sequentially legal yet race on a multi-stage chain:
-
-    * **Upstream flow** — a dependence whose wave component opposes the
-      traversal (reader in an *earlier* chain stage than the writer).
-      Boundary data only travels down the chain, under every schedule, so
-      the reader would consume values its downstream neighbour has not
-      produced; no chunking makes this sound.
-    * **Lookahead** — wave component along the traversal but chunk
-      component against it (e.g. ``(1, -1)`` ascending): pipeline block
-      ``k`` downstream reads columns its upstream stage only computes in
-      block ``k + 1``.  Tokens and epoch stamps both release strictly in
-      block order, so this races exactly when the chain is chunked;
-      single-chunk (naive or full-width) runs are safe.
-
-    Single-stage chains are always safe: no boundary ever crosses a rank.
-    """
-    if n_stages <= 1:
-        return
-    w, c = plan.wavefront_dim, plan.chunk_dim
-    signs = compiled.loops.signs
-    sw = 1 if signs[w] >= 0 else -1
-    sc = 1 if c is None or signs[c] >= 0 else -1
-    for dep in compiled.dependences:
-        vw = dep.vector[w]
-        vc = dep.vector[c] if c is not None else 0
-        if vw * sw < 0:
-            raise DistributionError(
-                f"{dep.kind.value} dependence {dep.vector} on {dep.array!r} "
-                f"points upstream along wavefront dimension {w}: boundary "
-                f"data only flows down the chain — distribute along a "
-                f"different wavefront dimension or run on one process"
-            )
-        if n_chunks > 1 and vw * sw > 0 and vc * sc < 0:
-            raise DistributionError(
-                f"{dep.kind.value} dependence {dep.vector} on {dep.array!r} "
-                f"points against the chunk traversal: pipeline block k would "
-                f"read columns its upstream stage only computes in block "
-                f"k+1 — use schedule=\"naive\" or a block covering the full "
-                f"width"
-            )
-
-
 # ---------------------------------------------------------------------------
 # The plan
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
 class RunPlan:
-    """One resolved run: the geometry, the fabric and the knobs, as data.
+    """One resolved run: the schedule geometry, the fabric and the knobs.
 
-    Built only by :func:`resolve_run`.  Static-order schedules carry
-    ``chunks_by_rank`` (each rank's pipeline blocks, in wave order);
-    ``schedule="taskgraph"`` carries ``graph`` and ``oversub`` instead.
+    Built only by :func:`resolve_run`.  The geometry's fields read through
+    (``run_plan.chunks_by_rank`` is ``run_plan.geometry.chunks_by_rank``).
+    Static-order schedules carry ``chunks_by_rank`` (each rank's pipeline
+    blocks, in wave order); ``schedule="taskgraph"`` carries ``graph`` and
+    ``oversub`` instead.
     """
 
-    compiled: CompiledScan
-    wavefront: WavefrontPlan
-    grid: ProcessorGrid
-    schedule: str
+    geometry: ScheduleGeometry
     #: ``"pipes"`` or ``"multicast"`` (taskgraph runs report ``"pipes"``:
     #: neither token fabric is involved, and that is what they always said).
     fabric: str
-    block_size: int | None
-    #: Max pipeline blocks on any rank (taskgraph: the live tile count).
-    n_chunks: int
-    #: Wavefront traversal direction — which static pipe fabric a pool uses.
-    ascending: bool
-    #: Ranks grouped into pipeline chains, in wave order.
-    chains: tuple[tuple[int, ...], ...]
-    chunks_by_rank: dict[int, tuple[Region, ...]]
-    #: Per rank: its local wave-dimension row range (``None``: owns no rows).
-    rows_by_rank: tuple[tuple[int, int] | None, ...]
     #: The epoch fabric's producer/consumer relation (multicast runs only).
     groups: MulticastGroups | None = None
     #: Double-buffered boundary staging requested (multicast runs only).
@@ -237,18 +126,28 @@ class RunPlan:
     #: Parsed ``REPRO_SANITIZE_INJECT`` (sanitized runs only).
     inject: tuple[str, int, int] | None = None
 
+    wavefront = property(lambda self: self.geometry.wavefront)
+    compiled = property(lambda self: self.geometry.wavefront.compiled)
+    grid = property(lambda self: self.geometry.grid)
+    schedule = property(lambda self: self.geometry.schedule)
+    block_size = property(lambda self: self.geometry.block_size)
+    #: Which static pipe fabric a pool uses.
+    ascending = property(lambda self: self.geometry.ascending)
+    chains = property(lambda self: self.geometry.chains)
+    pred_by_rank = property(lambda self: chain_preds(self.geometry.chains))
+    chunks_by_rank = property(lambda self: self.geometry.chunks_by_rank)
+    rows_by_rank = property(lambda self: self.geometry.rows_by_rank)
+
+    @property
+    def n_chunks(self) -> int:
+        """Max pipeline blocks on any rank (taskgraph: the live tile count)."""
+        if self.graph is not None:
+            return self.graph.n_live
+        return self.geometry.n_chunks
+
     @property
     def fanout(self) -> int:
         return self.groups.max_fanout if self.groups is not None else 1
-
-    @property
-    def pred_by_rank(self) -> dict[int, int]:
-        """Each rank's upstream neighbour on its pipeline chain."""
-        return {
-            downstream: upstream
-            for chain in self.chains
-            for upstream, downstream in zip(chain, chain[1:])
-        }
 
     @cached_property
     def layout(self) -> BoundaryLayout | None:
@@ -275,27 +174,10 @@ class RunPlan:
 
     def meta(self) -> dict:
         """The run's trace meta (timings are added by :func:`finish`)."""
-        plan, region = self.wavefront, self.wavefront.region
         meta = {
             "backend": "parallel",
-            "schedule": self.schedule,
-            "grid": list(self.grid.dims),
-            "n_procs": self.grid.size,
-            # Stages per pipeline chain (rank-2 grids run dims[1]
-            # independent chains of dims[0] stages each).
-            "pipeline_procs": self.grid.dims[0],
-            "block_size": self.block_size,
+            **self.geometry.meta(),
             "n_chunks": self.n_chunks,
-            "rows": region.extent(plan.wavefront_dim),
-            "cols": (
-                region.extent(plan.chunk_dim)
-                if plan.chunk_dim is not None
-                else 1
-            ),
-            "boundary_rows": plan.boundary_rows,
-            "halo_rows": plan.halo_rows,
-            "wavefront_dim": plan.wavefront_dim,
-            "chunk_dim": plan.chunk_dim,
             "sanitize": self.sanitize,
             "fabric": self.fabric,
             "fanout": self.fanout,
@@ -334,34 +216,20 @@ def resolve_run(
     is skipped: it is how the analyzer's own entry points plan.  ``tracer``
     receives the ``taskdag`` span.  Raises the
     :class:`~repro.errors.MachineError` family for configurations no
-    executor would run.
+    executor would run; the geometry's refusals come from
+    :mod:`repro.compiler.schedule`, so the simulator raises the same ones.
     """
     schedule = resolve_schedule(schedule)
-    grid = _as_grid(grid)
     if sanitize is None:
         sanitize = not static and os.environ.get(
             "REPRO_SANITIZE", ""
         ) not in ("", "0")
-    plan = plan_wavefront(compiled, wavefront_dim)
-    taskgraph = schedule == "taskgraph"
-    if taskgraph and grid.rank != 1:
-        raise MachineError(
-            "schedule=\"taskgraph\" runs on rank-1 grids: the scheduler "
-            "itself spreads work along the chunk dimension"
-        )
-    if plan.chunk_dim is None and grid.dims[0] > 1 and schedule == "pipelined":
-        raise DistributionError(
-            "no chunkable dimension: this block cannot be pipelined"
-        )
-    dist = _build_distribution(plan, grid)
+    placed = place(compiled, _as_grid(grid), schedule, wavefront_dim)
+    plan, grid = placed.wavefront, placed.grid
     if not static:
         # Workers never run the C compiler: publish the block's native
         # object from here, so all they do is load it.
         ensure_native(compiled)
-    signs = compiled.loops.signs
-    ascending = signs[plan.wavefront_dim] >= 0
-    locals_by_rank = {rank: dist.local_region(rank) for rank in grid}
-    chains = _chains(grid, ascending)
 
     # Fabric selection happens before block sizing: the autotuner's cost
     # model depends on whether a release costs one pipe round per edge or
@@ -369,7 +237,9 @@ def resolve_run(
     fabric, groups = "pipes", None
     mode = resolve_multicast(multicast)
     if schedule == "pipelined" and mode != "off" and plan.chunk_dim is not None:
-        groups = plan_groups(compiled, plan, chains, locals_by_rank, grid.size)
+        groups = plan_groups(
+            compiled, plan, placed.chains, placed.locals_by_rank, grid.size
+        )
         if groups is not None and (mode == "on" or groups.max_fanout >= 2):
             fabric = "multicast"
         else:
@@ -380,58 +250,35 @@ def resolve_run(
     # off like Eq. (1)'s compute vs message cost, and it keeps the two
     # schedules block-for-block comparable); the wave dimension is
     # over-decomposed ``oversub`` slabs per rank so stealing has slack.
+    taskgraph = schedule == "taskgraph"
     if taskgraph and oversub is None:
         from repro.parallel.taskgraph import resolve_oversub
 
         oversub = resolve_oversub()
     if schedule == "naive":
-        block_size = None
-    elif block is not None:
-        if block < 1:
-            raise MachineError(f"block size must be >= 1, got {block}")
-        block_size = block
-    elif static:
-        block_size = _default_block(plan, grid.dims[0])
-    else:
+        block = None
+    elif block is None and static:
+        block = placed.default_block()
+    elif block is None:
         from repro.parallel.autotune import tuned_block_size
 
-        block_size = tuned_block_size(
+        block = tuned_block_size(
             compiled,
             grid.dims[0],
             plan=plan,
             fabric=fabric,
             fanout=groups.max_fanout if groups is not None else 1,
         )
+    geometry = placed.chunked(block)
 
-    chunks_by_rank: dict[int, tuple[Region, ...]] = {}
-    n_chunks = 1
     graph = None
     if taskgraph:
         from repro.compiler.taskdag import derive_taskgraph
 
         with tracer.span("taskdag", "setup"):
             graph = derive_taskgraph(
-                compiled,
-                plan,
-                [locals_by_rank[rank] for rank in grid],
-                oversub,
-                block_size,
+                compiled, plan, geometry.locals_by_rank, oversub, block
             )
-        n_chunks = graph.n_live
-    else:
-        reverse = plan.chunk_dim is not None and signs[plan.chunk_dim] < 0
-        for rank, local in locals_by_rank.items():
-            width = (
-                local.extent(plan.chunk_dim)
-                if plan.chunk_dim is not None
-                else 1
-            )
-            per_block = width if block_size is None else block_size
-            chunks_by_rank[rank] = _worker_chunks(
-                plan, local, max(1, per_block), reverse
-            )
-            n_chunks = max(n_chunks, len(chunks_by_rank[rank]))
-        check_chain_legality(compiled, plan, grid.dims[0], n_chunks)
 
     inject = None
     if sanitize:
@@ -440,22 +287,8 @@ def resolve_run(
         inject = parse_inject(os.environ.get(INJECT_ENV))
 
     run_plan = RunPlan(
-        compiled=compiled,
-        wavefront=plan,
-        grid=grid,
-        schedule=schedule,
+        geometry=geometry,
         fabric=fabric,
-        block_size=block_size,
-        n_chunks=n_chunks,
-        ascending=ascending,
-        chains=tuple(tuple(chain) for chain in chains),
-        chunks_by_rank=chunks_by_rank,
-        rows_by_rank=tuple(
-            None
-            if locals_by_rank[rank].is_empty()
-            else locals_by_rank[rank].range(plan.wavefront_dim)
-            for rank in grid
-        ),
         groups=groups,
         staging=fabric == "multicast" and resolve_double_buffer(double_buffer),
         oversub=oversub,
@@ -541,13 +374,7 @@ class RunResources:
         elif run_plan.sanitize:
             from repro.analyze.sanitizer import ShadowPool
 
-            self._segment = ShadowPool(
-                run_plan.wavefront,
-                run_plan.grid,
-                run_plan.chunks_by_rank,
-                inject=run_plan.inject,
-                epoch_clocks=run_plan.n_chunks,
-            )
+            self._segment = ShadowPool(run_plan.geometry, run_plan.inject)
             self._sanitize = self._segment.spec
 
     def job(

@@ -55,9 +55,10 @@ import time
 from dataclasses import dataclass, field, replace
 from multiprocessing.connection import Connection
 
+from repro.compiler.grid import ProcessorGrid
 from repro.compiler.lowering import CompiledScan
+from repro.compiler.schedule import _chains, chain_preds
 from repro.errors import MachineError, PoolBrokenError
-from repro.machine.grid import ProcessorGrid
 from repro.obs.live import FLIGHT, LIVE, MONITOR, current_tags
 from repro.obs.trace import NULL_TRACER, Tracer, resolve_tracer
 from repro.parallel.channels import chain_links
@@ -72,7 +73,6 @@ from repro.parallel.plan import (
     RunPlan,
     RunResources,
     _as_grid,
-    _chains,
     collect,
     finish,
     meet_barrier,
@@ -327,13 +327,7 @@ class WorkerPool:
         links_fwd = chain_links(ctx, chains_fwd)
         links_bwd = chain_links(ctx, chains_bwd)
         self._links = (links_fwd, links_bwd)  # keep parent copies alive
-        self._chains_by_dir = {True: chains_fwd, False: chains_bwd}
-        pred_fwd: dict[int, int] = {}
-        pred_bwd: dict[int, int] = {}
-        for chains, preds in ((chains_fwd, pred_fwd), (chains_bwd, pred_bwd)):
-            for chain in chains:
-                for upstream, downstream in zip(chain, chain[1:]):
-                    preds[downstream] = upstream
+        pred_fwd, pred_bwd = chain_preds(chains_fwd), chain_preds(chains_bwd)
         # The pool-lifetime epoch fabric: the segment and the per-rank
         # semaphores must exist before the fork (semaphores only inherit).
         self._mcast_fabric = MulticastFabric(ctx, self.grid.size)

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.compiler import compile_scan
+from repro.compiler.schedule import plan_wavefront
 from repro.errors import MachineError
 from repro.machine import MachineParams
-from repro.machine.schedules import plan_wavefront
 from repro.parallel.autotune import (
     autotune,
     effective_params,

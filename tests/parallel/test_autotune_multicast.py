@@ -5,9 +5,9 @@ import importlib
 import pytest
 
 from repro.compiler import compile_scan
+from repro.compiler.schedule import plan_wavefront
 from repro.errors import MachineError
 from repro.machine import MachineParams
-from repro.machine.schedules import plan_wavefront
 from repro.models.pipeline_model import amortized_alpha, collective_model2, model2
 from repro.parallel.autotune import (
     CollectiveParams,

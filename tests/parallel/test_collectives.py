@@ -13,9 +13,15 @@ import pytest
 
 from repro import zpl
 from repro.compiler import compile_scan
+from repro.compiler.schedule import (
+    WavefrontPlan,
+    _build_distribution,
+    _chains,
+    check_chain_legality,
+    plan_wavefront,
+)
 from repro.errors import DistributionError, MachineError
 from repro.machine import ProcessorGrid
-from repro.machine.schedules import WavefrontPlan, plan_wavefront
 from repro.parallel import execute
 from repro.parallel.channels import chain_links, recv_token
 from repro.parallel.collectives import (
@@ -27,11 +33,6 @@ from repro.parallel.collectives import (
     plan_groups,
     resolve_double_buffer,
     resolve_multicast,
-)
-from repro.parallel.plan import (
-    _build_distribution,
-    _chains,
-    check_chain_legality,
 )
 from repro.runtime import execute_vectorized, run_and_capture
 

@@ -13,6 +13,12 @@ import pytest
 from repro import zpl
 from repro.compiler import compile_scan
 from repro.errors import MachineError, PoolBrokenError, SanitizerError
+from repro.machine import (
+    CRAY_T3E,
+    naive_wavefront,
+    pipelined_wavefront,
+    pipelined_wavefront_mesh,
+)
 from repro.obs import NULL_TRACER, Tracer
 from repro.parallel import WorkerPool, execute
 from repro.parallel.plan import RunResources, collect, finish, resolve_run
@@ -140,3 +146,51 @@ def test_jobs_carry_the_plan_chunks_verbatim():
             assert job.chunks is run_plan.chunks_by_rank[rank]
     finally:
         resources.release()
+
+
+# ---------------------------------------------------------------------------
+# Simulated is what runs: one geometry under the virtual clock, the fork
+# executor and the pool.
+# ---------------------------------------------------------------------------
+def _computed_blocks(spans, rank):
+    """One rank's ``(block, elements)`` sequence, in the order it ran."""
+    mine = sorted(
+        (s for s in spans if s.proc == rank and s.name == "compute"),
+        key=lambda s: s.start,
+    )
+    return [(s.args["block"], int(s.args["elements"])) for s in mine]
+
+
+@pytest.mark.parametrize("grid", [2, (2, 1), (1, 2)], ids=str)
+@pytest.mark.parametrize("schedule", ["naive", "pipelined"])
+def test_simulator_and_both_executors_run_the_plan_chunks(schedule, grid):
+    compiled = _single_stream()
+    kwargs = dict(schedule=schedule, block=8, multicast=False)
+    run_plan = resolve_run(compiled, grid, static=True, **kwargs)
+    planned = {
+        rank: [(k, c.size) for k, c in enumerate(chunks) if not c.is_empty()]
+        for rank, chunks in run_plan.chunks_by_rank.items()
+    }
+    assert sum(size for blocks in planned.values() for _k, size in blocks) == (
+        compiled.region.size
+    )
+
+    simulated = Tracer()
+    options = dict(compute_values=False, tracer=simulated)
+    if isinstance(grid, tuple):
+        # Naive on a mesh is the pipelined mesh at full width.
+        width = 8 if schedule == "pipelined" else run_plan.wavefront.cols
+        pipelined_wavefront_mesh(compiled, CRAY_T3E, grid, width, **options)
+    elif schedule == "naive":
+        naive_wavefront(compiled, CRAY_T3E, grid, **options)
+    else:
+        pipelined_wavefront(compiled, CRAY_T3E, grid, 8, **options)
+
+    forked = execute(compiled, grid=grid, tracer=Tracer(), timeout=60.0, **kwargs)
+    with WorkerPool(grid, timeout=60.0) as pool:
+        pooled = pool.execute(compiled, tracer=Tracer(), **kwargs)
+
+    for rank in run_plan.grid:
+        assert _computed_blocks(simulated.spans, rank) == planned[rank]
+        assert _computed_blocks(forked.trace.spans, rank) == planned[rank]
+        assert _computed_blocks(pooled.trace.spans, rank) == planned[rank]

@@ -21,11 +21,11 @@ import pytest
 from repro import zpl
 from repro.analyze.sanitizer import parse_inject
 from repro.compiler import compile_scan
+from repro.compiler.schedule import _build_distribution, plan_wavefront
 from repro.compiler.taskdag import derive_taskgraph
 from repro.errors import DistributionError, MachineError, SanitizerError
-from repro.machine.schedules import plan_wavefront
 from repro.parallel import WorkerPool, execute
-from repro.parallel.plan import _as_grid, _build_distribution
+from repro.parallel.plan import _as_grid
 from repro.runtime import execute_vectorized, run_and_capture
 from tests.conftest import record_tomcatv_block
 
