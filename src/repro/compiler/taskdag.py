@@ -4,36 +4,50 @@ The pipelined schedule orders blocks statically: rank order along the
 wavefront, chunk order within a rank.  That order is *sufficient* for the
 UDVs but far from *necessary* — a block may fire the moment the blocks its
 dependences actually reach have completed.  This module derives that exact
-partial order at plan time:
+partial order at plan time, in two halves:
 
-* **Tiles** come from :func:`repro.compiler.schedule.taskgraph_intervals`:
-  the pipelined schedule's own chunk boundaries along the chunk dimension
-  crossed with over-decomposed per-rank slabs along the wavefront
-  dimension (so stolen work still lands near its home rank's data).
-* **Edges** are computed geometrically from the UDVs.  Every
-  :class:`~repro.compiler.udv.Dependence` — true, anti *and* output —
-  stores ``vector = dest - source`` with the source ordered first, so for
-  a dependence ``v`` the predecessors of tile ``T`` are exactly the tiles
-  intersecting ``T.shift(-v)``; components along untiled dimensions never
-  cross a tile boundary and drop out.  Compile-time legality (the loop
-  structure of :mod:`repro.compiler.loopstruct`, derived from the same
-  constraint vectors :mod:`repro.compiler.legality` validates) guarantees
-  each vector is non-negative along both tiled axes once normalised by the
-  traversal sign; :func:`derive_taskgraph` re-checks this and raises
-  :class:`~repro.errors.DistributionError` rather than ever building a
-  cyclic graph.
-* **Dead tiles are pruned.**  When every globally-storing statement is
-  masked, none of its masks is written by the block, and all of them are
-  zero everywhere on a tile, the tile stores nothing — running it would
-  only recompute values that :func:`~repro.runtime.vectorized` masks back
-  out — so it never enters the graph.  This is the banded Smith-Waterman
-  win: blocks entirely outside the band cost nothing.  Edges through a
-  pruned tile need no rewiring: a tile that writes nothing orders nothing.
+* **The structure** (:func:`tile_dag`, a :class:`TileDag`) is value-free:
+  every tile, its home rank and every edge, before pruning.
+
+  - *Tiles* come from :func:`repro.compiler.schedule.taskgraph_intervals`:
+    the pipelined schedule's own chunk boundaries along the chunk
+    dimension crossed with over-decomposed per-rank slabs along the
+    wavefront dimension (so stolen work still lands near its home rank's
+    data).
+  - *Edges* are computed geometrically from the UDVs.  Every
+    :class:`~repro.compiler.udv.Dependence` — true, anti *and* output —
+    stores ``vector = dest - source`` with the source ordered first, so
+    for a dependence ``v`` the predecessors of tile ``T`` are exactly the
+    tiles intersecting ``T.shift(-v)``; components along untiled
+    dimensions never cross a tile boundary and drop out.  Compile-time
+    legality (the loop structure of :mod:`repro.compiler.loopstruct`,
+    derived from the same constraint vectors :mod:`repro.compiler.legality`
+    validates) guarantees each vector is non-negative along both tiled
+    axes once normalised by the traversal sign; :func:`tile_dag` re-checks
+    this and raises :class:`~repro.errors.DistributionError` rather than
+    ever building a cyclic graph.
+
+* **Liveness** (:func:`tile_liveness`) is the one part that depends on
+  array values.  When every globally-storing statement is masked, none of
+  its masks is written by the block, and all of them are zero everywhere
+  on a tile, the tile stores nothing — running it would only recompute
+  values that :func:`~repro.runtime.vectorized` masks back out — so it
+  never enters the graph.  This is the banded Smith-Waterman win: blocks
+  entirely outside the band cost nothing.  Liveness is one block-reduce
+  per mask over the plan region, and the :class:`TaskGraph` is the
+  subgraph the structure induces on the live tiles
+  (:meth:`TileDag.induce`).  Edges through a pruned tile need no
+  rewiring: a tile that writes nothing orders nothing.
+
+:func:`derive_taskgraph` composes the two.  A caller that keeps a graph
+across runs (the worker pool) keeps its structure with it and, since masks
+may change in place between calls, re-checks only liveness
+(:func:`reprune`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -60,6 +74,11 @@ class TaskGraph:
     #: Tiling shape before pruning (wave tiles x chunk tiles).
     n_wave: int
     n_chunk: int
+    #: The unpruned structure this graph was induced from.
+    dag: "TileDag" = field(compare=False, repr=False)
+    #: The liveness it was induced with, one flag per structural tile
+    #: (``None``: pruning is unsound for the block, every tile is live).
+    live: np.ndarray | None = field(compare=False, repr=False)
 
     @property
     def n_live(self) -> int:
@@ -73,6 +92,54 @@ class TaskGraph:
         return (
             f"TaskGraph({self.n_live} tiles [{self.n_wave}x{self.n_chunk}, "
             f"{self.n_pruned} pruned], {self.n_edges} edges)"
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class TileDag:
+    """Every tile of a task-graph decomposition and every edge between
+    them, before pruning: the value-free half of a :class:`TaskGraph`."""
+
+    region: Region
+    wavefront_dim: int
+    chunk_dim: int | None
+    #: ``(lo, hi, home_rank)`` wave intervals, in traversal order.
+    wave: tuple[tuple[int, int, int], ...]
+    #: ``(lo, hi)`` chunk intervals in traversal order, or ``(None,)``.
+    chunk: tuple[tuple[int, int] | None, ...]
+    #: All tiles, wave-major and chunk-minor: tile ``wi * n_chunk + cj``.
+    tiles: tuple[Region, ...]
+    homes: tuple[int, ...]
+    preds: tuple[tuple[int, ...], ...]
+    succs: tuple[tuple[int, ...], ...]
+
+    def induce(self, live: np.ndarray | None) -> TaskGraph:
+        """The subgraph on the tiles ``live`` flags (``None``: all), in
+        O(tiles + edges).  Live tiles keep their relative order, so pred
+        and succ lists stay sorted."""
+        n = len(self.tiles)
+        keep = range(n) if live is None else np.flatnonzero(live).tolist()
+        new_id = [-1] * n
+        for k, g in enumerate(keep):
+            new_id[g] = k
+        preds = tuple(
+            tuple(new_id[p] for p in self.preds[g] if new_id[p] >= 0)
+            for g in keep
+        )
+        return TaskGraph(
+            tiles=tuple(self.tiles[g] for g in keep),
+            homes=tuple(self.homes[g] for g in keep),
+            preds=preds,
+            succs=tuple(
+                tuple(new_id[s] for s in self.succs[g] if new_id[s] >= 0)
+                for g in keep
+            ),
+            n_pruned=n - len(keep),
+            n_edges=sum(len(p) for p in preds),
+            n_wave=len(self.wave),
+            n_chunk=len(self.chunk),
+            dag=self,
+            live=live,
         )
 
 
@@ -131,7 +198,8 @@ def _prunable_masks(compiled: CompiledScan) -> list | None:
             continue
         if stmt.mask is None or id(stmt.mask) in written:
             return None
-        masks.append(stmt.mask)
+        if all(stmt.mask is not m for m in masks):
+            masks.append(stmt.mask)
     return masks if masks else None
 
 
@@ -142,10 +210,10 @@ def tile_dependences(
 ) -> list[tuple[int, int, object]]:
     """Geometric block-level dependence edges between arbitrary tiles.
 
-    The projection :func:`derive_taskgraph` applies to its own interval
-    tiling, generalised to any tile set (the certifier feeds it the
-    pipelined schedule's chunk regions too): for each dependence ``v`` and
-    each non-empty destination tile ``T``, the source tiles are exactly the
+    The projection :func:`tile_dag` applies to its own interval tiling,
+    generalised to any tile set (the certifier feeds it the pipelined
+    schedule's chunk regions too): for each dependence ``v`` and each
+    non-empty destination tile ``T``, the source tiles are exactly the
     non-empty tiles intersecting ``T.shift(-v)`` clipped to ``region``.
     Returns ``(src_index, dst_index, dependence)`` triples, self-edges
     omitted — an engine orders the cells *within* one tile by construction,
@@ -169,21 +237,15 @@ def tile_dependences(
     return out
 
 
-def derive_taskgraph(
+def tile_dag(
     compiled: CompiledScan,
     plan: WavefrontPlan,
     locals_by_rank: Sequence[Region],
     oversub: int,
     block_size: int,
-    prune: bool = True,
-) -> TaskGraph:
-    """Tile the plan region and wire the exact dependence DAG between tiles.
-
-    ``locals_by_rank`` are the per-rank static slabs (``BlockMap`` local
-    regions, in rank order) that anchor each tile's home; ``oversub`` and
-    ``block_size`` set the wave/chunk tile granularity (see
-    :func:`repro.parallel.plan.resolve_run`).
-    """
+) -> TileDag:
+    """Tile the plan region and wire the exact dependence DAG between all
+    tiles (arguments as for :func:`derive_taskgraph`)."""
     region = plan.region
     w, c = plan.wavefront_dim, plan.chunk_dim
     wave, chunk = taskgraph_intervals(plan, locals_by_rank, oversub, block_size)
@@ -192,77 +254,133 @@ def derive_taskgraph(
     vectors = _projected_vectors(compiled, w, c)
     n_wave, n_chunk = len(wave), len(chunk)
 
-    def tile_region(wi: int, cj: int) -> Region:
-        wlo, whi, _home = wave[wi]
-        tile = region.slab(w, wlo, whi)
-        if chunk[cj] is not None:
-            tile = tile.slab(c, *chunk[cj])
-        return tile
+    tiles = []
+    for wlo, whi, _home in wave:
+        slab = region.slab(w, wlo, whi)
+        for span in chunk:
+            tiles.append(slab if span is None else slab.slab(c, *span))
 
-    tiles_all = [
-        tile_region(wi, cj) for wi in range(n_wave) for cj in range(n_chunk)
+    # Per vector: the source intervals each wave / chunk interval reads.
+    wave_ranges = [(lo, hi) for lo, hi, _ in wave]
+    chunk_ranges = [span for span in chunk if span is not None]
+    sources = [
+        (
+            [_overlapping(wave_ranges, lo - vw, hi - vw) for lo, hi in wave_ranges],
+            [
+                [cj] if span is None
+                else _overlapping(chunk_ranges, span[0] - vc, span[1] - vc)
+                for cj, span in enumerate(chunk)
+            ],
+        )
+        for vw, vc in vectors
     ]
-
-    masks = _prunable_masks(compiled) if prune else None
-    if masks is None:
-        live = [True] * len(tiles_all)
-    else:
-        live = [
-            any(np.any(mask.read(tile) != 0) for mask in masks)
-            for tile in tiles_all
-        ]
-    n_pruned = live.count(False)
-    live_id = {}
-    for g, alive in enumerate(live):
-        if alive:
-            live_id[g] = len(live_id)
-
-    chunk_ranges = [r for r in chunk if r is not None]
-    preds: list[set[int]] = [set() for _ in range(len(live_id))]
-    succs: list[set[int]] = [set() for _ in range(len(live_id))]
-    n_edges = 0
+    preds: list[set[int]] = [set() for _ in tiles]
     for wi in range(n_wave):
-        wlo, whi, _home = wave[wi]
         for cj in range(n_chunk):
-            dst = live_id.get(wi * n_chunk + cj)
-            if dst is None:
-                continue
-            for vw, vc in vectors:
-                src_wave = _overlapping(
-                    [(lo, hi) for lo, hi, _ in wave], wlo - vw, whi - vw
-                )
-                if chunk[cj] is None:
-                    src_chunk = [cj]
-                else:
-                    clo, chi = chunk[cj]
-                    src_chunk = _overlapping(chunk_ranges, clo - vc, chi - vc)
-                for wsrc in src_wave:
-                    for csrc in src_chunk:
+            dst = wi * n_chunk + cj
+            for src_wave, src_chunk in sources:
+                for wsrc in src_wave[wi]:
+                    for csrc in src_chunk[cj]:
                         if (wsrc, csrc) == (wi, cj):
-                            continue
-                        src = live_id.get(wsrc * n_chunk + csrc)
-                        if src is None:
                             continue
                         # The sign check above makes every source tile
                         # earlier in traversal order — assert the invariant
                         # the acyclicity proof rests on.
                         assert wsrc <= wi and csrc <= cj
-                        if src not in preds[dst]:
-                            preds[dst].add(src)
-                            succs[src].add(dst)
-                            n_edges += 1
-
-    live_tiles = tuple(t for t, alive in zip(tiles_all, live) if alive)
-    homes = tuple(
-        wave[g // n_chunk][2] for g, alive in enumerate(live) if alive
-    )
-    return TaskGraph(
-        tiles=live_tiles,
-        homes=homes,
+                        preds[dst].add(wsrc * n_chunk + csrc)
+    succs: list[list[int]] = [[] for _ in tiles]
+    for dst, srcs in enumerate(preds):
+        for src in srcs:
+            succs[src].append(dst)
+    return TileDag(
+        region=region,
+        wavefront_dim=w,
+        chunk_dim=c,
+        wave=tuple(wave),
+        chunk=tuple(chunk),
+        tiles=tuple(tiles),
+        homes=tuple(home for _lo, _hi, home in wave for _ in range(n_chunk)),
         preds=tuple(tuple(sorted(p)) for p in preds),
-        succs=tuple(tuple(sorted(s)) for s in succs),
-        n_pruned=n_pruned,
-        n_edges=n_edges,
-        n_wave=n_wave,
-        n_chunk=n_chunk,
+        succs=tuple(tuple(s) for s in succs),
     )
+
+
+def _segments(
+    intervals: Sequence[tuple[int, int]], lo: int, hi: int
+) -> tuple[list[int], list[int]]:
+    """``reduceat`` offsets covering ``[lo, hi]`` for disjoint intervals
+    inside it, and each interval's segment index (gaps get segments of
+    their own, which nothing indexes)."""
+    starts = sorted(
+        {a for a, _ in intervals} | {b + 1 for _, b in intervals if b < hi}
+    )
+    where = {start: k for k, start in enumerate(starts)}
+    return [start - lo for start in starts], [where[a] for a, _ in intervals]
+
+
+def tile_liveness(dag: TileDag, masks: Sequence | None) -> np.ndarray | None:
+    """Per structural tile: does any mask hold a nonzero inside it?
+
+    One block-reduce per mask over the plan region — ``!= 0``, then
+    ``logical_or.reduceat`` along the wave and the chunk intervals, then
+    ``any`` over the untiled dimensions — instead of one read per tile.
+    ``masks`` is :func:`_prunable_masks`' answer; ``None`` (pruning
+    unsound) returns ``None``: every tile is live.
+    """
+    if masks is None:
+        return None
+    region, w, c = dag.region, dag.wavefront_dim, dag.chunk_dim
+    wlo, whi = region.range(w)
+    wave_starts, wave_seg = _segments([(lo, hi) for lo, hi, _ in dag.wave], wlo, whi)
+    tiled = [w] if c is None else [w, c]
+    untiled = tuple(d for d in range(region.rank) if d not in tiled)
+    hit = None
+    for mask in masks:
+        nz = mask.read(region) != 0
+        if untiled:
+            nz = nz.any(axis=untiled, keepdims=True)
+        hit = nz if hit is None else hit | nz
+    hit = np.logical_or.reduceat(hit, wave_starts, axis=w)
+    if c is None:
+        by_wave = np.moveaxis(hit, w, 0).reshape(len(wave_starts))
+        return by_wave[wave_seg]
+    clo, chi = region.range(c)
+    chunk_starts, chunk_seg = _segments(dag.chunk, clo, chi)
+    hit = np.logical_or.reduceat(hit, chunk_starts, axis=c)
+    grid = np.moveaxis(hit, (w, c), (0, 1)).reshape(
+        len(wave_starts), len(chunk_starts)
+    )
+    return grid[np.ix_(wave_seg, chunk_seg)].ravel()
+
+
+def derive_taskgraph(
+    compiled: CompiledScan,
+    plan: WavefrontPlan,
+    locals_by_rank: Sequence[Region],
+    oversub: int,
+    block_size: int,
+    prune: bool = True,
+) -> TaskGraph:
+    """Tile the plan region, wire the exact dependence DAG between tiles
+    and prune the dead ones.
+
+    ``locals_by_rank`` are the per-rank static slabs (``BlockMap`` local
+    regions, in rank order) that anchor each tile's home; ``oversub`` and
+    ``block_size`` set the wave/chunk tile granularity (see
+    :func:`repro.parallel.plan.resolve_run`).
+    """
+    dag = tile_dag(compiled, plan, locals_by_rank, oversub, block_size)
+    masks = _prunable_masks(compiled) if prune else None
+    return dag.induce(tile_liveness(dag, masks))
+
+
+def reprune(graph: TaskGraph, compiled: CompiledScan) -> TaskGraph:
+    """``graph`` if its liveness still holds for ``compiled``'s current
+    mask values, else the subgraph its structure induces on the tiles that
+    are live now.  ``compiled`` is the block ``graph`` was derived for."""
+    if graph.live is None:
+        return graph
+    live = tile_liveness(graph.dag, _prunable_masks(compiled))
+    if np.array_equal(live, graph.live):
+        return graph
+    return graph.dag.induce(live)

@@ -11,7 +11,11 @@ executor and the worker pool build their jobs from it, the certifier
 projects its :class:`~repro.analyze.certify.ScheduleModel` from it, the
 sanitizer lays its shadow planes out from it, and the trace meta is
 :meth:`RunPlan.meta`.  ``REPRO_CERTIFY=1`` therefore certifies the very
-object that is dispatched.
+object that is dispatched.  :func:`resolve_run` is :func:`resolve_knobs`
+(every environment read) then :func:`plan_run` then :func:`preflight` (the
+certification), so a caller that keeps plans across runs — the worker
+pool — keys them by the resolved :class:`RunKnobs` and certifies only the
+plans it makes.
 
 The second half of the module is the part of a run both process lifecycles
 share once their workers exist: per-run shared state (:class:`RunResources`),
@@ -192,6 +196,155 @@ class RunPlan:
         return meta
 
 
+@dataclass(frozen=True)
+class RunKnobs:
+    """Every choice a :class:`RunPlan` depends on besides the block itself,
+    with the ``REPRO_*`` variables already read (:func:`resolve_knobs`).
+
+    A plan is a pure function of the compiled block's structure and these
+    — save tile pruning, which also reads mask values — so this is the
+    key a caller that keeps plans across runs caches them under.
+    """
+
+    grid: tuple[int, ...]
+    schedule: str
+    block: int | None
+    wavefront_dim: int | None
+    #: ``"on"``/``"off"``/``"auto"`` (:func:`resolve_multicast`).
+    multicast: str
+    double_buffer: bool
+    oversub: int | None
+    sanitize: bool
+    #: Parsed ``REPRO_SANITIZE_INJECT`` (sanitized runs only).
+    inject: tuple[str, int, int] | None
+
+
+def resolve_knobs(
+    grid: ProcessorGrid | int | tuple[int, ...] | None = None,
+    *,
+    schedule: str | None = None,
+    block: int | None = None,
+    wavefront_dim: int | None = None,
+    multicast: bool | str | None = None,
+    double_buffer: bool | None = None,
+    sanitize: bool | None = None,
+    oversub: int | None = None,
+    static: bool = False,
+) -> RunKnobs:
+    """Read every environment variable a plan depends on, once.
+
+    Arguments as for :func:`resolve_run`; a malformed variable raises here.
+    """
+    schedule = resolve_schedule(schedule)
+    if sanitize is None:
+        sanitize = not static and os.environ.get(
+            "REPRO_SANITIZE", ""
+        ) not in ("", "0")
+    if schedule == "taskgraph" and oversub is None:
+        from repro.parallel.taskgraph import resolve_oversub
+
+        oversub = resolve_oversub()
+    inject = None
+    if sanitize:
+        from repro.analyze.sanitizer import INJECT_ENV, parse_inject
+
+        inject = parse_inject(os.environ.get(INJECT_ENV))
+    return RunKnobs(
+        grid=_as_grid(grid).dims,
+        schedule=schedule,
+        block=None if schedule == "naive" else block,
+        wavefront_dim=wavefront_dim,
+        multicast=resolve_multicast(multicast),
+        double_buffer=resolve_double_buffer(double_buffer),
+        oversub=oversub,
+        sanitize=bool(sanitize),
+        inject=inject,
+    )
+
+
+def plan_run(
+    compiled: CompiledScan,
+    knobs: RunKnobs,
+    *,
+    static: bool = False,
+    tracer=NULL_TRACER,
+) -> RunPlan:
+    """Plan one run for resolved ``knobs`` (:func:`resolve_run` minus the
+    environment reads and the certification pre-flight)."""
+    schedule, block = knobs.schedule, knobs.block
+    placed = place(
+        compiled, ProcessorGrid(knobs.grid), schedule, knobs.wavefront_dim
+    )
+    plan, grid = placed.wavefront, placed.grid
+    if not static:
+        # Workers never run the C compiler: publish the block's native
+        # object from here, so all they do is load it.
+        ensure_native(compiled)
+
+    # Fabric selection happens before block sizing: the autotuner's cost
+    # model depends on whether a release costs one pipe round per edge or
+    # one epoch stamp per fan-out.
+    fabric, groups = "pipes", None
+    mode = knobs.multicast
+    if schedule == "pipelined" and mode != "off" and plan.chunk_dim is not None:
+        groups = plan_groups(
+            compiled, plan, placed.chains, placed.locals_by_rank, grid.size
+        )
+        if groups is not None and (mode == "on" or groups.max_fanout >= 2):
+            fabric = "multicast"
+        else:
+            groups = None
+
+    if block is None and schedule != "naive":
+        if static:
+            block = placed.default_block()
+        else:
+            from repro.parallel.autotune import tuned_block_size
+
+            block = tuned_block_size(
+                compiled,
+                grid.dims[0],
+                plan=plan,
+                fabric=fabric,
+                fanout=groups.max_fanout if groups is not None else 1,
+            )
+    geometry = placed.chunked(block)
+
+    # Taskgraph tiles reuse the pipelined block width along the chunk
+    # dimension (per-tile compute vs per-tile scheduling overhead trades
+    # off like Eq. (1)'s compute vs message cost, and it keeps the two
+    # schedules block-for-block comparable); the wave dimension is
+    # over-decomposed ``oversub`` slabs per rank so stealing has slack.
+    graph = None
+    if schedule == "taskgraph":
+        from repro.compiler.taskdag import derive_taskgraph
+
+        with tracer.span("taskdag", "setup", cached=False):
+            graph = derive_taskgraph(
+                compiled, plan, geometry.locals_by_rank, knobs.oversub, block
+            )
+
+    return RunPlan(
+        geometry=geometry,
+        fabric=fabric,
+        groups=groups,
+        staging=fabric == "multicast" and knobs.double_buffer,
+        oversub=knobs.oversub,
+        graph=graph,
+        sanitize=knobs.sanitize,
+        inject=knobs.inject,
+    )
+
+
+def preflight(run_plan: RunPlan) -> None:
+    """``REPRO_CERTIFY=1``: certify exactly what is about to be dispatched
+    (raises :class:`~repro.errors.CertifyError` on a violation)."""
+    if os.environ.get("REPRO_CERTIFY", "") not in ("", "0"):
+        from repro.analyze.certify import certify_execution
+
+        certify_execution(run_plan)
+
+
 def resolve_run(
     compiled: CompiledScan,
     grid: ProcessorGrid | int | tuple[int, ...] | None = None,
@@ -219,88 +372,20 @@ def resolve_run(
     executor would run; the geometry's refusals come from
     :mod:`repro.compiler.schedule`, so the simulator raises the same ones.
     """
-    schedule = resolve_schedule(schedule)
-    if sanitize is None:
-        sanitize = not static and os.environ.get(
-            "REPRO_SANITIZE", ""
-        ) not in ("", "0")
-    placed = place(compiled, _as_grid(grid), schedule, wavefront_dim)
-    plan, grid = placed.wavefront, placed.grid
-    if not static:
-        # Workers never run the C compiler: publish the block's native
-        # object from here, so all they do is load it.
-        ensure_native(compiled)
-
-    # Fabric selection happens before block sizing: the autotuner's cost
-    # model depends on whether a release costs one pipe round per edge or
-    # one epoch stamp per fan-out.
-    fabric, groups = "pipes", None
-    mode = resolve_multicast(multicast)
-    if schedule == "pipelined" and mode != "off" and plan.chunk_dim is not None:
-        groups = plan_groups(
-            compiled, plan, placed.chains, placed.locals_by_rank, grid.size
-        )
-        if groups is not None and (mode == "on" or groups.max_fanout >= 2):
-            fabric = "multicast"
-        else:
-            groups = None
-
-    # Taskgraph tiles reuse the pipelined block width along the chunk
-    # dimension (per-tile compute vs per-tile scheduling overhead trades
-    # off like Eq. (1)'s compute vs message cost, and it keeps the two
-    # schedules block-for-block comparable); the wave dimension is
-    # over-decomposed ``oversub`` slabs per rank so stealing has slack.
-    taskgraph = schedule == "taskgraph"
-    if taskgraph and oversub is None:
-        from repro.parallel.taskgraph import resolve_oversub
-
-        oversub = resolve_oversub()
-    if schedule == "naive":
-        block = None
-    elif block is None and static:
-        block = placed.default_block()
-    elif block is None:
-        from repro.parallel.autotune import tuned_block_size
-
-        block = tuned_block_size(
-            compiled,
-            grid.dims[0],
-            plan=plan,
-            fabric=fabric,
-            fanout=groups.max_fanout if groups is not None else 1,
-        )
-    geometry = placed.chunked(block)
-
-    graph = None
-    if taskgraph:
-        from repro.compiler.taskdag import derive_taskgraph
-
-        with tracer.span("taskdag", "setup"):
-            graph = derive_taskgraph(
-                compiled, plan, geometry.locals_by_rank, oversub, block
-            )
-
-    inject = None
-    if sanitize:
-        from repro.analyze.sanitizer import INJECT_ENV, parse_inject
-
-        inject = parse_inject(os.environ.get(INJECT_ENV))
-
-    run_plan = RunPlan(
-        geometry=geometry,
-        fabric=fabric,
-        groups=groups,
-        staging=fabric == "multicast" and resolve_double_buffer(double_buffer),
+    knobs = resolve_knobs(
+        grid,
+        schedule=schedule,
+        block=block,
+        wavefront_dim=wavefront_dim,
+        multicast=multicast,
+        double_buffer=double_buffer,
+        sanitize=sanitize,
         oversub=oversub,
-        graph=graph,
-        sanitize=bool(sanitize),
-        inject=inject,
+        static=static,
     )
-    if not static and os.environ.get("REPRO_CERTIFY", "") not in ("", "0"):
-        from repro.analyze.certify import certify_execution
-
-        # Certify exactly what is about to be dispatched.
-        certify_execution(run_plan)
+    run_plan = plan_run(compiled, knobs, static=static, tracer=tracer)
+    if not static:
+        preflight(run_plan)
     return run_plan
 
 

@@ -21,6 +21,16 @@ per-token α.  The pool amortises all of it:
   object survives across jobs, the AOT kernel templates and region plans of
   :mod:`repro.runtime.kernels` stay warm too: after the first run a pipeline
   block costs one cached view bind and one call of the generated kernel.
+* **Run plans resolve once.**  The entry also keeps the block's resolved
+  :class:`~repro.parallel.plan.RunPlan` per
+  :class:`~repro.parallel.plan.RunKnobs` (the environment is still read on
+  every call, so a flipped variable re-plans).  A hit re-checks only the
+  one value-dependent part, task-graph tile liveness
+  (:func:`repro.compiler.taskdag.reprune`); ``REPRO_CERTIFY=1`` proves a
+  plan when it is made or re-pruned, not on every call.  Plans live and die
+  with their entry — no module-level cache holds a block.  Workers keep
+  the task graph beside their plan, so it ships once per graph, not per
+  run; the scheduler segment stays per run.
 
 Failure semantics: any failed run — including a worker process dying
 mid-request — marks the pool *broken* and raises the typed
@@ -58,6 +68,7 @@ from multiprocessing.connection import Connection
 from repro.compiler.grid import ProcessorGrid
 from repro.compiler.lowering import CompiledScan
 from repro.compiler.schedule import _chains, chain_preds
+from repro.compiler.taskdag import reprune
 from repro.errors import MachineError, PoolBrokenError
 from repro.obs.live import FLIGHT, LIVE, MONITOR, current_tags
 from repro.obs.trace import NULL_TRACER, Tracer, resolve_tracer
@@ -70,13 +81,16 @@ from repro.parallel.collectives import (
 from repro.parallel.executor import _context
 from repro.parallel.plan import (
     ParallelRun,
+    RunKnobs,
     RunPlan,
     RunResources,
     _as_grid,
     collect,
     finish,
     meet_barrier,
-    resolve_run,
+    plan_run,
+    preflight,
+    resolve_knobs,
 )
 from repro.parallel.sharedmem import (
     ArraySpec,
@@ -108,8 +122,13 @@ class PoolJob:
     specs: list[ArraySpec] | None
     #: Which static token fabric to use (wavefront traversal direction).
     ascending: bool
-    #: The rank's share of the run — the same record a forked worker gets.
+    #: The rank's share of the run — the same record a forked worker gets,
+    #: except that a taskgraph job's spec carries no graph: that rides in
+    #: ``graph``, and only when the worker does not hold it yet.
     job: BlockJob
+    #: The task graph's ``(tiles, homes, preds, succs)`` — ``None`` when
+    #: this worker already holds the run's graph.
+    graph: tuple | None = None
 
 
 @dataclass
@@ -139,15 +158,20 @@ def run_pool_worker(boot: PoolBoot, barrier, results) -> None:
     the shared queue, tagged with the job's sequence number):
 
     * ``("run", PoolJob)`` — bind the plan (from cache, or unpickle + attach
-      on first sight), meet the barrier, run the pipeline loop, report.
-      A worker that fails *setup* still meets the barrier — keeping all
-      parties in lockstep — and then skips the run and reports the error.
-    * ``("forget", fingerprint)`` — drop a cached plan (the parent evicted
-      or replaced it; the old segments are about to be unlinked).
+      on first sight) and the task graph (likewise), meet the barrier, run
+      the pipeline loop, report.  A worker that fails *setup* still meets
+      the barrier — keeping all parties in lockstep — and then skips the
+      run and reports the error.
+    * ``("forget", fingerprint)`` — drop a cached plan and its task graph
+      (the parent evicted or replaced it; the old segments are about to be
+      unlinked).
     * ``("close",)`` — detach everything and exit.
     """
     #: fingerprint -> (compiled, attachment, runnable-with-hoisted-stripped)
     cache: dict[str, tuple[CompiledScan, AttachedArrays, CompiledScan]] = {}
+    #: fingerprint -> the last task graph shipped for it
+    #: (:attr:`PoolJob.graph`); the parent tracks which one each rank holds.
+    graphs: dict[str, tuple] = {}
     #: segment name -> SharedMemory: multicast attachments live here so a
     #: repeat job re-uses the mapping instead of re-attaching.
     seg_cache: dict[str, object] = {}
@@ -174,6 +198,7 @@ def run_pool_worker(boot: PoolBoot, barrier, results) -> None:
                 entry = cache.pop(msg[1], None)
                 if entry is not None:
                     entry[1].detach()
+                graphs.pop(msg[1], None)
                 for key in [k for k in channels if k[0] == msg[1]]:
                     channels.pop(key).detach()
                 for name in plan_segs.pop(msg[1], ()):
@@ -214,6 +239,20 @@ def run_pool_worker(boot: PoolBoot, barrier, results) -> None:
                 elif tracer.enabled:
                     tracer.count("pool_plan_hits")
                 runnable = entry[2]
+                if spec.taskgraph is not None:
+                    if job.graph is not None:
+                        graphs[job.fingerprint] = job.graph
+                    elif job.fingerprint not in graphs:
+                        raise MachineError(
+                            f"pool worker {boot.rank} has no cached task "
+                            f"graph for {job.fingerprint[:12]} and was sent "
+                            f"none"
+                        )
+                    tiles, homes, preds, succs = graphs[job.fingerprint]
+                    spec = replace(spec, taskgraph=replace(
+                        spec.taskgraph,
+                        tiles=tiles, homes=homes, preds=preds, succs=succs,
+                    ))
                 if spec.mcast is not None:
                     if spec.mcast.boundary_seg is not None:
                         plan_segs.setdefault(job.fingerprint, set()).add(
@@ -291,6 +330,11 @@ class _PlanEntry:
     #: ``key -> (MulticastSpec, BoundaryPool | None)``.  Boundary pools pin
     #: shared memory, so they are released with the entry.
     mcast: dict = field(default_factory=dict)
+    #: Resolved plans, ``RunKnobs -> RunPlan``, least recently used first
+    #: (at most :data:`PLAN_ENTRY_CAP`).
+    plans: dict = field(default_factory=dict)
+    #: The task graph each rank holds for this block, by rank.
+    graphs: dict = field(default_factory=dict)
 
 
 class WorkerPool:
@@ -350,6 +394,8 @@ class WorkerPool:
             "executes": 0,
             "plan_hits": 0,
             "plan_misses": 0,
+            "run_plan_hits": 0,
+            "run_plan_misses": 0,
             "blobs_shipped": 0,
         }
         try:
@@ -443,21 +489,65 @@ class WorkerPool:
         entry.mcast.clear()
         self._plans.pop(entry.fingerprint, None)
 
-    def _entry_for(self, compiled: CompiledScan, obs) -> _PlanEntry:
-        """The cached plan entry for ``compiled``, building/refreshing it.
+    def _lookup(self, compiled: CompiledScan) -> tuple[str, _PlanEntry | None]:
+        """``compiled``'s fingerprint and cached entry, if it has one.
 
         Identity rules: a hit requires the *same* ``CompiledScan`` object —
         two structurally identical blocks over different arrays fingerprint
         differently, but a recompiled block over the same arrays would not,
-        and its segments/blob must be rebuilt.  On a hit the shared segments
-        are refreshed with the arrays' current values (``pool_reuse`` span).
+        and its segments, blob and plans must be rebuilt, so the stale entry
+        is forgotten here.
         """
         fingerprint = plan_fingerprint(compiled)
         entry = self._plans.get(fingerprint)
         if entry is not None and entry.compiled is not compiled:
             self._forget(entry)
             entry = None
+        return fingerprint, entry
+
+    def _plan(
+        self, compiled: CompiledScan, entry: _PlanEntry | None, obs, plan_kwargs
+    ) -> tuple[RunKnobs, RunPlan]:
+        """The run's plan: the entry's cached one when the resolved knobs
+        match, with only tile liveness re-checked; else a fresh one.
+
+        Certifies (``REPRO_CERTIFY=1``) a fresh plan and a re-pruned graph,
+        nothing else — a cached plan was proven when it was made.
+        """
+        knobs = resolve_knobs(self.grid, **plan_kwargs)
+        run_plan = entry.plans.get(knobs) if entry is not None else None
+        if run_plan is None:
+            self.stats["run_plan_misses"] += 1
+            if obs.enabled:
+                obs.count("run_plan_misses")
+            run_plan = plan_run(compiled, knobs, tracer=obs)
+            preflight(run_plan)
+            return knobs, run_plan
+        self.stats["run_plan_hits"] += 1
+        if obs.enabled:
+            obs.count("run_plan_hits")
+        if run_plan.graph is not None:
+            # Mask values may have changed in place since the plan was made.
+            with obs.span("taskdag", "setup", cached=True):
+                graph = reprune(run_plan.graph, compiled)
+            if graph is not run_plan.graph:
+                run_plan = replace(run_plan, graph=graph)
+                preflight(run_plan)
+        return knobs, run_plan
+
+    def _entry_for(
+        self,
+        compiled: CompiledScan,
+        fingerprint: str,
+        entry: _PlanEntry | None,
+        obs,
+    ) -> _PlanEntry:
+        """``entry`` with its shared segments refreshed to the arrays'
+        current values (``pool_reuse`` span), or a new entry for
+        ``compiled`` (``share`` span), evicting the oldest past the cap."""
         if entry is not None:
+            # Most recently used last: eviction takes the first.
+            self._plans[fingerprint] = self._plans.pop(fingerprint)
             self.stats["plan_hits"] += 1
             if obs.enabled:
                 obs.count("pool_plan_hits")
@@ -583,8 +673,13 @@ class WorkerPool:
             compiled.prepare()  # hoisted temps must be current before refresh
         # Every refusal is raised here, pre-dispatch: raising mid-dispatch
         # would abandon jobs already sent and break the pool.
-        run_plan = resolve_run(compiled, self.grid, tracer=obs, **plan_kwargs)
-        entry = self._entry_for(compiled, obs)
+        fingerprint, entry = self._lookup(compiled)
+        knobs, run_plan = self._plan(compiled, entry, obs, plan_kwargs)
+        entry = self._entry_for(compiled, fingerprint, entry, obs)
+        entry.plans.pop(knobs, None)
+        entry.plans[knobs] = run_plan
+        if len(entry.plans) > PLAN_ENTRY_CAP:
+            del entry.plans[next(iter(entry.plans))]
         mcast_spec = None
         if run_plan.fabric == "multicast":
             mcast_spec = self._multicast_spec(entry, run_plan)
@@ -598,22 +693,37 @@ class WorkerPool:
             # what links serve_request → dispatch → per-block worker spans.
             tags = current_tags()
             with obs.span("dispatch", "setup", **tags):
+                graph = run_plan.graph
                 for rank in self.grid:
                     first_time = rank not in entry.shipped
                     if first_time:
                         self.stats["blobs_shipped"] += 1
-                    job = PoolJob(
+                    job = resources.job(
+                        rank, mcast_spec, timeout, obs.enabled, tags or None
+                    )
+                    shipped_graph = None
+                    if graph is not None:
+                        # The graph rides apart from the per-run spec, and
+                        # only to a worker that does not hold it yet.
+                        if entry.graphs.get(rank) is not graph:
+                            shipped_graph = (
+                                graph.tiles, graph.homes, graph.preds, graph.succs
+                            )
+                        job = replace(job, taskgraph=replace(
+                            job.taskgraph, tiles=(), homes=(), preds=(), succs=()
+                        ))
+                    self._jobs[rank].send(("run", PoolJob(
                         seq=seq,
                         fingerprint=entry.fingerprint,
                         blob=entry.blob if first_time else None,
                         specs=entry.shared.specs if first_time else None,
                         ascending=run_plan.ascending,
-                        job=resources.job(
-                            rank, mcast_spec, timeout, obs.enabled, tags or None
-                        ),
-                    )
-                    self._jobs[rank].send(("run", job))
+                        job=job,
+                        graph=shipped_graph,
+                    )))
                     entry.shipped.add(rank)
+                    if graph is not None:
+                        entry.graphs[rank] = graph
             try:
                 meet_barrier(
                     self._barrier, self._results, timeout, obs,

@@ -1,6 +1,6 @@
 """``schedule="taskgraph"``: DAG derivation, stealing execution, sanitizing.
 
-Three layers, mirroring the feature:
+Four layers, mirroring the feature:
 
 * **DAG unit tests** — :func:`~repro.compiler.taskdag.derive_taskgraph` on
   real compiled blocks, no processes: traversal-order acyclicity, edge
@@ -9,24 +9,32 @@ Three layers, mirroring the feature:
 * **Execution tests** — the fork-per-run executor and the persistent pool
   must leave every array bit-identical to ``execute_vectorized``, including
   the rank-1 chain the pipelined schedule refuses, and with pruning active.
+* **The pool's plan cache** — a warm call reuses its ``RunPlan``, re-checks
+  only tile liveness against the masks' current values, re-plans when a
+  knob changes, certifies once per plan, and lets an evicted block go.
 * **Sanitizer interop** — a clean sanitized run stays bit-identical; the
   injected ``early-fire`` protocol fault is caught deterministically.
 """
 
+import gc
 import os
+import weakref
 
 import numpy as np
 import pytest
 
 from repro import zpl
+from repro.analyze import certify as certify_module
 from repro.analyze.sanitizer import parse_inject
 from repro.compiler import compile_scan
 from repro.compiler.schedule import _build_distribution, plan_wavefront
-from repro.compiler.taskdag import derive_taskgraph
-from repro.errors import DistributionError, MachineError, SanitizerError
+from repro.compiler.taskdag import derive_taskgraph, reprune
+from repro.errors import CertifyError, DistributionError, MachineError, SanitizerError
 from repro.parallel import WorkerPool, execute
 from repro.parallel.plan import _as_grid
-from repro.runtime import execute_vectorized, run_and_capture
+from repro.parallel.pool import PLAN_ENTRY_CAP
+from repro.runtime import execute_loopnest, execute_vectorized, run_and_capture
+from repro.runtime.kernels import plan_fingerprint
 from tests.conftest import record_tomcatv_block
 
 BAND = 3
@@ -37,6 +45,12 @@ def _compiled_tomcatv(n=24):
     return compile_scan(block), arrays
 
 
+def _band(n, band):
+    return np.fromfunction(
+        lambda i, j: (np.abs(i - j) <= band).astype(float), (n, n)
+    )
+
+
 def _banded_program(n=24, band=BAND):
     """A masked wavefront recurrence: live only within ``|i - j| <= band``."""
     base = zpl.Region.square(1, n)
@@ -44,11 +58,7 @@ def _banded_program(n=24, band=BAND):
     a._data[...] = 0.5
     mask = zpl.ZArray(base, name="m", fluff=2)
     mask._data[...] = 0.0
-    mask.load(
-        np.fromfunction(
-            lambda i, j: (np.abs(i - j) <= band).astype(float), (n, n)
-        )
-    )
+    mask.load(_band(n, band))
     region = zpl.Region.of((2, n), (1, n))
     with zpl.covering(region), zpl.masked(mask):
         with zpl.scan(execute=False) as block:
@@ -119,6 +129,20 @@ def test_taskgraph_prunes_fully_masked_tiles():
     for tile in full.tiles:
         alive = bool(np.any(mask.read(tile) != 0))
         assert (tile in live_tiles) == alive
+
+
+def test_reprune_rechecks_only_liveness():
+    banded, arrays = _banded_program()
+    graph = _derive(banded)
+    assert reprune(graph, banded) is graph  # same mask values: same graph
+    arrays[1].load(_band(24, 8))
+    wider = reprune(graph, banded)
+    assert wider.dag is graph.dag  # induced from the same structure
+    assert wider == _derive(banded)
+    assert wider.n_pruned < graph.n_pruned
+    unmasked, _ = _compiled_tomcatv()
+    full = _derive(unmasked)
+    assert full.live is None and reprune(full, unmasked) is full
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +241,194 @@ def test_oversub_env_knob(monkeypatch):
     monkeypatch.setenv("REPRO_TASKGRAPH_OVERSUB", "three")
     with pytest.raises(MachineError, match="REPRO_TASKGRAPH_OVERSUB"):
         execute(compiled, grid=2, schedule="taskgraph")
+
+
+# ---------------------------------------------------------------------------
+# The pool's plan cache.
+# ---------------------------------------------------------------------------
+def _cached_plans(pool, compiled):
+    """The ``RunPlan`` objects the pool keeps for ``compiled``."""
+    return list(pool._plans[plan_fingerprint(compiled)].plans.values())
+
+
+def _pool_run(pool, compiled, arrays, **kwargs):
+    """One pooled run, checked bit-identical to the loop-nest oracle."""
+    oracle = run_and_capture(execute_loopnest, compiled, arrays)
+    runs = []
+    got = run_and_capture(
+        lambda c: runs.append(pool.execute(c, timeout=60.0, **kwargs)),
+        compiled,
+        arrays,
+    )
+    for array, want, have in zip(arrays, oracle, got):
+        np.testing.assert_array_equal(
+            have, want, err_msg=f"array {array.name} under {kwargs}"
+        )
+    return runs[0]
+
+
+def test_pool_reprunes_a_mask_changed_in_place(monkeypatch):
+    monkeypatch.delenv("REPRO_TASKGRAPH_OVERSUB", raising=False)
+    compiled, arrays = _banded_program()
+    mask = arrays[1]
+    with WorkerPool(2) as pool:
+        pruned = []
+        for band in (BAND, 8, 0):  # as built, widened, narrowed
+            mask.load(_band(24, band))
+            run = _pool_run(pool, compiled, arrays, schedule="taskgraph", block=4)
+            assert run.taskgraph.n_pruned == _derive(compiled).n_pruned
+            assert run.n_chunks == run.taskgraph.n_tasks
+            pruned.append(run.taskgraph.n_pruned)
+        assert pruned[1] < pruned[0] < pruned[2]
+        # One plan throughout: only its tile liveness was re-checked.
+        assert pool.stats["run_plan_misses"] == 1
+        assert pool.stats["run_plan_hits"] == 2
+        assert len(_cached_plans(pool, compiled)) == 1
+
+
+def test_pool_warm_calls_share_one_run_plan():
+    compiled, arrays = _banded_program()
+    with WorkerPool(2) as pool:
+        first = _pool_run(pool, compiled, arrays, schedule="taskgraph", block=4)
+        (plan,) = _cached_plans(pool, compiled)
+        second = _pool_run(pool, compiled, arrays, schedule="taskgraph", block=4)
+        (again,) = _cached_plans(pool, compiled)
+        assert again is plan
+        assert second.plan is first.plan
+        assert pool.stats["blobs_shipped"] == 2
+
+
+def test_pool_ships_each_task_graph_once():
+    class Spy:
+        """A job pipe that records whether each run job carried a graph."""
+
+        def __init__(self, conn, log):
+            self._conn, self._log = conn, log
+
+        def send(self, msg):
+            if msg[0] == "run":
+                self._log.append(msg[1].graph is not None)
+            self._conn.send(msg)
+
+        def __getattr__(self, name):
+            return getattr(self._conn, name)
+
+    compiled, arrays = _banded_program()
+    with WorkerPool(2) as pool:
+        shipped = []
+        pool._jobs = {rank: Spy(conn, shipped) for rank, conn in pool._jobs.items()}
+        for band in (BAND, BAND, 8, 8):  # a new mask value re-prunes once
+            arrays[1].load(_band(24, band))
+            _pool_run(pool, compiled, arrays, schedule="taskgraph", block=4)
+        assert shipped == [True, True, False, False, True, True, False, False]
+
+
+def test_pool_replans_when_an_environment_knob_flips(monkeypatch):
+    for name in ("REPRO_TASKGRAPH_OVERSUB", "REPRO_MULTICAST", "REPRO_SCHEDULE"):
+        monkeypatch.delenv(name, raising=False)
+    compiled, arrays = _compiled_tomcatv(16)
+    with WorkerPool(2) as pool:
+        def misses_after(**kwargs):
+            run = _pool_run(pool, compiled, arrays, block=4, **kwargs)
+            return run, pool.stats["run_plan_misses"]
+
+        run, misses = misses_after(schedule="taskgraph")
+        tasks = run.taskgraph.n_tasks
+        monkeypatch.setenv("REPRO_TASKGRAPH_OVERSUB", "1")
+        run, now = misses_after(schedule="taskgraph")
+        assert now == misses + 1 and run.taskgraph.n_tasks < tasks
+
+        _run, misses = misses_after(schedule="pipelined")
+        monkeypatch.setenv("REPRO_MULTICAST", "1")
+        run, now = misses_after(schedule="pipelined")
+        assert now == misses + 1 and run.fabric == "multicast"
+
+        monkeypatch.setenv("REPRO_SCHEDULE", "naive")
+        run, misses = misses_after()
+        assert run.schedule == "naive"
+        monkeypatch.setenv("REPRO_SCHEDULE", "taskgraph")
+        run, now = misses_after()
+        assert now == misses + 1 and run.schedule == "taskgraph"
+        # Back to a knob set seen before: the entry still holds its plan.
+        monkeypatch.setenv("REPRO_SCHEDULE", "naive")
+        _run, again = misses_after()
+        assert again == now
+
+
+def test_pool_replans_a_recompiled_block():
+    block, arrays = record_tomcatv_block(16)
+    compiled = compile_scan(block)
+    with WorkerPool(2) as pool:
+        _pool_run(pool, compiled, arrays, schedule="taskgraph", block=4)
+        (plan,) = _cached_plans(pool, compiled)
+        recompiled = compile_scan(block)
+        assert plan_fingerprint(recompiled) == plan_fingerprint(compiled)
+        _pool_run(pool, recompiled, arrays, schedule="taskgraph", block=4)
+        (fresh,) = _cached_plans(pool, recompiled)
+        assert fresh is not plan and fresh.compiled is recompiled
+        assert pool.stats["run_plan_misses"] == 2
+        assert pool.stats["plan_misses"] == 2
+
+
+def test_pool_eviction_releases_the_compiled_block():
+    # The cached plans live on the pool's per-block entry, so evicting the
+    # entry must let the block (and every array it pins) be collected.
+    with WorkerPool(2) as pool:
+        block, arrays = record_tomcatv_block(12)
+        compiled = compile_scan(block)
+        _pool_run(pool, compiled, arrays, schedule="taskgraph", block=4)
+        ref = weakref.ref(compiled)
+        del block, arrays, compiled
+        for k in range(PLAN_ENTRY_CAP):
+            other, _arrays = record_tomcatv_block(13 + k)
+            pool.execute(compile_scan(other), block=4, timeout=60.0)
+        gc.collect()
+        assert ref() is None
+        assert len(pool._plans) == PLAN_ENTRY_CAP
+
+
+def test_pool_certifies_once_per_plan(monkeypatch):
+    seen = []
+
+    def fake_certify(target, **kwargs):
+        seen.append(target)
+
+    monkeypatch.setenv("REPRO_CERTIFY", "1")
+    monkeypatch.setattr(certify_module, "certify_execution", fake_certify)
+    compiled, arrays = _banded_program()
+    with WorkerPool(2) as pool:
+        for _ in range(3):
+            _pool_run(pool, compiled, arrays, schedule="taskgraph", block=4)
+        assert len(seen) == 1
+        assert seen[0] is _cached_plans(pool, compiled)[0]
+        # A re-pruned graph is a new plan: certified once, then cached.
+        arrays[1].load(_band(24, 8))
+        for _ in range(2):
+            run = _pool_run(pool, compiled, arrays, schedule="taskgraph", block=4)
+        assert len(seen) == 2
+        assert seen[1].graph.n_pruned == run.taskgraph.n_pruned
+        assert seen[1] is _cached_plans(pool, compiled)[0]
+
+
+def test_pool_caches_no_plan_that_failed_certification(monkeypatch):
+    calls = []
+
+    def failing_certify(target, **kwargs):
+        calls.append(target)
+        if len(calls) == 1:
+            raise CertifyError("refused (test)", [])
+
+    monkeypatch.setenv("REPRO_CERTIFY", "1")
+    monkeypatch.setattr(certify_module, "certify_execution", failing_certify)
+    compiled, arrays = _banded_program()
+    with WorkerPool(2) as pool:
+        with pytest.raises(CertifyError):
+            pool.execute(compiled, schedule="taskgraph", block=4, timeout=60.0)
+        assert not pool.broken and not pool._plans  # refused pre-dispatch
+        _pool_run(pool, compiled, arrays, schedule="taskgraph", block=4)
+        _pool_run(pool, compiled, arrays, schedule="taskgraph", block=4)
+        assert len(calls) == 2
+        assert pool.stats["run_plan_misses"] == 2
 
 
 # ---------------------------------------------------------------------------
