@@ -48,6 +48,7 @@ may change in place between calls, re-checks only liveness
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -87,6 +88,11 @@ class TaskGraph:
     @property
     def roots(self) -> tuple[int, ...]:
         return tuple(t for t, p in enumerate(self.preds) if not p)
+
+    @cached_property
+    def sizes(self) -> tuple[int, ...]:
+        """Cells per live tile: what the scheduler counts, once per graph."""
+        return tuple(tile.size for tile in self.tiles)
 
     def __repr__(self) -> str:
         return (

@@ -57,6 +57,7 @@ from repro.errors import DistributionError
 from repro.machine.comm import Endpoint
 from repro.machine.params import MachineParams
 from repro.machine.simulator import Machine, RunResult
+from repro.runtime.kernels import PlanRunner
 from repro.runtime.vectorized import execute_vectorized
 
 #: Tag used by the pre-pipeline halo exchange.
@@ -183,6 +184,8 @@ def _walk(
     critical path: one message down the chain and, on a mesh, one to each
     side neighbour for shifts along the chunk dimension), then per block
     waits for its predecessor's token, computes, and forwards its own.
+    Values are computed block by block through one
+    :class:`~repro.runtime.kernels.PlanRunner`, as the workers compute them.
     """
     plan, grid = geometry.wavefront, geometry.grid
     compiled = plan.compiled
@@ -190,8 +193,10 @@ def _walk(
     side_halo = 0
     if grid.rank == 2:
         side_halo = sum(max(d) for d in shift_depths(compiled, c)[1].values())
+    runner = None
     if compute_values:
         compiled.prepare()
+        runner = PlanRunner(compiled)
     machine = Machine(params, grid.size, **machine_options)
 
     def width(region) -> int:
@@ -218,8 +223,8 @@ def _walk(
             if pred is not None and plan.boundary_rows > 0:
                 yield from ep.recv(pred, tag=k)
             if not chunk.is_empty():
-                if compute_values:
-                    execute_vectorized(compiled, within=chunk)
+                if runner is not None:
+                    runner.run_block(chunk)
                 yield from ep.compute(chunk.size * work_per_element, label=k)
             if succ is not None and plan.boundary_rows > 0:
                 ep.send(

@@ -36,7 +36,7 @@ from repro.models.pipeline_model import model2_of
 from repro.models.tuning import Probe, TuningResult, select_dynamic
 from repro.parallel.sharedmem import collect_arrays
 from repro.runtime.interp import ArraySnapshot
-from repro.runtime.kernels import plan_fingerprint, plan_kind
+from repro.runtime.kernels import PlanRunner, plan_fingerprint, plan_kind
 from repro.runtime.vectorized import execute_vectorized
 
 #: Bytes per element everywhere in this library (float64 storage).
@@ -163,16 +163,17 @@ def measure_block_overhead(
     repeats: int = 3,
     engine: str | None = None,
 ) -> float:
-    """Seconds of extra per-block dispatch cost of the vectorised engine.
+    """Seconds of extra per-block dispatch cost of the block path workers run.
 
     On the real machine a pipeline block costs more than its elements: every
-    ``execute_vectorized(within=block)`` call pays Python dispatch per slab,
-    which behaves exactly like an additional per-message startup cost.  The
-    measurement is differential — run the whole region once monolithically
-    and once split into blocks of ``block`` columns, and attribute the gap to
-    the extra block boundaries.  The result is folded into the *effective* α
-    that Equation (1) sees (pure pipe latency alone would suggest far smaller
-    blocks than the host actually rewards).
+    block pays its dispatch, which behaves exactly like an additional
+    per-message startup cost.  The measurement is differential — run the
+    whole region once as one block and once split into blocks of ``block``
+    columns, both through the :meth:`~repro.runtime.kernels.PlanRunner.run_block`
+    the worker loops call, and attribute the gap to the extra block
+    boundaries.  The result is folded into the *effective* α that Equation
+    (1) sees (pure pipe latency alone would suggest far smaller blocks than
+    the host actually rewards).
 
     ``engine`` selects the sequential engine being measured; the default
     (AOT kernels) pays per block only a plan-cache lookup per region, so its
@@ -185,18 +186,19 @@ def measure_block_overhead(
     arrays = collect_arrays(compiled)
     snap = ArraySnapshot(arrays)
     compiled.prepare()
+    runner = PlanRunner(compiled, engine)
     try:
         whole = float("inf")
         blocked = float("inf")
         for _ in range(repeats):
             snap.restore()
             start = time.perf_counter()
-            execute_vectorized(compiled, engine=engine)
+            runner.run_block(compiled.region)
             whole = min(whole, time.perf_counter() - start)
             snap.restore()
             start = time.perf_counter()
             for chunk in chunks:
-                execute_vectorized(compiled, within=chunk, engine=engine)
+                runner.run_block(chunk)
             blocked = min(blocked, time.perf_counter() - start)
     finally:
         snap.restore()

@@ -126,7 +126,7 @@ class PoolJob:
     #: except that a taskgraph job's spec carries no graph: that rides in
     #: ``graph``, and only when the worker does not hold it yet.
     job: BlockJob
-    #: The task graph's ``(tiles, homes, preds, succs)`` — ``None`` when
+    #: The task graph's ``(tiles, homes, preds, succs, sizes)`` — ``None`` when
     #: this worker already holds the run's graph.
     graph: tuple | None = None
 
@@ -248,10 +248,10 @@ def run_pool_worker(boot: PoolBoot, barrier, results) -> None:
                             f"graph for {job.fingerprint[:12]} and was sent "
                             f"none"
                         )
-                    tiles, homes, preds, succs = graphs[job.fingerprint]
+                    tiles, homes, preds, succs, sizes = graphs[job.fingerprint]
                     spec = replace(spec, taskgraph=replace(
-                        spec.taskgraph,
-                        tiles=tiles, homes=homes, preds=preds, succs=succs,
+                        spec.taskgraph, tiles=tiles, homes=homes,
+                        preds=preds, succs=succs, sizes=sizes,
                     ))
                 if spec.mcast is not None:
                     if spec.mcast.boundary_seg is not None:
@@ -707,10 +707,12 @@ class WorkerPool:
                         # only to a worker that does not hold it yet.
                         if entry.graphs.get(rank) is not graph:
                             shipped_graph = (
-                                graph.tiles, graph.homes, graph.preds, graph.succs
+                                graph.tiles, graph.homes, graph.preds,
+                                graph.succs, graph.sizes,
                             )
                         job = replace(job, taskgraph=replace(
-                            job.taskgraph, tiles=(), homes=(), preds=(), succs=()
+                            job.taskgraph, tiles=(), homes=(), preds=(),
+                            succs=(), sizes=(),
                         ))
                     self._jobs[rank].send(("run", PoolJob(
                         seq=seq,

@@ -30,6 +30,12 @@ two-level order, so no deadlock.  Termination: ``completed == n_live``,
 checked only when a worker finds every deque empty; a failing worker
 raises after setting the shared error flag so its peers drain out instead
 of spinning to the timeout.
+
+The parent seeds the segment through numpy views (:class:`_Views`); a
+worker's hot path touches the same words through one flat int64
+``memoryview`` (:func:`_offsets` is the one layout), because a numpy
+scalar read or write costs several times a Python int's and a tile pays
+a dozen of them.
 """
 
 from __future__ import annotations
@@ -37,14 +43,14 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
+from itertools import accumulate
 from multiprocessing import shared_memory
 
 import numpy as np
 
 from repro.errors import MachineError, SanitizerError
 from repro.parallel.sharedmem import _untracked_attach
-from repro.runtime.kernels import plan_kind, resolve_engine
-from repro.runtime.vectorized import execute_vectorized
+from repro.runtime.kernels import PlanRunner
 from repro.zpl.regions import Region
 
 #: Idle backoff while every deque is empty but the graph is unfinished.
@@ -62,6 +68,8 @@ class TaskgraphSpec:
     homes: tuple[int, ...]
     preds: tuple[tuple[int, ...], ...]
     succs: tuple[tuple[int, ...], ...]
+    #: Cells per tile (:attr:`repro.compiler.taskdag.TaskGraph.sizes`).
+    sizes: tuple[int, ...]
     #: Run the enqueue-evidence + completion-stamp checks on every pop.
     sanitize: bool = False
 
@@ -110,32 +118,30 @@ def report_from_stats(graph, run_stats: dict[int, dict]) -> TaskgraphReport:
     )
 
 
-class _Views:
-    """Numpy views over the scheduler segment (parent- or worker-side)."""
+def _offsets(n_live: int, n_ranks: int) -> tuple[int, ...]:
+    """Word offsets of the segment's planes after the two header words
+    (completed, error): ``(pending, stamps, head, tail, peak, slot_task,
+    slot_ev, end)``.  Slot planes are rank-major, ``n_live + 1`` per rank."""
+    cap = n_live + 1
+    return tuple(accumulate(
+        (2, n_live, n_live, n_ranks, n_ranks, n_ranks, n_ranks * cap, n_ranks * cap)
+    ))
 
-    HEADER = 2  # completed, error
+
+class _Views:
+    """The parent's numpy views over the scheduler segment."""
 
     def __init__(self, buf, n_live: int, n_ranks: int):
-        cap = n_live + 1
-        plane = np.ndarray((self.HEADER + 2 * n_live + 3 * n_ranks
-                            + 2 * n_ranks * cap,), dtype=np.int64, buffer=buf)
-        off = self.HEADER
-        self.header = plane[:off]
-        self.pending = plane[off:off + n_live]; off += n_live
-        self.stamps = plane[off:off + n_live]; off += n_live
-        self.head = plane[off:off + n_ranks]; off += n_ranks
-        self.tail = plane[off:off + n_ranks]; off += n_ranks
-        self.peak = plane[off:off + n_ranks]; off += n_ranks
-        self.slot_task = plane[off:off + n_ranks * cap].reshape(n_ranks, cap)
-        off += n_ranks * cap
-        self.slot_ev = plane[off:off + n_ranks * cap].reshape(n_ranks, cap)
-        self.cap = cap
-
-    @classmethod
-    def nbytes(cls, n_live: int, n_ranks: int) -> int:
-        cap = n_live + 1
-        return 8 * (cls.HEADER + 2 * n_live + 3 * n_ranks
-                    + 2 * n_ranks * cap)
+        pending, stamps, head, tail, peak, task, ev, end = _offsets(n_live, n_ranks)
+        plane = np.ndarray((end,), dtype=np.int64, buffer=buf)
+        self.header = plane[:pending]
+        self.pending = plane[pending:stamps]
+        self.stamps = plane[stamps:head]
+        self.head = plane[head:tail]
+        self.tail = plane[tail:peak]
+        self.peak = plane[peak:task]
+        self.slot_task = plane[task:ev].reshape(n_ranks, n_live + 1)
+        self.slot_ev = plane[ev:end].reshape(n_ranks, n_live + 1)
 
     # Unlocked primitive: callers hold the deque's lock.
     def push(self, rank: int, task: int, evidence: int) -> None:
@@ -155,7 +161,7 @@ class TaskgraphState:
                  inject: tuple[str, int, int] | None = None):
         n_live = graph.n_live
         self._shm = shared_memory.SharedMemory(
-            create=True, size=max(8, _Views.nbytes(n_live, n_ranks))
+            create=True, size=8 * _offsets(n_live, n_ranks)[-1]
         )
         views = _Views(self._shm.buf, n_live, n_ranks)
         views.header[:] = 0
@@ -191,6 +197,7 @@ class TaskgraphState:
             homes=graph.homes,
             preds=graph.preds,
             succs=graph.succs,
+            sizes=graph.sizes,
             sanitize=sanitize,
         )
 
@@ -210,7 +217,7 @@ def make_locks(ctx, n_ranks: int):
 
 
 def taskgraph_loop(
-    runnable,
+    runner: PlanRunner,
     spec: TaskgraphSpec,
     locks,
     rank: int,
@@ -225,44 +232,69 @@ def taskgraph_loop(
     busy-loop seconds, records the :mod:`repro.obs` span/counter schema when
     ``tracer`` is enabled (spans tagged ``schedule="taskgraph"``), and fills
     ``stats`` with the pool's incremental flush — plus the scheduler's own
-    ``steals``/``tasks``/``ready_peak`` numbers.
+    ``steals``/``tasks``/``ready_peak`` numbers.  ``stats["wait"]`` is the
+    time actually slept, and each idle stretch (first empty-handed poll to
+    the next pop or to termination) is one ``recv_wait`` span.
+
+    The hot path reads and writes the segment through one flat int64
+    ``memoryview`` (Python ints, no numpy scalars), reads each tile's size
+    from ``spec.sizes`` and runs tiles through ``runner``, the job's
+    :class:`PlanRunner`, so a tile costs its locks, its plan-cache lookup
+    and its kernel.
     """
     graph_lock, deque_locks = locks
     tracing = tracer.enabled
-    # Loop-invariant engine resolution: skip the per-tile environment reads.
-    engine = resolve_engine(None)
     extra = tags or {}
-    kind = plan_kind(runnable) if tracing else None
-    n_live = spec.n_live
+    n_live, n_ranks, sizes = spec.n_live, spec.n_ranks, spec.sizes
+    cap = n_live + 1
+    pending, stamps, head, tail, peak, slot_task, slot_ev, end = _offsets(
+        n_live, n_ranks
+    )
     with _untracked_attach():
         shm = shared_memory.SharedMemory(name=spec.segment)
+    words = shm.buf[:8 * end].cast("q")
     try:
-        views = _Views(shm.buf, n_live, spec.n_ranks)
-        victims = [r for r in range(spec.n_ranks) if r != rank]
+        victims = [r for r in range(n_ranks) if r != rank]
         victims = victims[rank:] + victims[:rank]  # stagger steal targets
 
         def pop(victim: int, from_head: bool):
             with deque_locks[victim]:
-                head, tail = int(views.head[victim]), int(views.tail[victim])
-                if head >= tail:
+                first, stop = words[head + victim], words[tail + victim]
+                if first >= stop:
                     return None
-                slot = head if from_head else tail - 1
+                slot = first if from_head else stop - 1
                 if from_head:
-                    views.head[victim] = head + 1
+                    words[head + victim] = first + 1
                 else:
-                    views.tail[victim] = tail - 1
-                return int(views.slot_task[victim, slot]), int(
-                    views.slot_ev[victim, slot]
+                    words[tail + victim] = slot
+                at = victim * cap + slot
+                return words[slot_task + at], words[slot_ev + at]
+
+        def push(home: int, task: int) -> None:  # under the deque's lock
+            slot = words[tail + home]
+            words[slot_task + home * cap + slot] = task
+            words[slot_ev + home * cap + slot] = 0
+            words[tail + home] = slot + 1
+            depth = slot + 1 - words[head + home]
+            if depth > words[peak + home]:
+                words[peak + home] = depth
+
+        def idle_span(since: float | None, until: float) -> None:
+            if tracing and since is not None:
+                tracer.add_span(
+                    "recv_wait", "comm", since, until,
+                    schedule="taskgraph", **extra,
                 )
 
         busy_s = wait_s = 0.0
         steals = tasks = elements = 0
         idle_poll = POLL_SECONDS
+        idle_since = None
         start = time.perf_counter()
         deadline = start + timeout
         try:
             while True:
-                if views.header[1]:
+                if words[1]:
                     break  # a peer failed; drain out, it reports the error
                 item = pop(rank, from_head=False)
                 stolen = False
@@ -273,25 +305,31 @@ def taskgraph_loop(
                             stolen = True
                             break
                 if item is None:
-                    # Unlocked read: header[0] is a single aligned word that
+                    # Unlocked read: word 0 is a single aligned word that
                     # only ever reaches n_live once everything completed.
-                    if int(views.header[0]) >= n_live:
+                    if words[0] >= n_live:
                         break
-                    if time.perf_counter() > deadline:
+                    now = time.perf_counter()
+                    if now > deadline:
                         raise MachineError(
                             f"taskgraph worker {rank} idle past "
                             f"{timeout:.0f}s with "
-                            f"{n_live - int(views.header[0])} tiles unfinished"
+                            f"{n_live - words[0]} tiles unfinished"
                         )
+                    if idle_since is None:
+                        idle_since = now
                     # Exponential backoff while empty-handed: on an
                     # oversubscribed host, idle pollers hammering the deque
                     # locks steal time slices from the workers doing the
-                    # computing.
+                    # computing.  A short sleep overshoots, so time it.
                     time.sleep(idle_poll)
-                    wait_s += idle_poll
+                    wait_s += time.perf_counter() - now
                     idle_poll = min(idle_poll * 2, 2e-3)
                     continue
                 idle_poll = POLL_SECONDS
+                if idle_since is not None:
+                    idle_span(idle_since, time.perf_counter())
+                    idle_since = None
                 task, evidence = item
                 if stolen:
                     steals += 1
@@ -304,49 +342,48 @@ def taskgraph_loop(
                             f"unfinished at enqueue time (popped by rank "
                             f"{rank}): the ready protocol released it early"
                         )
-                    late = [p for p in spec.preds[task]
-                            if int(views.stamps[p]) == 0]
+                    late = [p for p in spec.preds[task] if words[stamps + p] == 0]
                     if late:
                         raise SanitizerError(
                             f"tile {task} fired before predecessor tile(s) "
                             f"{late} stamped completion (popped by rank "
                             f"{rank})"
                         )
-                tile = spec.tiles[task]
+                size = sizes[task]
                 t0 = time.perf_counter()
-                if not tile.is_empty():
-                    execute_vectorized(
-                        runnable, within=tile, engine=engine,
-                        tracer=tracer if tracing else None,
-                    )
+                if size:
+                    runner.run_block(spec.tiles[task], tracer)
                 t1 = time.perf_counter()
                 busy_s += t1 - t0
                 tasks += 1
-                elements += tile.size
+                elements += size
                 if tracing:
                     tracer.add_span(
                         "compute", "compute", t0, t1,
-                        block=task, elements=tile.size, plan=kind,
+                        block=task, elements=size, plan=runner.kind,
                         schedule="taskgraph", stolen=stolen, **extra,
                     )
                     tracer.count("blocks_executed")
-                    tracer.count("elements_computed", tile.size)
+                    tracer.count("elements_computed", size)
                 with graph_lock:
-                    views.stamps[task] = 1
-                    views.header[0] += 1
+                    words[stamps + task] = 1
+                    words[0] += 1
                     ready = []
                     for succ in spec.succs[task]:
-                        views.pending[succ] -= 1
-                        if views.pending[succ] == 0:
+                        left = words[pending + succ] - 1
+                        words[pending + succ] = left
+                        if left == 0:
                             ready.append(succ)
                     for succ in ready:
                         home = spec.homes[succ]
                         with deque_locks[home]:
-                            views.push(home, succ, 0)
+                            push(home, succ)
         except BaseException:
-            views.header[1] = 1  # release the peers before reporting
+            words[1] = 1  # release the peers before reporting
             raise
-        elapsed = time.perf_counter() - start
+        done = time.perf_counter()
+        idle_span(idle_since, done)
+        elapsed = done - start
         if stats is not None:
             stats["elapsed"] = elapsed
             stats["busy"] = busy_s
@@ -356,10 +393,10 @@ def taskgraph_loop(
             stats["tokens"] = 0
             stats["steals"] = steals
             stats["tasks"] = tasks
-            stats["ready_peak"] = int(views.peak[rank])
+            stats["ready_peak"] = words[peak + rank]
         return elapsed
     finally:
-        views = None
+        words.release()
         try:
             shm.close()
         except BufferError:

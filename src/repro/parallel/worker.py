@@ -3,10 +3,11 @@
 Every static-order schedule — naive, pipelined on pipes, pipelined on the
 multicast epoch fabric, sanitized or not, forked per run or pooled — runs
 the same :func:`block_loop`: *wait* for block ``k``'s inputs, execute the
-block's local portion with the same
-:func:`~repro.runtime.vectorized.execute_vectorized` the sequential engine
-uses, *release* block ``k`` downstream.  What differs is the ``sync``
-object the loop waits and releases on:
+block's local portion with the kernels the sequential engine uses, through
+one per-job :class:`~repro.runtime.kernels.PlanRunner` whose ``run_block``
+costs a plan-cache lookup plus the kernel, *release* block ``k``
+downstream.  What differs is the ``sync`` object the loop waits and
+releases on:
 
 * :class:`PipeSync` — one token per block over the chain's pipe
   (:mod:`repro.parallel.channels`);
@@ -49,8 +50,7 @@ from repro.obs.live.flight import FLIGHT
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.parallel.channels import recv_token, send_token
 from repro.parallel.sharedmem import ArraySpec, AttachedArrays, collect_arrays
-from repro.runtime.kernels import plan_kind, resolve_engine
-from repro.runtime.vectorized import execute_vectorized
+from repro.runtime.kernels import PlanRunner
 from repro.zpl.regions import Region
 
 #: float64 storage throughout the library (boundary-traffic accounting).
@@ -86,6 +86,9 @@ class BlockJob:
     #: run shadow-executes; kept untyped so the worker does not import the
     #: analyzer unless asked.  Taskgraph runs sanitize through ``taskgraph``.
     sanitize: object | None = None
+    #: The engine, resolved by the caller's process on each call (a pooled
+    #: worker's own environment is the one it was forked with).
+    engine: str | None = None
 
 
 @dataclass
@@ -172,7 +175,7 @@ class EpochSync:
 
 
 def block_loop(
-    runnable,
+    runner: PlanRunner,
     chunks: tuple[Region, ...],
     sync,
     tracer,
@@ -186,23 +189,18 @@ def block_loop(
     Returns the busy seconds from the first wait to the last release and
     fills ``stats`` with the run's aggregate numbers (``busy``/``wait``
     seconds, ``tokens``, ``blocks``, ``elements``, plus whatever the sync
-    reports).  ``tracer`` records the per-block span schema when enabled
-    and is threaded into :func:`execute_vectorized` so kernel-compile
-    spans ride home too; span names are the same on every fabric, so the
-    phase analytics and residual tables apply unchanged.  ``tags`` (e.g.
-    the serving request ids) are stamped onto every span and flight
-    event, which is what makes end-to-end request tracing work.
+    reports).  Blocks run through ``runner``, the job's
+    :class:`PlanRunner`, so a block costs its plan-cache lookup and its
+    kernel.  ``tracer`` records the per-block span schema when enabled and
+    is threaded into the runner so kernel-compile spans ride home too; span
+    names are the same on every fabric, so the phase analytics and residual
+    tables apply unchanged.  ``tags`` (e.g. the serving request ids) are
+    stamped onto every span and flight event, which is what makes
+    end-to-end request tracing work.
     """
     tracing = tracer.enabled
     flight = FLIGHT if FLIGHT.enabled else None
     extra = tags or {}
-    # The plan family is loop-invariant: resolve it once so every compute
-    # span carries its kind (skewed/flat/interp) for the phase analytics.
-    kind = plan_kind(runnable) if tracing else None
-    kernel_tracer = tracer if tracing else None
-    # Engine resolution reads environment knobs; loop-invariant, so pay for
-    # it once per job instead of once per block.
-    engine = resolve_engine(None)
     releases = sync.releases
     busy_s = wait_s = 0.0
     tokens = 0
@@ -219,9 +217,7 @@ def block_loop(
                 tracer.count("tokens_recv", got)
         if not chunk.is_empty():
             t = time.perf_counter()
-            execute_vectorized(
-                runnable, within=chunk, engine=engine, tracer=kernel_tracer
-            )
+            runner.run_block(chunk, tracer)
             t_done = time.perf_counter()
             busy_s += t_done - t
             if tracing:
@@ -233,7 +229,7 @@ def block_loop(
                     block=k,
                     elements=chunk.size,
                     width=_width(chunk, chunk_dim),
-                    plan=kind,
+                    plan=runner.kind,
                     **extra,
                 )
                 tracer.count("blocks_executed")
@@ -287,13 +283,16 @@ def run_blocks(
     ``links``/``peer`` are this rank's ends of the pipe fabric, ``channel``
     its :class:`~repro.parallel.collectives.MulticastChannel` (``None``
     unless ``job.mcast`` is set), ``tg_locks`` the taskgraph lock set — the
-    pieces each process lifecycle inherits its own way.
+    pieces each process lifecycle inherits its own way.  Either loop runs
+    its blocks through one :class:`PlanRunner` built here, per job, for the
+    engine the caller resolved.
     """
+    runner = PlanRunner(runnable, job.engine)
     if job.taskgraph is not None:
         from repro.parallel.taskgraph import taskgraph_loop
 
         return taskgraph_loop(
-            runnable,
+            runner,
             job.taskgraph,
             tg_locks,
             rank,
@@ -314,7 +313,7 @@ def run_blocks(
         sync = SanitizedSync(sync, state, job.chunks)
     try:
         elapsed = block_loop(
-            runnable, job.chunks, sync, tracer,
+            runner, job.chunks, sync, tracer,
             job.chunk_dim, job.boundary_rows, stats, job.tags,
         )
         if state is not None and tracer.enabled:

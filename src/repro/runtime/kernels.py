@@ -1001,12 +1001,9 @@ def ensure_native(compiled: CompiledScan) -> None:
         template_for(compiled).native()
 
 
-def _dispatch(template: KernelTemplate, compiled: CompiledScan, region: Region,
-              skewed: bool, obs, native: bool = False) -> None:
-    """The one dispatch tail: prepare, bind (or hit the cache), run, count."""
-    compiled.prepare()
-    if region.is_empty():
-        return
+def _dispatch(template: KernelTemplate, region: Region, skewed: bool, obs,
+              native: bool = False) -> None:
+    """The one dispatch tail: bind (or hit the cache), run, count."""
     plan = template.instantiate(region, obs, skewed=skewed, native=native)
     plan.run()
     if skewed:
@@ -1047,28 +1044,42 @@ def try_execute_kernels(
             obs.count("kernel_fallbacks")
         return False
     region = compiled.region if within is None else compiled.region.intersect(within)
-    _dispatch(template, compiled, region, kind == "skewed", obs,
-              _runs_native(template, mode))
+    compiled.prepare()
+    if not region.is_empty():
+        _dispatch(template, region, kind == "skewed", obs,
+                  _runs_native(template, mode))
     return True
 
 
 class PlanRunner:
-    """Amortised repeated dispatch of one compiled plan (the serving hot path).
+    """Amortised repeated dispatch of one compiled plan: the serving hot path
+    and the body of every loop that runs a plan block by block.
 
-    A server (or any batch driver) that executes the *same* plan thousands of
-    times pays engine resolution, template lookup and support probing on
-    every :func:`try_execute_kernels` call.  ``PlanRunner`` hoists all of it
-    to construction: ``run(items=k)`` executes the cached region plan —
-    re-instantiating only when storage was rebound — and accounts the
-    dispatch as one *batched* kernel dispatch covering ``items`` logical
-    requests (``KERNEL_STATS.batch_dispatches`` / ``batch_items``).
+    A server, a worker's block loop, the simulator's value walk and the
+    autotuner execute the *same* plan thousands of times, and
+    :func:`try_execute_kernels` pays engine resolution, template lookup,
+    family and native probing, region intersection and ``prepare()`` on
+    every call.  ``PlanRunner`` hoists all of it to construction, so a block
+    costs one ``template.instantiate`` (the template's plan cache is the
+    only cache; a rebound storage buffer re-instantiates) plus its kernel:
 
+    * ``run_block(region)`` executes one block.  The caller evaluates the
+      hoisted temporaries once per loop (``compiled.prepare()``; a worker's
+      replica has none, the parent evaluated them) and passes a non-empty
+      region inside ``compiled.region`` — every chunk and tile the planner
+      makes is — so nothing is intersected per block.
+    * ``run(items=k)`` is the whole-region case, accounted as one *batched*
+      kernel dispatch covering ``items`` logical requests
+      (``KERNEL_STATS.batch_dispatches`` / ``batch_items``).
+
+    The engine is resolved at construction: a loop builds its runner once
+    per job, so an environment flip between jobs still changes the family.
     Blocks the kernel layer cannot express (or an explicit
-    ``engine="interp"``) fall back to the tree-walking engine per run, so
+    ``engine="interp"``) fall back to the tree-walking engine per block, so
     the runner is safe to use unconditionally.
     """
 
-    __slots__ = ("compiled", "engine", "kind", "_template")
+    __slots__ = ("compiled", "engine", "kind", "_template", "_native")
 
     def __init__(self, compiled: CompiledScan, engine: str | None = None):
         self.compiled = compiled
@@ -1077,6 +1088,9 @@ class PlanRunner:
         self.kind = plan_kind(compiled, self.engine)
         self._template = (
             None if self.kind == "interp" else template_for(compiled)
+        )
+        self._native = self._template is not None and _runs_native(
+            self._template, self.engine
         )
 
     def run(self, items: int = 1, tracer=None) -> None:
@@ -1095,7 +1109,9 @@ class PlanRunner:
         flight = FLIGHT if FLIGHT.enabled else None
         t0 = time.perf_counter() if flight is not None else 0.0
         try:
-            self._run(items, tracer, obs)
+            self.compiled.prepare()
+            if not self.compiled.region.is_empty():
+                self.run_block(self.compiled.region, obs)
         finally:
             if flight is not None:
                 flight.span(
@@ -1103,15 +1119,17 @@ class PlanRunner:
                     items=items, kind=self.kind, **current_tags(),
                 )
 
-    def _run(self, items: int, tracer, obs) -> None:
-        if self.kind == "interp":
+    def run_block(self, region: Region, tracer=NULL_TRACER) -> None:
+        """Execute the plan over one block ``region`` (see the class notes)."""
+        if self._template is None:
             from repro.runtime.vectorized import execute_vectorized
 
-            execute_vectorized(self.compiled, tracer=tracer, engine="interp")
+            execute_vectorized(
+                self.compiled, region, engine=self.engine, tracer=tracer
+            )
             return
-        _dispatch(self._template, self.compiled, self.compiled.region,
-                  self.kind == "skewed", obs,
-                  _runs_native(self._template, self.engine))
+        _dispatch(self._template, region, self.kind == "skewed", tracer,
+                  self._native)
 
 
 def plan_kind(compiled: CompiledScan, engine: str | None = None) -> str:

@@ -32,6 +32,14 @@ def numpy_lowerings():
 
 
 @pytest.fixture
+def kernel_engine(monkeypatch):
+    """The default engine, whatever ``REPRO_ENGINE``/``REPRO_SKEW`` the
+    suite runs under: for tests about which kernel plan family runs."""
+    monkeypatch.delenv("REPRO_ENGINE", raising=False)
+    monkeypatch.delenv("REPRO_SKEW", raising=False)
+
+
+@pytest.fixture
 def no_compiler():
     """A host without a C compiler, for tests about the numpy lowerings."""
     with numpy_lowerings():

@@ -54,6 +54,25 @@ def test_block_overhead_nonnegative():
     assert measure_block_overhead(compiled, block=4, repeats=1) >= 0.0
 
 
+def test_block_overhead_times_the_block_path_workers_run(monkeypatch):
+    from repro.compiler.grid import ProcessorGrid
+    from repro.compiler.schedule import place
+    from repro.runtime.kernels import PlanRunner
+
+    compiled = _compiled()
+    ran = []
+    run_block = PlanRunner.run_block
+
+    def spy(self, region, *args):
+        ran.append(region)
+        return run_block(self, region, *args)
+
+    monkeypatch.setattr(PlanRunner, "run_block", spy)
+    measure_block_overhead(compiled, block=4, repeats=2)
+    chunks = place(compiled, ProcessorGrid((1,)), "pipelined").chunked(4)
+    assert ran == [compiled.region, *chunks.chunks_by_rank[0]] * 2
+
+
 def test_normalized_params_units():
     comm = measure_comm(sizes=(1, 512), repeats=3)
     params = normalized_params(comm, compute_seconds=1e-6)
@@ -80,6 +99,7 @@ def test_optimal_block_size_degenerates_to_full_width_serially():
     assert 1 <= b <= cols
 
 
+@pytest.mark.usefixtures("kernel_engine")
 def test_autotune_end_to_end():
     compiled = _compiled()
     result = autotune(compiled, 2)
@@ -92,6 +112,7 @@ def test_autotune_end_to_end():
     assert result.plan_kind == "flat"  # one looped dim: nothing to skew
 
 
+@pytest.mark.usefixtures("kernel_engine")
 def test_autotune_records_skewed_plan_kind():
     from repro.apps.alignment import build_score_block
 
@@ -101,6 +122,7 @@ def test_autotune_records_skewed_plan_kind():
     assert result.plan_kind == "skewed"
 
 
+@pytest.mark.usefixtures("kernel_engine")
 def test_tuned_block_size_memoises_per_plan_kind(monkeypatch):
     import sys
 
