@@ -2,17 +2,17 @@
 
 Everything else in :mod:`repro.machine` runs on a virtual clock; this package
 runs the same compiled scan blocks on the *host*: one OS process per
-processor-grid cell, global arrays in :mod:`multiprocessing.shared_memory`,
-pipeline synchronisation over real pipes, and per-block local execution
-through the very same :func:`~repro.runtime.vectorized.execute_vectorized`
-the sequential engine uses — so the compiler output, the schedule geometry
+processor-grid cell, global arrays in born-shared storage
+(:mod:`repro.zpl.storage`), pipeline synchronisation over real pipes, and
+per-block local execution through the very same kernels the sequential
+engine uses — so the compiler output, the schedule geometry
 (:mod:`repro.compiler.schedule`: one planner, one set of refusals) and the
 semantics are all shared with the simulator, and the results are
 element-identical.
 
 Layers:
 
-* :mod:`repro.parallel.sharedmem` — shared-segment array storage;
+* :mod:`repro.parallel.sharedmem` — array storage as workers map it;
 * :mod:`repro.parallel.channels`  — token pipes between pipeline stages;
 * :mod:`repro.parallel.collectives` — multicast epoch fabric + double
   buffering (one stamp releases a whole fan-out; ``REPRO_MULTICAST``);
@@ -77,7 +77,6 @@ from repro.parallel.pool import (
 )
 from repro.parallel.sharedmem import (
     BoundaryPool,
-    SharedArrayPool,
     collect_arrays,
 )
 from repro.parallel.taskgraph import TaskgraphReport
@@ -98,7 +97,6 @@ __all__ = [
     "SCHEDULE_ENV",
     "SCHEDULES",
     "TaskgraphReport",
-    "SharedArrayPool",
     "PoolSupervisor",
     "WorkerPool",
     "autotune",

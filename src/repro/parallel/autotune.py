@@ -218,7 +218,7 @@ def measure_pool_dispatch(
     whole-width chunk and once split into ``block``-column chunks, and
     attribute the wall-clock gap to the extra block boundaries.  The
     differential cancels the per-run costs the pool already amortises
-    (refresh, job send, barrier, gather), leaving the true marginal cost of
+    (job send, barrier, result return), leaving the true marginal cost of
     one more pipeline block: one token crossing plus one warm kernel-engine
     dispatch.  This is the ``dispatch_seconds_per_block`` a pooled schedule
     actually pays, and what Equation (1) should see when the pool is used.

@@ -12,8 +12,11 @@ by :func:`repro.parallel.plan.resolve_run`, each forked worker runs its job
 through :func:`repro.parallel.worker.run_blocks`, and the barrier, result
 collection and :class:`ParallelRun` construction are the driver shared with
 :mod:`repro.parallel.pool`.  This module only owns the process lifecycle:
-share the arrays, spawn one worker per grid cell with its job and its
-inherited pipes/semaphores/locks, and tear everything down.
+fork one worker per grid cell with its job and its inherited
+pipes/semaphores/locks, and tear everything down.  The arrays need no
+step of their own: their storage is born shared (:mod:`repro.zpl.storage`),
+so a forked worker inherits the caller's mappings and writes the caller's
+memory — no blob, no unpickle, no attach, no copy in or out.
 
 Topology
 --------
@@ -35,7 +38,6 @@ whole-boundary messages, no overlap, Fig. 4(a).
 from __future__ import annotations
 
 import multiprocessing as mp
-import pickle
 import time
 
 from repro.compiler.grid import ProcessorGrid
@@ -53,7 +55,7 @@ from repro.parallel.plan import (
     meet_barrier,
     resolve_run,
 )
-from repro.parallel.sharedmem import BoundaryPool, SharedArrayPool
+from repro.parallel.sharedmem import BoundaryPool
 from repro.parallel.worker import WorkerTask, run_worker
 
 
@@ -81,9 +83,12 @@ def execute(
     """Run a compiled scan block across real OS processes.
 
     The block's arrays are updated in place, exactly as the sequential
-    engines would; the returned :class:`ParallelRun` carries the measured
-    wall-clock times.  ``grid`` may be a :class:`ProcessorGrid`, a process
-    count, a dims tuple, or ``None`` for a host-sized default.
+    engines would — including on failure: a failed run may leave its target
+    arrays partly written, and the typed error names them.  The returned
+    :class:`ParallelRun` carries the measured wall-clock times.  ``grid``
+    may be a :class:`ProcessorGrid`, a process count, a dims tuple, or
+    ``None`` for a host-sized default.  Workers are forked, so they inherit
+    the arrays; another ``start_method`` is refused.
 
     ``tracer`` opts this run into :mod:`repro.obs` recording (an explicit
     :class:`~repro.obs.Tracer`, or ``None`` to honour ``REPRO_TRACE``);
@@ -92,9 +97,9 @@ def execute(
     ``ParallelRun.trace``.
 
     ``pool`` (a :class:`repro.parallel.pool.WorkerPool`) delegates the run
-    to persistent workers — no fork, no pickle, no segment creation after
-    the pool's first sight of the block.  The pool's grid is used; passing
-    a conflicting ``grid`` raises.
+    to persistent workers — no fork, and nothing shipped after the pool's
+    first sight of the block but a job record.  The pool's grid is used;
+    passing a conflicting ``grid`` raises.
 
     ``sanitize`` opts into the wavefront race sanitizer
     (:mod:`repro.analyze.sanitizer`): the sync protocol is wrapped in
@@ -141,10 +146,17 @@ def execute(
             multicast=multicast,
             double_buffer=double_buffer,
         )
+    ctx = _context(start_method)
+    if ctx.get_start_method() != "fork":
+        raise MachineError(
+            f"fork-per-run workers share the arrays by inheriting them, which "
+            f"start method {ctx.get_start_method()!r} cannot; run the block "
+            "on a WorkerPool, which ships each array's storage descriptor"
+        )
     obs = resolve_tracer(tracer)
     setup_start = time.perf_counter()
     with obs.span("prepare", "setup"):
-        compiled.prepare()  # hoisted temporaries: evaluated once, shared below
+        compiled.prepare()  # hoisted temporaries: evaluated once, by the parent
     run_plan = resolve_run(
         compiled,
         grid,
@@ -160,14 +172,9 @@ def execute(
     procs: list[mp.process.BaseProcess] = []
     owned: list = []  # everything holding shared memory, released in reverse
     try:
-        with obs.span("share", "setup"):
-            shared = SharedArrayPool(compiled)
-        owned.append(shared)
         spawn_start = time.perf_counter()
         resources = RunResources(run_plan)
         owned.append(resources)
-        blob = pickle.dumps(compiled)
-        ctx = _context(start_method)
         # The fabric's inherited half: pipes, epoch semaphores or scheduler
         # locks travel as Process arguments, never over a pipe.
         links: dict = {}
@@ -196,8 +203,7 @@ def execute(
             recv, send = links.get(rank, (None, None))
             task = WorkerTask(
                 rank=rank,
-                compiled_blob=blob,
-                specs=shared.specs,
+                compiled=compiled,
                 job=resources.job(rank, mcast_spec, timeout, obs.enabled),
                 recv=recv,
                 send=send,
@@ -229,8 +235,6 @@ def execute(
         )
         for proc in procs:
             proc.join(timeout=timeout)
-        with obs.span("gather", "setup"):
-            shared.gather()
     finally:
         for proc in procs:
             if proc.is_alive():

@@ -492,6 +492,15 @@ class RunResources:
             self._segment.release()
 
 
+def target_names(compiled: CompiledScan) -> str:
+    """The arrays a run of ``compiled`` writes (non-contracted targets)."""
+    return ", ".join(
+        a.name or "<anonymous>"
+        for a in compiled.written_arrays()
+        if not compiled.is_contracted(a)
+    )
+
+
 def _first_error(results, seq: int | None) -> str:
     """Best-effort: pull this run's first worker error off the queue."""
     try:
@@ -526,7 +535,7 @@ def _worker_error(
     run_plan: RunPlan, rank: int, payload: dict, broken: type[MachineError]
 ) -> Exception:
     """The typed parent-side error for one worker's failure report."""
-    detail = payload["detail"]
+    detail = payload["detail"] + _partly_written(run_plan)
     if payload.get("error") == "SanitizerError":
         # The race report, not the process plumbing, is the story.
         what = (
@@ -542,6 +551,13 @@ def _worker_error(
             + format_flight_tail(flight_dump)
         )
     return broken(f"worker {rank} failed:\n{detail}")
+
+
+def _partly_written(run_plan: RunPlan) -> str:
+    """Workers write the caller's storage in place, so a failed run, like a
+    failed serial one, may leave its targets partly updated: say which."""
+    names = target_names(run_plan.compiled)
+    return f"\narrays possibly left partly written: {names}"
 
 
 def collect(
@@ -581,11 +597,12 @@ def collect(
             if strikes >= 2:
                 raise broken(
                     f"worker(s) {lost} died mid-run without reporting"
+                    + _partly_written(run_plan)
                 ) from None
             if time.monotonic() > deadline:
                 raise broken(
                     f"lost contact with {n - len(outcomes)} worker(s) "
-                    f"after {timeout:.0f}s"
+                    f"after {timeout:.0f}s" + _partly_written(run_plan)
                 ) from None
             continue
         if payload.get("seq") != seq:

@@ -1,22 +1,23 @@
 """Persistent worker pool: fork once, execute many.
 
 The fork-per-run executor (:mod:`repro.parallel.executor`) pays process
-startup, ``pickle.dumps``, shared-segment creation and ``gc.freeze`` on every
-``execute()`` — that is the ~milliseconds-per-run overhead that inflated the
-measured ``dispatch_seconds_per_block`` three orders of magnitude above the
-per-token α.  The pool amortises all of it:
+startup and ``gc.freeze`` on every ``execute()`` — that is the
+~milliseconds-per-run overhead that inflated the measured
+``dispatch_seconds_per_block`` three orders of magnitude above the per-token
+α.  The pool amortises it:
 
 * **Workers fork once** at pool construction and then loop on a per-worker
-  job pipe.  The barrier, the result queue, and the token-pipe fabric are
-  all built once and reused; both wavefront directions get their own static
-  fabric so ascending and descending blocks can share one pool.
-* **Plans ship once.**  Each compiled block is fingerprinted
-  (:func:`repro.runtime.kernels.plan_fingerprint`); the parent keeps a
-  fingerprint-keyed :class:`_PlanEntry` (shared segments + pickled blob) and
-  each worker keeps the unpickled plan and its shared-memory attachment in a
-  per-process cache.  A repeat ``execute()`` sends only a small job record —
-  no blob, no re-attach — and refreshes the existing segments with the
-  arrays' current values.
+  job connection.  The barrier, the result queue, and the token-pipe fabric
+  are all built once and reused; both wavefront directions get their own
+  static fabric so ascending and descending blocks can share one pool.
+* **Plans ship once, values never.**  Each compiled block is fingerprinted
+  (:func:`repro.runtime.kernels.plan_fingerprint`); a worker gets the
+  fingerprint-keyed :class:`_PlanEntry`'s value-free blob and one
+  descriptor per array once, maps the arrays' own storage
+  (:mod:`repro.parallel.sharedmem`) and caches the plan.  A repeat
+  ``execute()`` checks that every array still owns that storage (the
+  ``pool_reuse`` span) and sends a small job record; nothing is copied in
+  or gathered back, because the workers write the caller's memory.
 * **Kernel plans persist.**  Because the worker's unpickled ``CompiledScan``
   object survives across jobs, the AOT kernel templates and region plans of
   :mod:`repro.runtime.kernels` stay warm too: after the first run a pipeline
@@ -35,11 +36,12 @@ per-token α.  The pool amortises all of it:
 Failure semantics: any failed run — including a worker process dying
 mid-request — marks the pool *broken* and raises the typed
 :class:`~repro.errors.PoolBrokenError` for the affected in-flight request
-only; every later ``execute()`` refuses with the same type until the pool
-is replaced.  ``execute()`` is additionally serialised behind an internal
-lock, so concurrent submissions from threads (the serving layer's batches)
-are safe: the fingerprint-keyed plan LRU and the shared-segment
-``refresh``/``gather`` cycle never interleave.  :class:`PoolSupervisor`
+only, naming the arrays it may have left partly written (workers write in
+place, as a failed serial run does); every later ``execute()`` refuses with
+the same type until the pool is replaced.  ``execute()`` is additionally
+serialised behind an internal lock, so concurrent submissions from threads
+(the serving layer's batches) are safe: the fingerprint-keyed plan LRU and
+the runs never interleave.  :class:`PoolSupervisor`
 packages the recovery story — serialize, detect broken, respawn — for
 callers that must survive worker death (``repro.serve``).
 
@@ -49,7 +51,7 @@ fork-per-run executor dispatches and ``REPRO_CERTIFY=1`` certifies), the
 workers run it through :func:`repro.parallel.worker.run_blocks`, and the
 barrier, result collection and ``ParallelRun`` construction are the shared
 driver in :mod:`repro.parallel.plan`.  Only the lifecycle is the pool's own:
-the job pipe, the plan/segment/channel caches, and the broken flag.
+the job connection, the plan/graph/channel caches, and the broken flag.
 
 ``shared_pool()`` hands out one module-level pool per grid shape, closed
 automatically at interpreter exit; explicit pools support ``with``.
@@ -59,7 +61,6 @@ from __future__ import annotations
 
 import atexit
 import gc
-import pickle
 import threading
 import time
 from dataclasses import dataclass, field, replace
@@ -91,13 +92,15 @@ from repro.parallel.plan import (
     plan_run,
     preflight,
     resolve_knobs,
+    target_names,
 )
 from repro.parallel.sharedmem import (
-    ArraySpec,
-    AttachedArrays,
     BoundaryPool,
-    SharedArrayPool,
     collect_arrays,
+    dump_block,
+    load_block,
+    recv_fds,
+    send_fds,
 )
 from repro.parallel.worker import (
     BlockJob,
@@ -106,8 +109,10 @@ from repro.parallel.worker import (
     run_blocks,
 )
 from repro.runtime.kernels import plan_fingerprint
+from repro.zpl.arrays import ZArray
+from repro.zpl.storage import handle
 
-#: Parent-side cap on cached plan entries (each pins shared segments).
+#: Parent-side cap on cached plan entries (each pins its workers' mappings).
 PLAN_ENTRY_CAP = 8
 
 
@@ -117,9 +122,11 @@ class PoolJob:
 
     seq: int
     fingerprint: str
-    #: Pickled CompiledScan — ``None`` when this worker already has it cached.
+    #: Value-free pickled CompiledScan (:func:`~repro.parallel.sharedmem.
+    #: dump_block`) — ``None`` when this worker already has it cached.
     blob: bytes | None
-    specs: list[ArraySpec] | None
+    #: Storage descriptors that follow this record, one per array in ``blob``.
+    fds: int
     #: Which static token fabric to use (wavefront traversal direction).
     ascending: bool
     #: The rank's share of the run — the same record a forked worker gets,
@@ -138,6 +145,7 @@ class PoolBoot:
     rank: int
     links_fwd: tuple[Connection | None, Connection | None]
     links_bwd: tuple[Connection | None, Connection | None]
+    #: The job connection (a socket: array descriptors ride it too).
     jobs: Connection
     #: The pool-lifetime ``(graph_lock, deque_locks)`` for taskgraph jobs —
     #: locks share only by inheritance, so they ship at fork time, not in
@@ -152,23 +160,23 @@ class PoolBoot:
 
 
 def run_pool_worker(boot: PoolBoot, barrier, results) -> None:
-    """Process entry point: loop on the job pipe until told to close.
+    """Process entry point: loop on the job connection until told to close.
 
-    Per-job protocol (everything rides the per-worker job pipe; results ride
-    the shared queue, tagged with the job's sequence number):
+    Per-job protocol (everything rides the per-worker job connection;
+    results ride the shared queue, tagged with the job's sequence number):
 
-    * ``("run", PoolJob)`` — bind the plan (from cache, or unpickle + attach
-      on first sight) and the task graph (likewise), meet the barrier, run
-      the pipeline loop, report.  A worker that fails *setup* still meets
-      the barrier — keeping all parties in lockstep — and then skips the
-      run and reports the error.
+    * ``("run", PoolJob)`` — bind the plan (from cache, or map a blob onto
+      the descriptors that follow it) and the task graph (likewise), meet
+      the barrier, run the pipeline loop, report.  A worker that fails
+      *setup* still meets the barrier — keeping all parties in lockstep —
+      and then skips the run and reports the error.
     * ``("forget", fingerprint)`` — drop a cached plan and its task graph
-      (the parent evicted or replaced it; the old segments are about to be
-      unlinked).
-    * ``("close",)`` — detach everything and exit.
+      (the parent evicted or replaced it); dropping the plan unmaps its
+      arrays.
+    * ``("close",)`` — exit.
     """
-    #: fingerprint -> (compiled, attachment, runnable-with-hoisted-stripped)
-    cache: dict[str, tuple[CompiledScan, AttachedArrays, CompiledScan]] = {}
+    #: fingerprint -> (compiled, runnable-with-hoisted-stripped)
+    cache: dict[str, tuple[CompiledScan, CompiledScan]] = {}
     #: fingerprint -> the last task graph shipped for it
     #: (:attr:`PoolJob.graph`); the parent tracks which one each rank holds.
     graphs: dict[str, tuple] = {}
@@ -195,9 +203,7 @@ def run_pool_worker(boot: PoolBoot, barrier, results) -> None:
             if kind == "close":
                 return
             if kind == "forget":
-                entry = cache.pop(msg[1], None)
-                if entry is not None:
-                    entry[1].detach()
+                cache.pop(msg[1], None)
                 graphs.pop(msg[1], None)
                 for key in [k for k in channels if k[0] == msg[1]]:
                     channels.pop(key).detach()
@@ -219,18 +225,12 @@ def run_pool_worker(boot: PoolBoot, barrier, results) -> None:
             err = None
             runnable = channel = None
             try:
-                entry = cache.get(job.fingerprint)
-                if entry is None:
-                    if job.blob is None:
-                        raise MachineError(
-                            f"pool worker {boot.rank} has no cached plan "
-                            f"{job.fingerprint[:12]} and was sent no blob"
-                        )
+                if job.blob is not None:
                     t0 = time.perf_counter()
-                    compiled = pickle.loads(job.blob)
-                    attached = AttachedArrays(compiled, job.specs)
-                    entry = (compiled, attached, replace(compiled, hoisted=()))
-                    cache[job.fingerprint] = entry
+                    compiled = load_block(job.blob, recv_fds(boot.jobs, job.fds))
+                    cache[job.fingerprint] = (
+                        compiled, replace(compiled, hoisted=())
+                    )
                     if tracer.enabled:
                         tracer.add_span(
                             "plan_bind", "setup", t0, time.perf_counter()
@@ -238,7 +238,13 @@ def run_pool_worker(boot: PoolBoot, barrier, results) -> None:
                         tracer.count("pool_plan_misses")
                 elif tracer.enabled:
                     tracer.count("pool_plan_hits")
-                runnable = entry[2]
+                entry = cache.get(job.fingerprint)
+                if entry is None:
+                    raise MachineError(
+                        f"pool worker {boot.rank} has no cached plan "
+                        f"{job.fingerprint[:12]} and was sent no blob"
+                    )
+                runnable = entry[1]
                 if spec.taskgraph is not None:
                     if job.graph is not None:
                         graphs[job.fingerprint] = job.graph
@@ -307,8 +313,6 @@ def run_pool_worker(boot: PoolBoot, barrier, results) -> None:
     finally:
         for channel in channels.values():
             channel.detach()
-        for _, attached, _ in cache.values():
-            attached.detach()
         for seg in seg_cache.values():
             try:
                 seg.close()
@@ -322,8 +326,11 @@ class _PlanEntry:
 
     fingerprint: str
     compiled: CompiledScan
-    shared: SharedArrayPool
     blob: bytes
+    #: Every array ``blob`` names, and the storage each had then: the
+    #: workers map that storage, so a hit requires every array still owns it.
+    arrays: tuple[ZArray, ...]
+    storage: tuple
     #: Ranks that have already received (and cached) the blob.
     shipped: set[int] = field(default_factory=set)
     #: Lazily-built multicast plumbing per (wave_dim, ascending, staging):
@@ -386,8 +393,8 @@ class WorkerPool:
         self._seq = 0
         self._broken = False
         self._closed = False
-        # One submission at a time: the plan LRU, the barrier and the shared
-        # segments are single-run state.  Re-entrant so error paths that
+        # One submission at a time: the plan LRU, the barrier and the
+        # fabrics are single-run state.  Re-entrant so error paths that
         # re-enter helpers under the lock stay deadlock-free.
         self._submit_lock = threading.RLock()
         self.stats = {
@@ -400,7 +407,8 @@ class WorkerPool:
         }
         try:
             for rank in self.grid:
-                recv_end, send_end = ctx.Pipe(duplex=False)
+                # Duplex, i.e. a Unix socket: descriptors can ride it.
+                recv_end, send_end = ctx.Pipe(duplex=True)
                 self._jobs[rank] = send_end
                 boot = PoolBoot(
                     rank=rank,
@@ -461,7 +469,6 @@ class WorkerPool:
                 proc.terminate()
                 proc.join(timeout=timeout)
         for entry in self._plans.values():
-            entry.shared.release()
             for _spec, bpool in entry.mcast.values():
                 if bpool is not None:
                     bpool.release()
@@ -476,13 +483,12 @@ class WorkerPool:
 
     # -- plan cache ----------------------------------------------------------
     def _forget(self, entry: _PlanEntry) -> None:
-        """Evict one plan: tell the workers first, then unlink its segments."""
+        """Evict one plan: tell the workers, then unlink its staging."""
         for rank in entry.shipped:
             try:
                 self._jobs[rank].send(("forget", entry.fingerprint))
             except (OSError, BrokenPipeError, ValueError):
                 pass
-        entry.shared.release()
         for _spec, bpool in entry.mcast.values():
             if bpool is not None:
                 bpool.release()
@@ -495,8 +501,8 @@ class WorkerPool:
         Identity rules: a hit requires the *same* ``CompiledScan`` object —
         two structurally identical blocks over different arrays fingerprint
         differently, but a recompiled block over the same arrays would not,
-        and its segments, blob and plans must be rebuilt, so the stale entry
-        is forgotten here.
+        and its blob and plans must be rebuilt, so the stale entry is
+        forgotten here.
         """
         fingerprint = plan_fingerprint(compiled)
         entry = self._plans.get(fingerprint)
@@ -542,25 +548,35 @@ class WorkerPool:
         entry: _PlanEntry | None,
         obs,
     ) -> _PlanEntry:
-        """``entry`` with its shared segments refreshed to the arrays'
-        current values (``pool_reuse`` span), or a new entry for
-        ``compiled`` (``share`` span), evicting the oldest past the cap."""
+        """``entry`` once its arrays still own the storage the workers
+        mapped (``pool_reuse`` span), or a new entry for ``compiled``
+        (``share`` span), evicting the oldest past the cap.
+
+        A rebound ``_data`` re-ships the block: new born-shared storage is
+        mapped afresh, and private storage is refused by :func:`dump_block`
+        with a :class:`~repro.errors.MachineError` naming the array.
+        """
         if entry is not None:
             # Most recently used last: eviction takes the first.
             self._plans[fingerprint] = self._plans.pop(fingerprint)
-            self.stats["plan_hits"] += 1
-            if obs.enabled:
-                obs.count("pool_plan_hits")
             with obs.span("pool_reuse", "setup", fingerprint=fingerprint[:12]):
-                entry.shared.refresh()
-            return entry
+                current = all(
+                    a._data is s for a, s in zip(entry.arrays, entry.storage)
+                )
+            if current:
+                self.stats["plan_hits"] += 1
+                if obs.enabled:
+                    obs.count("pool_plan_hits")
+                return entry
+            self._forget(entry)
         self.stats["plan_misses"] += 1
         if obs.enabled:
             obs.count("pool_plan_misses")
         with obs.span("share", "setup", fingerprint=fingerprint[:12]):
-            shared = SharedArrayPool(compiled)
-            blob = pickle.dumps(compiled)
-        entry = _PlanEntry(fingerprint, compiled, shared, blob)
+            blob, arrays = dump_block(compiled)
+        entry = _PlanEntry(
+            fingerprint, compiled, blob, arrays, tuple(a._data for a in arrays)
+        )
         self._plans[fingerprint] = entry
         while len(self._plans) > PLAN_ENTRY_CAP:
             oldest = next(iter(self._plans))
@@ -594,9 +610,10 @@ class WorkerPool:
 
         Thread-safe: submissions serialise behind an internal lock, so
         concurrent batches (same fingerprint or not) never interleave the
-        plan cache, the segment refresh or the result queue.  A run that
-        fails — or a worker found dead — raises the typed
-        :class:`~repro.errors.PoolBrokenError` and flags the pool broken.
+        plan cache or the result queue.  A run that fails — or a worker
+        found dead — raises the typed
+        :class:`~repro.errors.PoolBrokenError`, naming the arrays the call
+        may have left partly written, and flags the pool broken.
         """
         with self._submit_lock:
             return self._execute(
@@ -664,13 +681,15 @@ class WorkerPool:
             self._broken = True
             raise PoolBrokenError(
                 f"pool worker(s) {dead} died; the pool is broken — "
-                "respawn it (see PoolSupervisor) before the next request"
+                "respawn it (see PoolSupervisor) before the next request; "
+                f"nothing was dispatched, so {target_names(compiled)} "
+                "are untouched"
             )
         timeout = self.timeout if timeout is None else timeout
         obs = resolve_tracer(tracer)
         setup_start = time.perf_counter()
         with obs.span("prepare", "setup"):
-            compiled.prepare()  # hoisted temps must be current before refresh
+            compiled.prepare()  # hoisted temps: evaluated once, by the parent
         # Every refusal is raised here, pre-dispatch: raising mid-dispatch
         # would abandon jobs already sent and break the pool.
         fingerprint, entry = self._lookup(compiled)
@@ -684,20 +703,18 @@ class WorkerPool:
         if run_plan.fabric == "multicast":
             mcast_spec = self._multicast_spec(entry, run_plan)
         resources = RunResources(run_plan)
+        self.stats["executes"] += 1
+        self._seq += 1
+        seq = self._seq
+        # The serving layer's request ids arrive via the active request
+        # context; stamping them onto the dispatch span and the jobs is what
+        # links serve_request → dispatch → per-block worker spans.
+        tags = current_tags()
+        graph = run_plan.graph
         try:
-            self.stats["executes"] += 1
-            self._seq += 1
-            seq = self._seq
-            # The serving layer's request ids arrive via the active request
-            # context; stamping them onto the dispatch span and the jobs is
-            # what links serve_request → dispatch → per-block worker spans.
-            tags = current_tags()
             with obs.span("dispatch", "setup", **tags):
-                graph = run_plan.graph
                 for rank in self.grid:
                     first_time = rank not in entry.shipped
-                    if first_time:
-                        self.stats["blobs_shipped"] += 1
                     job = resources.job(
                         rank, mcast_spec, timeout, obs.enabled, tags or None
                     )
@@ -714,38 +731,39 @@ class WorkerPool:
                             job.taskgraph, tiles=(), homes=(), preds=(),
                             succs=(), sizes=(),
                         ))
+                        entry.graphs[rank] = graph
                     self._jobs[rank].send(("run", PoolJob(
                         seq=seq,
                         fingerprint=entry.fingerprint,
                         blob=entry.blob if first_time else None,
-                        specs=entry.shared.specs if first_time else None,
+                        fds=len(entry.arrays) if first_time else 0,
                         ascending=run_plan.ascending,
                         job=job,
                         graph=shipped_graph,
                     )))
-                    entry.shipped.add(rank)
-                    if graph is not None:
-                        entry.graphs[rank] = graph
-            try:
-                meet_barrier(
-                    self._barrier, self._results, timeout, obs,
-                    seq=seq, broken=PoolBrokenError,
-                )
-                setup_time = time.perf_counter() - setup_start
-                outcomes, run_stats = collect(
-                    self._results, run_plan, timeout, obs,
-                    dead_ranks=self._dead_ranks, seq=seq, broken=PoolBrokenError,
-                )
-                with obs.span("gather", "setup"):
-                    entry.shared.gather()
-                run = finish(
-                    run_plan, outcomes, run_stats, setup_time, obs, pool=True
-                )
-            except BaseException:
-                # Any failed run breaks the pool: workers may be stuck
-                # mid-pipeline or hold half-drained channels.
-                self._broken = True
-                raise
+                    if first_time:  # the blob's storage descriptors
+                        send_fds(self._jobs[rank], [
+                            handle(data)[0] for data in entry.storage
+                        ])
+                        self.stats["blobs_shipped"] += 1
+                        entry.shipped.add(rank)
+            meet_barrier(
+                self._barrier, self._results, timeout, obs,
+                seq=seq, broken=PoolBrokenError,
+            )
+            setup_time = time.perf_counter() - setup_start
+            outcomes, run_stats = collect(
+                self._results, run_plan, timeout, obs,
+                dead_ranks=self._dead_ranks, seq=seq, broken=PoolBrokenError,
+            )
+            run = finish(
+                run_plan, outcomes, run_stats, setup_time, obs, pool=True
+            )
+        except BaseException:
+            # Any failed dispatch or run breaks the pool: workers may be
+            # stuck mid-pipeline or hold half-drained channels.
+            self._broken = True
+            raise
         finally:
             resources.release()
         self._observe_run(run, run_plan.wavefront, seq, tags, run_stats)

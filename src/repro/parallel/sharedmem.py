@@ -1,36 +1,41 @@
-"""Shared-memory array storage for the multiprocess backend.
+"""Array storage as the worker processes see it.
 
-The real backend keeps every global array's storage (declared region plus
-fluff) in a :mod:`multiprocessing.shared_memory` segment.  Workers receive a
-pickled :class:`~repro.compiler.lowering.CompiledScan` — pickling preserves
-object identity within one payload, so every ``Ref`` to the same array stays
-one array in the worker — and then *rebind* each array's storage onto the
-segment, so reads and writes land in the one true copy.
+Every :class:`~repro.zpl.arrays.ZArray` is born shared
+(:mod:`repro.zpl.storage`), so nothing is copied in before a run or back
+after it.  A forked worker inherits the mappings and runs the caller's own
+``CompiledScan``.  A pooled worker, forked before the block existed, gets
+it once as a value-free blob (:func:`dump_block`: each array's storage is a
+persistent id) plus one descriptor per array (:func:`send_fds`), and
+:func:`load_block` maps each descriptor where the values would have been.
 
 Because storage is global, a shifted reference that crosses a processor
 boundary reads the neighbour's elements directly: messages between workers
 carry only synchronisation (the pipeline tokens of
 :mod:`repro.parallel.channels`), never data.  This is the natural
 shared-memory realisation of the paper's message-passing schedules — the
-α cost survives as per-token latency, the β cost as memory traffic.
-
-The array enumeration order must be identical in the parent and in every
-worker; :func:`collect_arrays` defines it (hoisted temporaries first, then
-first occurrence across statements) and both sides traverse the *same*
-pickled structure, so the order is stable by construction.
+α cost survives as per-token latency, the β cost as memory traffic.  Only
+the scheduler, shadow and fabric state live in named
+:mod:`multiprocessing.shared_memory` segments (:class:`BoundaryPool` and
+its siblings).
 """
 
 from __future__ import annotations
 
+import io
+import os
+import pickle
+import socket
 from contextlib import contextmanager
-from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
+from multiprocessing.connection import Connection
+from multiprocessing.reduction import recvfds, sendfds
 
 import numpy as np
 
 from repro.compiler.lowering import CompiledScan
-from repro.errors import MachineError
+from repro.errors import ArrayError, MachineError
 from repro.zpl.arrays import ZArray
+from repro.zpl.storage import attach, handle
 
 
 def collect_arrays(compiled: CompiledScan) -> tuple[ZArray, ...]:
@@ -38,8 +43,7 @@ def collect_arrays(compiled: CompiledScan) -> tuple[ZArray, ...]:
 
     Order: hoisted temporaries (already evaluated by the parent), then for
     each statement its target, its mask, and its referenced arrays, each in
-    first-occurrence order.  Contracted arrays are included — sharing their
-    (unused) storage is cheaper than special-casing them.
+    first-occurrence order.  Contracted arrays are included.
     """
     seen: list[ZArray] = []
 
@@ -81,79 +85,6 @@ def _untracked_attach():
         yield
     finally:
         resource_tracker.register = original
-
-
-@dataclass(frozen=True)
-class ArraySpec:
-    """Shape/dtype of one shared segment (validated on attach)."""
-
-    name: str
-    shape: tuple[int, ...]
-    dtype: str
-
-
-class SharedArrayPool:
-    """Parent-side owner of the shared segments backing a compiled block.
-
-    Usage::
-
-        pool = SharedArrayPool(compiled)     # copies current values in
-        ... run workers against pool.specs ...
-        pool.gather()                        # copy results back
-        pool.release()                       # close + unlink
-    """
-
-    def __init__(self, compiled: CompiledScan):
-        self.arrays = collect_arrays(compiled)
-        self._segments: list[shared_memory.SharedMemory] = []
-        self.specs: list[ArraySpec] = []
-        try:
-            for array in self.arrays:
-                data = array._data
-                seg = shared_memory.SharedMemory(create=True, size=data.nbytes)
-                self._segments.append(seg)
-                self.specs.append(
-                    ArraySpec(seg.name, tuple(data.shape), data.dtype.str)
-                )
-            self.refresh()
-        except BaseException:
-            self.release()
-            raise
-
-    def refresh(self) -> None:
-        """Re-copy the arrays' *current* values into the existing segments.
-
-        The persistent pool calls this between executes so a reused plan's
-        workers see the parent's latest array contents without re-creating
-        (or re-attaching) any segment.
-        """
-        for array, seg, spec in zip(self.arrays, self._segments, self.specs):
-            data = array._data
-            if tuple(data.shape) != spec.shape:
-                raise MachineError(
-                    f"array {array!r} storage shape {data.shape} changed "
-                    f"since the segments were created (was {spec.shape}); "
-                    "the cached plan cannot be refreshed"
-                )
-            view = np.ndarray(data.shape, dtype=data.dtype, buffer=seg.buf)
-            view[...] = data
-
-    def gather(self) -> None:
-        """Copy every segment's contents back into the original arrays."""
-        for array, seg in zip(self.arrays, self._segments):
-            data = array._data
-            view = np.ndarray(data.shape, dtype=data.dtype, buffer=seg.buf)
-            data[...] = view
-
-    def release(self) -> None:
-        """Close and unlink every segment (idempotent)."""
-        for seg in self._segments:
-            try:
-                seg.close()
-                seg.unlink()
-            except FileNotFoundError:
-                pass
-        self._segments = []
 
 
 class BoundaryPool:
@@ -200,45 +131,80 @@ class BoundaryPool:
             pass
 
 
-class AttachedArrays:
-    """Worker-side view: rebind a compiled block's arrays onto the segments.
+class _BlockPickler(pickle.Pickler):
+    """Pickles a block with every array's storage as a persistent id."""
 
-    Keeps the :class:`~multiprocessing.shared_memory.SharedMemory` handles
-    alive for as long as the object lives — dropping a handle invalidates
-    every numpy view built on its buffer.
-    """
+    def __init__(self, file):
+        super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
+        self.arrays: list[ZArray] = []  # in persistent-id order
+        self._ids: dict[int, tuple] = {}
 
-    def __init__(self, compiled: CompiledScan, specs: list[ArraySpec]):
-        arrays = collect_arrays(compiled)
-        if len(arrays) != len(specs):
-            raise MachineError(
-                f"worker sees {len(arrays)} arrays, parent shared {len(specs)}"
-            )
-        self._segments: list[shared_memory.SharedMemory] = []
-        try:
-            for array, spec in zip(arrays, specs):
-                if tuple(array._data.shape) != spec.shape:
-                    raise MachineError(
-                        f"array {array!r} storage shape {array._data.shape} "
-                        f"!= shared spec {spec.shape}"
-                    )
-                with _untracked_attach():
-                    seg = shared_memory.SharedMemory(name=spec.name)
-                array._data = np.ndarray(
-                    spec.shape, dtype=np.dtype(spec.dtype), buffer=seg.buf
+    def persistent_id(self, obj):
+        if isinstance(obj, ZArray) and id(obj._data) not in self._ids:
+            shared = handle(obj._data)
+            if shared is None:
+                raise MachineError(
+                    f"array {obj.name or '<anonymous>'!r} has private storage "
+                    "(its _data was rebound); workers can only share storage "
+                    "a ZArray allocated"
                 )
-                self._segments.append(seg)
-        except BaseException:
-            self.detach()
-            raise
+            self._ids[id(obj._data)] = (
+                len(self.arrays), shared[1], obj._data.shape, obj.dtype
+            )
+            self.arrays.append(obj)
+        elif type(obj) is np.ndarray:
+            return self._ids.get(id(obj))
+        return None
 
-    def detach(self) -> None:
-        """Close the worker's handles (the parent owns unlinking)."""
-        for seg in self._segments:
-            try:
-                seg.close()
-            except BufferError:
-                # A numpy view still points into the buffer; the mapping is
-                # reclaimed at process exit anyway.
-                pass
-        self._segments = []
+
+def dump_block(compiled: CompiledScan) -> tuple[bytes, tuple[ZArray, ...]]:
+    """``compiled`` as a value-free blob, and the arrays whose storage it
+    names in persistent-id order: ship each one's descriptor, in order.
+    An array with private storage is refused by name."""
+    buf = io.BytesIO()
+    pickler = _BlockPickler(buf)
+    pickler.dump(compiled)
+    return buf.getvalue(), tuple(pickler.arrays)
+
+
+class _BlockUnpickler(pickle.Unpickler):
+    def __init__(self, file, fds: list[int]):
+        super().__init__(file)
+        self.fds, self.mapped = fds, {}
+
+    def persistent_load(self, pid):
+        index, offset, shape, dtype = pid
+        if index not in self.mapped:
+            self.mapped[index] = attach(self.fds[index], offset, shape, dtype)
+        return self.mapped[index]
+
+
+def load_block(blob: bytes, fds: list[int]) -> CompiledScan:
+    """The block :func:`dump_block` pickled, its arrays mapped onto ``fds``
+    (which it owns from here on); a count or size mismatch is refused."""
+    unpickler = _BlockUnpickler(io.BytesIO(blob), fds)
+    try:
+        compiled = unpickler.load()
+    except (IndexError, ArrayError) as exc:
+        raise MachineError(f"cannot map the block's arrays: {exc}") from None
+    finally:
+        for index, fd in enumerate(fds):
+            if index not in unpickler.mapped:
+                os.close(fd)
+    if len(unpickler.mapped) != len(fds):
+        raise MachineError(
+            f"worker mapped {len(unpickler.mapped)} arrays, parent shipped {len(fds)}"
+        )
+    return compiled
+
+
+def send_fds(conn: Connection, fds: list[int]) -> None:
+    """Pass ``fds`` over a duplex (socket) connection in one message."""
+    with socket.fromfd(conn.fileno(), socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+        sendfds(sock, fds)
+
+
+def recv_fds(conn: Connection, count: int) -> list[int]:
+    """Receive the ``count`` descriptors :func:`send_fds` passed."""
+    with socket.fromfd(conn.fileno(), socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+        return recvfds(sock, count)

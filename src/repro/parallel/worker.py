@@ -23,10 +23,10 @@ fabric or the sanitizer exists in exactly one place.  The dynamic
 ``schedule="taskgraph"`` loop (:func:`repro.parallel.taskgraph.taskgraph_loop`)
 stays its own function: pop/steal control flow is not a static block order.
 
-Hoisted parallel operators were evaluated once by the parent before the
-segments were filled, so a worker strips ``hoisted`` from its copy — the
-temporaries' values are already in shared memory, and re-evaluating them
-mid-wave would race against neighbours' stores.
+Hoisted parallel operators were evaluated once by the parent before
+dispatch, so a worker strips ``hoisted`` from its copy — the temporaries'
+values are already in the shared storage, and re-evaluating them mid-wave
+would race against neighbours' stores.
 
 The loop always fills ``stats`` (busy/wait seconds, tokens, blocks,
 elements: the flush the live metrics registry and the model monitor read)
@@ -39,17 +39,17 @@ per-process buffer that rides home on the result queue.
 from __future__ import annotations
 
 import gc
-import pickle
 import sys
 import time
 import traceback
 from dataclasses import dataclass, replace
 from multiprocessing.connection import Connection
 
+from repro.compiler.lowering import CompiledScan
 from repro.obs.live.flight import FLIGHT
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.parallel.channels import recv_token, send_token
-from repro.parallel.sharedmem import ArraySpec, AttachedArrays, collect_arrays
+from repro.parallel.sharedmem import collect_arrays
 from repro.runtime.kernels import PlanRunner
 from repro.zpl.regions import Region
 
@@ -93,11 +93,11 @@ class BlockJob:
 
 @dataclass
 class WorkerTask:
-    """Everything one forked worker needs, shipped as Process arguments."""
+    """Everything one forked worker needs, inherited as Process arguments."""
 
     rank: int
-    compiled_blob: bytes
-    specs: list[ArraySpec]
+    #: The caller's block itself: its arrays' storage is inherited shared.
+    compiled: CompiledScan
     job: BlockJob
     recv: Connection | None = None
     send: Connection | None = None
@@ -353,15 +353,14 @@ def error_payload(seq: int | None = None) -> dict:
 
 
 def run_worker(task: WorkerTask, barrier, results) -> None:
-    """Process entry point (top-level so every start method can import it)."""
-    attached = channel = None
+    """Process entry point of a forked worker."""
+    channel = None
     job = task.job
     tracer = Tracer(proc=task.rank) if job.trace else NULL_TRACER
     tracing = tracer.enabled
     try:
         t_entry = time.perf_counter()
-        compiled = pickle.loads(task.compiled_blob)
-        attached = AttachedArrays(compiled, task.specs)
+        compiled = task.compiled
         runnable = replace(compiled, hoisted=())
         if job.mcast is not None:
             from repro.parallel.collectives import MulticastChannel
@@ -400,5 +399,3 @@ def run_worker(task: WorkerTask, barrier, results) -> None:
     finally:
         if channel is not None:
             channel.detach()
-        if attached is not None:
-            attached.detach()

@@ -26,9 +26,8 @@ level it is invariant at:
   bound :class:`KernelPlan` objects are cached per region inside the template
   (the autotuner, the simulator and the pipelined workers execute the same
   block regions thousands of times) and validated against the arrays'
-  current storage bindings, so rebinding storage — as
-  :class:`~repro.parallel.sharedmem.AttachedArrays` does — transparently
-  rebinds while in-place restores (:class:`~repro.runtime.interp.ArraySnapshot`)
+  current storage bindings, so a rebound ``_data`` transparently rebinds
+  while in-place restores (:class:`~repro.runtime.interp.ArraySnapshot`)
   keep hitting the cache.
 * **iteration -> nothing but ufunc calls.**  What is left inside the loop is
   one integer index per view and one C call per expression node.

@@ -18,6 +18,7 @@ Assignment statements are written with ``[]``-assignment:
 
 from __future__ import annotations
 
+import copyreg
 from typing import Sequence
 
 import numpy as np
@@ -26,6 +27,7 @@ from repro.errors import ArrayError
 from repro.zpl.directions import Direction, as_direction
 from repro.zpl.expr import Node, Ref, as_node
 from repro.zpl.regions import Region
+from repro.zpl.storage import allocate, handle
 
 #: Default fluff depth on every side of every dimension.
 DEFAULT_FLUFF = 1
@@ -47,6 +49,10 @@ class ZArray:
         each dimension, so shifted references near the edge stay in storage.
     fill:
         Initial value of every element, border included.
+
+    Storage is born shared (:mod:`repro.zpl.storage`) and ``_data`` is never
+    rebound, so views handed out by :meth:`read` stay valid for the array's
+    lifetime and a worker process can map the very memory it writes.
     """
 
     __slots__ = ("_declared", "_storage_region", "_data", "name", "dtype")
@@ -66,8 +72,23 @@ class ZArray:
         self._declared = region
         self._storage_region = region.expand(((fluff, fluff),) * region.rank)
         self.dtype = np.dtype(dtype)
-        self._data = np.full(self._storage_region.shape, fill, dtype=self.dtype)
+        self._data = allocate(self._storage_region.shape, self.dtype, fill)
         self.name = name
+
+    def __reduce__(self):
+        state = (
+            self._declared, self._storage_region, self.dtype, self.name, self._data
+        )
+        return copyreg.__newobj__, (type(self),), state
+
+    def __setstate__(self, state) -> None:
+        # Born shared too: adopt storage a worker mapped (a persistent id,
+        # :mod:`repro.parallel.sharedmem`), else copy values into new storage.
+        self._declared, self._storage_region, self.dtype, self.name, data = state
+        if handle(data) is None:
+            values, data = data, allocate(data.shape, data.dtype)
+            data[...] = values
+        self._data = data
 
     # ------------------------------------------------------------------
     # Introspection

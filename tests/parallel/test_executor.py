@@ -154,6 +154,14 @@ def test_worker_failure_raises_instead_of_hanging():
         execute(compiled, grid=2, schedule="pipelined", block=4, timeout=30.0)
 
 
+def test_non_fork_start_method_is_refused():
+    # Forked workers share the arrays by inheritance; a spawned one would
+    # write a private copy and the caller would never see it.
+    compiled, _ = _compiled_tomcatv(12)
+    with pytest.raises(MachineError, match="WorkerPool"):
+        execute(compiled, grid=2, start_method="spawn")
+
+
 def test_killed_forked_worker_raises_typed_error_fast(monkeypatch):
     # A worker SIGKILLed mid-run never reports.  The collector must notice
     # the dead process within a couple of poll slices — not after the 60 s

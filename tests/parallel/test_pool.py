@@ -2,10 +2,14 @@
 
 Acceptance tests for :mod:`repro.parallel.pool`: pooled runs must be
 bit-identical to ``execute_vectorized``, plans must ship to each worker at
-most once, refreshed segments must pick up the arrays' current values
-between runs, and the lifecycle (close, broken, context manager) must be
-unsurprising.  Worker counts stay at two so the suite is CI-safe.
+most once, workers must see the arrays' current values between runs (they
+map the arrays' own storage), and the lifecycle (close, broken, context
+manager) must be unsurprising.  Worker counts stay at two so the suite is
+CI-safe.
 """
+
+import os
+from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
@@ -15,7 +19,8 @@ from repro.compiler import compile_scan
 from repro.errors import MachineError
 from repro.obs import Tracer
 from repro.parallel import WorkerPool, execute, shared_pool
-from repro.parallel.pool import close_pools
+from repro.parallel.pool import PLAN_ENTRY_CAP, close_pools
+from repro.zpl.storage import handle
 from repro.runtime import execute_vectorized, run_and_capture
 from tests.conftest import record_tomcatv_block
 
@@ -156,8 +161,9 @@ def test_worker_failure_breaks_pool():
     compiled = compile_scan(block)
     pool = WorkerPool(2, timeout=30.0)
     try:
-        with pytest.raises(MachineError, match="worker"):
+        with pytest.raises(MachineError, match="worker") as failure:
             pool.execute(compiled, block=4, timeout=30.0)
+        assert "arrays possibly left partly written: a" in str(failure.value)
         assert pool.broken
         good, _ = _compiled_tomcatv(12)
         with pytest.raises(MachineError, match="broken"):
@@ -173,7 +179,7 @@ def test_pool_reuse_span_recorded():
         tracer = Tracer()
         run = pool.execute(compiled, block=4, tracer=tracer)
         names = {s.name for s in tracer.spans}
-        assert "pool_reuse" in names      # segments refreshed, not recreated
+        assert "pool_reuse" in names      # storage checked, not re-shared
         assert "share" not in names       # nothing was re-shared
         assert "compute" in names         # worker spans rode home
         assert run.trace.meta["pool"] is True
@@ -191,3 +197,67 @@ def test_shared_pool_caches_and_replaces():
         assert not p2.closed
     finally:
         close_pools()
+
+
+def test_rebind_to_born_shared_storage_reships():
+    compiled, arrays = _compiled_tomcatv(16)
+    with WorkerPool(2) as pool:
+        _assert_pool_matches_vectorized(pool, compiled, arrays, block=4)
+        d = arrays[1]
+        d._data = d.copy_like()._data  # new storage, allocated by a ZArray
+        _assert_pool_matches_vectorized(pool, compiled, arrays, block=4)
+        assert pool.stats["plan_misses"] == 2
+        assert pool.stats["blobs_shipped"] == 4
+
+
+def test_rebind_to_private_storage_is_refused_by_name():
+    compiled, arrays = _compiled_tomcatv(16)
+    with WorkerPool(2) as pool:
+        pool.execute(compiled, block=4)
+        d = arrays[1]
+        d._data = d._data.copy()
+        with pytest.raises(MachineError, match="array 'd' has private storage"):
+            pool.execute(compiled, block=4)
+        assert not pool.broken
+
+
+def _mapped_inodes(pid: int) -> set[int]:
+    with open(f"/proc/{pid}/maps") as maps:
+        return {int(line.split()[4]) for line in maps}
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+def test_evicted_block_is_unmapped_in_every_worker():
+    with WorkerPool(2) as pool:
+        blocks = [_compiled_tomcatv(12) for _ in range(PLAN_ENTRY_CAP + 1)]
+        for compiled, _ in blocks:
+            pool.execute(compiled, block=4)
+        inodes = [
+            {os.fstat(handle(a._data)[0]).st_ino for a in arrays}
+            for _, arrays in (blocks[0], blocks[-1])
+        ]
+        for proc in pool._procs:
+            mapped = _mapped_inodes(proc.pid)
+            assert not inodes[0] & mapped   # evicted: gone
+            assert inodes[1] <= mapped      # cached: still mapped
+
+
+def test_array_storage_creates_no_dev_shm_segment(monkeypatch):
+    # Only the scheduler, shadow and fabric state are segments; a plain
+    # pipelined run, pooled or forked, makes none at all.
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+    made = []
+    real = shared_memory.SharedMemory.__init__
+
+    def spy(self, *args, **kwargs):
+        real(self, *args, **kwargs)
+        made.append(self.name)
+
+    with WorkerPool(2) as pool:
+        monkeypatch.setattr(shared_memory.SharedMemory, "__init__", spy)
+        compiled, arrays = _compiled_tomcatv(16)
+        _assert_pool_matches_vectorized(
+            pool, compiled, arrays, block=4, multicast=False
+        )
+        execute(compiled, grid=2, block=4, multicast=False, timeout=30.0)
+    assert made == []

@@ -44,8 +44,9 @@ def test_killed_worker_fails_fast_with_typed_error():
     try:
         pool.execute(compiled, block=4)  # healthy warm-up run
         _kill_worker(pool)
-        with pytest.raises(PoolBrokenError, match="died"):
+        with pytest.raises(PoolBrokenError, match="died") as failure:
             pool.execute(compiled, block=4)
+        assert "r, d, rx, ry are untouched" in str(failure.value)
         assert pool.broken
         # Later callers keep getting the typed error, not a hang.
         with pytest.raises(PoolBrokenError, match="broken"):

@@ -1,11 +1,10 @@
-"""Concurrent submissions are safe: plan LRU + shared-segment reuse.
+"""Concurrent submissions are safe: plan LRU + plan-entry reuse.
 
 The serving layer submits batches from threads; two batches with the same
 fingerprint in flight must not interleave the pool's fingerprint-keyed plan
-cache or the ``SharedArrayPool.refresh``/``gather`` cycle.  ``execute()``
-serialises behind the pool's submission lock — these tests hammer that path
-from many threads and check the caches stayed consistent and the pool
-healthy.
+cache or its runs.  ``execute()`` serialises behind the pool's submission
+lock — these tests hammer that path from many threads and check the caches
+stayed consistent and the pool healthy.
 """
 
 import threading
@@ -52,8 +51,8 @@ def test_concurrent_same_fingerprint_submissions():
         errors = _hammer([submit] * 4)
         assert not errors, errors
         assert not pool.broken
-        # One fingerprint: a single miss + segment build, everything after
-        # is a refresh of the same cached entry — no duplicate shipping.
+        # One fingerprint: a single miss + blob build, everything after
+        # reuses the same cached entry — no duplicate shipping.
         assert pool.stats["executes"] == 16
         assert pool.stats["plan_misses"] == 1
         assert pool.stats["plan_hits"] == 15
