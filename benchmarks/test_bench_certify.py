@@ -3,7 +3,7 @@
 The certifier runs *before* every dispatch when the pre-flight knob is on,
 so its wall time is pure overhead on the critical path.  This bench times
 the two halves separately — projecting the compiled plan into a
-:class:`ScheduleModel` and discharging the three proof obligations over it
+:class:`ScheduleModel` and discharging the two proof obligations over it
 — at every pseudo-schedule on a representative rank-2 wavefront, and
 gates the end-to-end proof under a generous ceiling: certification must
 stay far below the cost of the run it certifies.
@@ -44,7 +44,7 @@ def _wavefront_block(n, width):
     a._data[...] = rng.uniform(0.5, 1.5, size=a._data.shape)
     region = zpl.Region.of((3, n), (3, width))
     # (0,1) and (1,1) dependences: fan-out 2 per producer, so the
-    # "multicast" pseudo-schedule exercises the staging/credit obligations.
+    # "multicast" pseudo-schedule proves epoch waits with a real fan-out.
     with zpl.covering(region):
         with zpl.scan(execute=False) as block:
             a[...] = 0.3 + 0.4 * (a.p @ (0, -1)) + 0.2 * (a.p @ (-1, -1))

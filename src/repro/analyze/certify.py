@@ -11,11 +11,11 @@ edge the compiler projects (:mod:`repro.compiler.taskdag`).
 The certifier derives no geometry of its own.  :func:`project` reads a
 :class:`~repro.parallel.plan.RunPlan` — the one object
 :func:`~repro.parallel.plan.resolve_run` plans for the executors, with the
-chunk regions, fabric, groups, staging layout or tile DAG the jobs are
+chunk regions, fabric, groups or tile DAG the jobs are
 built from — into a :class:`ScheduleModel`: plain frozen data that adds the
 projected dependence edges and names the sync edges, so the mutation
 harness can corrupt it.  :func:`build_schedule_model` is ``project`` of a
-statically planned run.  Over the model :func:`certify_model` proves three
+statically planned run.  Over the model :func:`certify_model` proves two
 properties:
 
 * **Coverage** (``E101``): every projected dependence edge between tiles is
@@ -23,17 +23,13 @@ properties:
   rank composed with the protocol's sync edges).  An uncovered edge means a
   block could read cells its source block has not yet written.
 * **Deadlock freedom** (``E102``): the protocol's wait-for graph — tokens,
-  pending counts, epoch waits, and (with double buffering) the slot-credit
-  backpressure edges of the staging protocol — is acyclic, and every
-  taskgraph tile's pending count is satisfiable.  Cycles are rendered
-  rustc-style, one ``because:`` line per hop.
-* **Staging safety** (``E103``): no double-buffer boundary slot can be
-  overwritten while a consumer may still read it (the slot count must cover
-  the credit lag), slot areas do not overlap, and no area overruns the slot.
+  pending counts, epoch waits — is acyclic, and every taskgraph tile's
+  pending count is satisfiable.  Cycles are rendered rustc-style, one
+  ``because:`` line per hop.
 
 Soundness is demonstrated by the mutation harness (:data:`MUTATIONS`): each
 named mutation corrupts a model the way a scheduler bug would — dropping a
-token edge, shrinking a pending count, forcing a single buffer slot — and the
+token edge, shrinking a pending count, making a rank wait on itself — and the
 certifier must flag every mutant with the expected code.  The dynamic
 sanitizer (:mod:`repro.analyze.sanitizer`) trips on the same corruptions at
 run time; the harness ties the two proofs together.
@@ -95,16 +91,6 @@ class DepEdge:
 
 
 @dataclass(frozen=True)
-class SlotArea:
-    """One staged array's halo area inside a double-buffer slot."""
-
-    array_index: int
-    depth: int
-    offset: int
-    elems: int
-
-
-@dataclass(frozen=True)
 class ScheduleModel:
     """Everything the certifier needs to know about one planned run.
 
@@ -134,16 +120,6 @@ class ScheduleModel:
     graph_edges: tuple[tuple[int, int], ...] = ()
     #: Taskgraph: per tile, the pending count it fires at zero of.
     pending: tuple[int, ...] = ()
-    #: Double-buffered boundary staging active (multicast only).
-    staging: bool = False
-    #: Staging slots per producer (block ``k`` writes slot ``k % n_slots``).
-    n_slots: int = 0
-    #: Blocks a producer may run ahead of its slowest consumer's absorbs
-    #: before ``wait_credit`` parks it (the protocol uses the slot count).
-    credit_lag: int = 0
-    #: Slot capacity in elements.
-    slot_elems: int = 0
-    slot_areas: tuple[SlotArea, ...] = ()
     block_size: int | None = None
     grid_dims: tuple[int, ...] = ()
 
@@ -185,8 +161,6 @@ def project(run_plan) -> ScheduleModel:
     """The :class:`ScheduleModel` of a resolved
     :class:`~repro.parallel.plan.RunPlan`: its tiles, owners and sync
     edges read off the plan, plus the dependence edges to prove covered."""
-    from repro.parallel.sharedmem import BoundaryPool
-
     compiled, grid = run_plan.compiled, run_plan.grid
     region = run_plan.wavefront.region
     graph = run_plan.graph
@@ -224,30 +198,6 @@ def project(run_plan) -> ScheduleModel:
     sync: dict = {}
     if run_plan.fabric == "multicast":
         sync["producers"] = run_plan.groups.producers
-        layout = run_plan.layout
-        if layout is not None:
-            bounds = layout.offsets + (layout.slot_elems,)
-            sync.update(
-                staging=True,
-                n_slots=BoundaryPool.N_SLOTS,
-                # The channel's wait_credit parks a producer once it is a
-                # full slot rotation ahead of its slowest consumer: the
-                # credit lag *is* the slot count in the implementation;
-                # the model keeps them separate so mutations can break one.
-                credit_lag=BoundaryPool.N_SLOTS,
-                slot_elems=layout.slot_elems,
-                slot_areas=tuple(
-                    SlotArea(
-                        array_index=idx,
-                        depth=depth,
-                        offset=off,
-                        elems=bounds[i + 1] - off,
-                    )
-                    for i, ((idx, depth), off) in enumerate(
-                        zip(layout.arrays, layout.offsets)
-                    )
-                ),
-            )
     else:
         sync["token_edges"] = tuple(
             (upstream, downstream)
@@ -276,7 +226,6 @@ def build_schedule_model(
     block: int | None = None,
     wavefront_dim: int | None = None,
     multicast=None,
-    double_buffer: bool | None = None,
     oversub: int | None = None,
 ) -> ScheduleModel:
     """Plan a run statically and :func:`project` it.
@@ -298,7 +247,6 @@ def build_schedule_model(
             block=block,
             wavefront_dim=wavefront_dim,
             multicast=multicast,
-            double_buffer=double_buffer,
             oversub=oversub,
             static=True,
         )
@@ -473,175 +421,6 @@ def _deadlock_diagnostics(model: ScheduleModel) -> list[Diagnostic]:
                         data={"tile": t, "pending": model.pending[t]},
                     )
                 )
-    staged = _staging_cycle(model)
-    if staged is not None:
-        out.append(staged)
-    return out
-
-
-def _staging_cycle(model: ScheduleModel) -> Diagnostic | None:
-    """Deadlock check over the double-buffer staging protocol's event graph.
-
-    Events are ``(rank, block, phase)`` with phases WAIT (epoch waits +
-    boundary absorbs), STAGE (slot-credit gate + halo copy), PUB (epoch
-    stamp).  Credit backpressure adds ``WAIT(consumer, k - lag) ->
-    STAGE(producer, k)``: a producer may not reuse a slot until every
-    consumer has absorbed ``lag`` blocks behind it.  A cycle means a
-    producer parks on a credit its consumer can only grant after the very
-    publish the producer is parked before.  The block horizon ``lag + 3``
-    suffices: the protocol is block-periodic, so any cycle shows up within
-    one credit rotation of the start.
-    """
-    if not (model.fabric == "multicast" and model.staging):
-        return None
-    horizon = min(model.n_blocks, model.credit_lag + 3)
-    if horizon <= 0 or not any(model.producers):
-        return None
-    consumers: list[list[int]] = [[] for _ in range(model.n_ranks)]
-    for rank, preds in enumerate(model.producers):
-        for producer in preds:
-            consumers[producer].append(rank)
-    WAIT, STAGE, PUB = "WAIT", "STAGE", "PUB"
-    adjacency: dict[tuple, list[tuple]] = {}
-
-    def add(a: tuple, b: tuple) -> None:
-        adjacency.setdefault(a, []).append(b)
-
-    for rank in range(model.n_ranks):
-        for k in range(horizon):
-            add((rank, k, WAIT), (rank, k, STAGE))
-            add((rank, k, STAGE), (rank, k, PUB))
-            if k + 1 < horizon:
-                add((rank, k, PUB), (rank, k + 1, WAIT))
-    for rank, preds in enumerate(model.producers):
-        for producer in preds:
-            for k in range(horizon):
-                add((producer, k, PUB), (rank, k, WAIT))
-    for producer in range(model.n_ranks):
-        for rank in consumers[producer]:
-            for k in range(model.credit_lag, horizon):
-                add((rank, k - model.credit_lag, WAIT), (producer, k, STAGE))
-    cycle = _find_cycle(adjacency)
-    if cycle is None:
-        return None
-    phase_text = {
-        WAIT: "waits for its producers' epochs of block",
-        STAGE: "stages the boundary of block",
-        PUB: "publishes the epoch stamp of block",
-    }
-    because = tuple(
-        Because(
-            "token",
-            f"rank {rank} {phase_text[phase]} {k}",
-        )
-        for rank, k, phase in cycle
-    )
-    return Diagnostic(
-        code="E102",
-        message=(
-            "potential deadlock: the double-buffer slot-credit protocol "
-            "admits a wait cycle (a producer parks on a credit its consumer "
-            "grants only after that producer's own publish)"
-        ),
-        because=because,
-        hint=(
-            f"the credit lag ({model.credit_lag}) must stay positive and "
-            f"within the slot count ({model.n_slots}) so consumers always "
-            f"run one full slot rotation behind producers"
-        ),
-        data={
-            "cycle": [[int(r), int(k), p] for r, k, p in cycle],
-            "credit_lag": model.credit_lag,
-            "n_slots": model.n_slots,
-        },
-    )
-
-
-def _staging_diagnostics(model: ScheduleModel) -> list[Diagnostic]:
-    out: list[Diagnostic] = []
-    if not (model.fabric == "multicast" and model.staging):
-        return out
-    if model.n_slots < model.credit_lag:
-        out.append(
-            Diagnostic(
-                code="E103",
-                message=(
-                    f"staging slot aliases a live read window: block k and "
-                    f"block k-{model.n_slots} share slot k % {model.n_slots}, "
-                    f"but consumers are only guaranteed to have absorbed "
-                    f"through block k-{model.credit_lag}"
-                ),
-                because=(
-                    Because(
-                        "model",
-                        f"{model.n_slots} slot(s) cannot cover a credit lag "
-                        f"of {model.credit_lag} in-flight block(s)",
-                    ),
-                ),
-                hint=(
-                    "provision at least as many slots as the credit lag "
-                    "(BoundaryPool.N_SLOTS) so a staged block survives "
-                    "until every consumer has absorbed it"
-                ),
-                data={
-                    "n_slots": model.n_slots,
-                    "credit_lag": model.credit_lag,
-                },
-            )
-        )
-    areas = sorted(model.slot_areas, key=lambda a: a.offset)
-    for first, second in zip(areas, areas[1:]):
-        if first.offset + first.elems > second.offset:
-            out.append(
-                Diagnostic(
-                    code="E103",
-                    message=(
-                        f"staging slot aliases a live read window: array "
-                        f"{first.array_index}'s area "
-                        f"[{first.offset}, {first.offset + first.elems}) "
-                        f"overlaps array {second.array_index}'s area at "
-                        f"offset {second.offset}"
-                    ),
-                    because=(
-                        Because(
-                            "model",
-                            f"area of array {first.array_index} spans "
-                            f"{first.elems} element(s) from offset "
-                            f"{first.offset}",
-                        ),
-                    ),
-                    hint="staged halo areas must be disjoint within a slot",
-                    data={
-                        "arrays": [first.array_index, second.array_index],
-                    },
-                )
-            )
-    for area in model.slot_areas:
-        if area.offset + area.elems > model.slot_elems:
-            out.append(
-                Diagnostic(
-                    code="E103",
-                    message=(
-                        f"staging slot aliases a live read window: array "
-                        f"{area.array_index}'s area runs to element "
-                        f"{area.offset + area.elems} but the slot holds "
-                        f"only {model.slot_elems} — the copy would spill "
-                        f"into the next slot's live data"
-                    ),
-                    because=(
-                        Because(
-                            "model",
-                            f"{area.depth} halo row(s) at offset "
-                            f"{area.offset} need {area.elems} element(s)",
-                        ),
-                    ),
-                    hint=(
-                        "slot capacity must cover every staged array's "
-                        "deepest halo"
-                    ),
-                    data={"array": area.array_index},
-                )
-            )
     return out
 
 
@@ -713,14 +492,10 @@ def certify_model(model: ScheduleModel) -> list[Diagnostic]:
     """Prove the model sound, returning diagnostics for every violation.
 
     Order: deadlock (``E102``) first — a cyclic wait-for graph makes the
-    coverage question moot — then staging safety (``E103``), then
-    dependence coverage (``E101``).  An empty list is the proof.
+    coverage question moot — then dependence coverage (``E101``).  An
+    empty list is the proof.
     """
-    out: list[Diagnostic] = []
-    out.extend(_deadlock_diagnostics(model))
-    out.extend(_staging_diagnostics(model))
-    out.extend(_coverage_diagnostics(model))
-    return out
+    return _deadlock_diagnostics(model) + _coverage_diagnostics(model)
 
 
 def certify(compiled, **kwargs) -> list[Diagnostic]:
@@ -989,39 +764,6 @@ def _self_producer(model: ScheduleModel) -> ScheduleModel:
     producers = list(model.producers)
     producers[rank] = tuple(sorted(set(producers[rank]) | {rank}))
     return replace(model, producers=tuple(producers))
-
-
-@_register(
-    "single-slot", "multicast", "E103",
-    "shrink the boundary pool to one slot under a two-block credit lag",
-)
-def _single_slot(model: ScheduleModel) -> ScheduleModel:
-    _need(model.staging, "double-buffered staging")
-    return replace(model, n_slots=1)
-
-
-@_register(
-    "slot-overflow", "multicast", "E103",
-    "grow one staged area past the slot capacity",
-)
-def _slot_overflow(model: ScheduleModel) -> ScheduleModel:
-    _need(model.staging and model.slot_areas, "double-buffered staging")
-    last = max(model.slot_areas, key=lambda a: a.offset)
-    grown = replace(last, elems=model.slot_elems - last.offset + 1)
-    areas = tuple(grown if a is last else a for a in model.slot_areas)
-    return replace(model, slot_areas=areas)
-
-
-@_register(
-    "eager-credit", "multicast", "E102",
-    "zero the slot-credit lag so staging waits on the same block's absorb",
-)
-def _eager_credit(model: ScheduleModel) -> ScheduleModel:
-    _need(
-        model.staging and any(model.producers),
-        "double-buffered staging with consumers",
-    )
-    return replace(model, credit_lag=0)
 
 
 def apply_mutation(

@@ -22,7 +22,7 @@ Three commands:
     Statically prove (:mod:`repro.analyze.certify`) that each schedule's
     sync protocol covers every projected dependence edge and is
     deadlock-free — no execution.  One report per input × schedule; exit
-    status 1 when any ``E101``/``E102``/``E103`` was produced.  Planner
+    status 1 when any ``E101``/``E102`` was produced.  Planner
     refusals (a schedule the executor would not run either) appear as
     ``W110`` warnings, not errors.  ``--mutate NAME`` corrupts the model
     first (the soundness smoke: the mutant must fail certification).

@@ -66,7 +66,7 @@ CODES: dict[str, tuple[Severity, str]] = {
     # Static schedule certifier (repro.analyze.certify).
     "E101": (Severity.ERROR, "unsynchronized dependence"),
     "E102": (Severity.ERROR, "potential deadlock"),
-    "E103": (Severity.ERROR, "staging slot aliases a live read window"),
+    # E103 (staging slot aliasing) is retired; never reuse it.
     # Lints.
     "W101": (Severity.WARNING, "unused array"),
     "W102": (Severity.WARNING, "unused region"),

@@ -559,7 +559,7 @@ def multicast_advisor(
 
     The multicast fabric pays off when one producer's boundary feeds two or
     more consumers; at uniform fan-out 1 it is a straight chain wearing
-    epoch-stamp overhead (staging copies, credit waits) for nothing — the
+    epoch-stamp overhead (stamps, parked-flag checks) for nothing — the
     pipe-token fabric is the cheaper identical schedule.  The auto mode
     (``REPRO_MULTICAST`` unset) already makes that call per plan; this
     advisor fires only when the env knob overrides it to ``on``, reading the
@@ -593,7 +593,7 @@ def multicast_advisor(
             f"REPRO_MULTICAST=1 forces the multicast fabric, but every "
             f"producer in this block feeds at most one consumer "
             f"(uniform fan-out {groups.max_fanout}): the epoch fabric "
-            f"adds staging and credit overhead over plain pipe tokens",
+            f"adds stamp and wake-up overhead over plain pipe tokens",
             span=span_of(block.statements[0]),
             because=(
                 Because(

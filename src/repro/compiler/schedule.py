@@ -320,15 +320,6 @@ class ScheduleGeometry:
     #: the same columns chain-wide.
     chunks_by_rank: dict[int, tuple[Region, ...]] = field(default_factory=dict)
 
-    @property
-    def rows_by_rank(self) -> tuple[tuple[int, int] | None, ...]:
-        """Per rank: its wave-dimension row range (``None``: owns no rows)."""
-        w = self.wavefront.wavefront_dim
-        return tuple(
-            None if local.is_empty() else local.range(w)
-            for local in self.locals_by_rank
-        )
-
     def default_block(self) -> int:
         """Static block-size heuristic: the classical half-the-columns-per-
         stage starting point, for planners with no timing constants."""

@@ -32,9 +32,11 @@ from __future__ import annotations
 import os
 import time
 
+from repro.util.env import env_flag
+
 SCHEMA = "repro-flight/1"
 
-#: Environment kill switch: ``0``/``false``/``off`` disables the recorder.
+#: Environment kill switch (default on; :func:`repro.util.env.env_flag`).
 FLIGHT_ENV = "REPRO_FLIGHT"
 
 #: Environment override for the ring capacity (events, not bytes).
@@ -45,9 +47,7 @@ DEFAULT_CAPACITY = 4096
 
 def flight_enabled() -> bool:
     """True unless ``REPRO_FLIGHT`` explicitly disables the recorder."""
-    return os.environ.get(FLIGHT_ENV, "").strip().lower() not in (
-        "0", "false", "off",
-    )
+    return env_flag(FLIGHT_ENV, True)
 
 
 class FlightRecorder:

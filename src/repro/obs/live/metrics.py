@@ -272,23 +272,21 @@ def fabric_summary(registry: MetricsRegistry) -> dict[str, float]:
     """Aggregate the multicast-fabric series across ranks, for ``obs top``.
 
     Empty when no multicast run has happened — the dashboards use that to
-    hide the fabric line entirely on pipe-only deployments.
+    hide the fabric line entirely on pipe-only deployments.  The fabric
+    stages no boundaries, so ``buffer_flips`` and ``overlap_seconds`` read
+    0; they stay for readers that expect all three keys.
     """
-    releases = flips = 0.0
-    overlap = 0.0
-    for name, _labels, _kind, metric in registry.series():
-        if name == "repro_multicast_releases_total":
-            releases += metric.value
-        elif name == "repro_boundary_buffer_flips_total":
-            flips += metric.value
-        elif name == "repro_multicast_overlap_seconds":
-            overlap += metric.value
-    if not (releases or flips or overlap):
+    releases = sum(
+        metric.value
+        for name, _labels, _kind, metric in registry.series()
+        if name == "repro_multicast_releases_total"
+    )
+    if not releases:
         return {}
     return {
         "multicast_releases": releases,
-        "buffer_flips": flips,
-        "overlap_seconds": overlap,
+        "buffer_flips": 0.0,
+        "overlap_seconds": 0.0,
     }
 
 

@@ -126,9 +126,7 @@ def render_top(
     if fabric:
         lines.append(
             f"fabric      multicast: "
-            f"{fabric.get('multicast_releases', 0):.0f} releases, "
-            f"{fabric.get('buffer_flips', 0):.0f} buffer flips, "
-            f"{fabric.get('overlap_seconds', 0.0) * 1e3:.1f} ms overlapped"
+            f"{fabric.get('multicast_releases', 0):.0f} releases"
         )
     flight = doc.get("flight", {})
     if flight:

@@ -35,15 +35,16 @@ are portable even where the epoch is per-process only approximately.
 from __future__ import annotations
 
 import json
-import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable
 
+from repro.util.env import env_flag
+
 SCHEMA = "repro-trace/1"
 
-#: Environment switch: any value but ``""``/``"0"``/``"false"``/``"off"``
+#: Environment switch (default off; :func:`repro.util.env.env_flag`):
 #: enables tracing for runs that were not handed an explicit tracer.
 TRACE_ENV = "REPRO_TRACE"
 
@@ -69,9 +70,7 @@ class Span:
 
 def tracing_enabled() -> bool:
     """True when ``REPRO_TRACE`` asks for tracing."""
-    return os.environ.get(TRACE_ENV, "").strip().lower() not in (
-        "", "0", "false", "off",
-    )
+    return env_flag(TRACE_ENV, False)
 
 
 class _SpanScope:

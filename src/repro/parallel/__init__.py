@@ -14,8 +14,8 @@ Layers:
 
 * :mod:`repro.parallel.sharedmem` — array storage as workers map it;
 * :mod:`repro.parallel.channels`  — token pipes between pipeline stages;
-* :mod:`repro.parallel.collectives` — multicast epoch fabric + double
-  buffering (one stamp releases a whole fan-out; ``REPRO_MULTICAST``);
+* :mod:`repro.parallel.collectives` — multicast epoch fabric (one stamp
+  releases a whole fan-out; ``REPRO_MULTICAST``);
 * :mod:`repro.parallel.plan`      — :func:`resolve_run`: one ``RunPlan`` per
   run, read by both executors, the worker loop and the certifier;
 * :mod:`repro.parallel.worker`    — the one block loop + its sync protocol;
@@ -49,15 +49,12 @@ from repro.parallel.autotune import (
 )
 from repro.parallel.bench import oversubscription, speedup_curve, tomcatv_forward
 from repro.parallel.collectives import (
-    DOUBLE_BUFFER_ENV,
     MULTICAST_ENV,
     MulticastChannel,
     MulticastFabric,
     MulticastGroups,
     MulticastSpec,
-    boundary_layout,
     plan_groups,
-    resolve_double_buffer,
     resolve_multicast,
 )
 from repro.parallel.executor import execute
@@ -75,18 +72,13 @@ from repro.parallel.pool import (
     close_pools,
     shared_pool,
 )
-from repro.parallel.sharedmem import (
-    BoundaryPool,
-    collect_arrays,
-)
+from repro.parallel.sharedmem import collect_arrays
 from repro.parallel.taskgraph import TaskgraphReport
 
 __all__ = [
     "AutotuneResult",
-    "BoundaryPool",
     "CollectiveParams",
     "CommParams",
-    "DOUBLE_BUFFER_ENV",
     "MAX_PROCS_ENV",
     "MULTICAST_ENV",
     "MulticastChannel",
@@ -100,7 +92,6 @@ __all__ = [
     "PoolSupervisor",
     "WorkerPool",
     "autotune",
-    "boundary_layout",
     "close_pools",
     "collect_arrays",
     "collective_effective_params",
@@ -120,7 +111,6 @@ __all__ = [
     "optimal_block_size",
     "oversubscription",
     "plan_groups",
-    "resolve_double_buffer",
     "resolve_multicast",
     "resolve_schedule",
     "shared_pool",

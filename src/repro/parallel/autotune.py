@@ -374,85 +374,57 @@ class CollectiveParams:
     """Measured collective-release constants of the host, in seconds.
 
     The multicast fabric's cost model: releasing one pipeline block to
-    ``fanout`` consumers costs ``α_c + β·s + γ·fanout`` seconds, where
-    ``s`` is the staged boundary size in elements.  α_c is the fixed epoch
-    publish (one stamp, independent of fan-out), β the per-element staging
-    cost, and γ the marginal per-consumer cost (parked-flag checks and
-    semaphore posts).  Dividing by the fan-out gives the *per-edge* α the
-    paper's Eq. (1) sees — the amortisation the multicast fabric buys.
+    ``fanout`` consumers costs ``α_c + γ·fanout`` seconds.  α_c is the
+    fixed epoch publish (one stamp, independent of fan-out) and γ the
+    marginal per-consumer cost (parked-flag checks and semaphore posts).
+    The fabric moves no data — consumers read the halo from shared storage
+    after the stamp, as a pipe consumer does after its token — so the
+    per-element β is the pipe fabric's (:class:`CommParams`).  Dividing by
+    the fan-out gives the *per-edge* α the paper's Eq. (1) sees — the
+    amortisation the multicast fabric buys.
     """
 
     #: Fixed per-release cost (the collective α_c), seconds.
     alpha_seconds: float
-    #: Per-element staging cost, seconds per float64.
-    beta_seconds: float
     #: Marginal per-consumer cost, seconds per unit of fan-out.
     gamma_seconds: float
-    #: The ``(size, fanout, seconds)`` samples the fit was made from.
-    samples: tuple[tuple[int, int, float], ...]
+    #: The ``(fanout, seconds)`` samples the fit was made from.
+    samples: tuple[tuple[int, float], ...]
 
-    def release_seconds(self, size: int, fanout: int) -> float:
-        """The fitted model: one release of ``size`` elements to ``fanout``."""
-        return (
-            self.alpha_seconds
-            + self.beta_seconds * size
-            + self.gamma_seconds * fanout
-        )
+    def release_seconds(self, fanout: int) -> float:
+        """The fitted model: one release to ``fanout`` consumers."""
+        return self.alpha_seconds + self.gamma_seconds * fanout
 
-    def per_edge_seconds(self, size: int, fanout: int) -> float:
+    def per_edge_seconds(self, fanout: int) -> float:
         """The amortised per-consumer cost (Eq. (1)'s α on this fabric)."""
-        return self.release_seconds(size, fanout) / max(1, fanout)
+        return self.release_seconds(fanout) / max(1, fanout)
 
 
-def _collective_child(
-    spec, sems, rank: int, bpool_name: str, slot_elems: int,
-    sizes: tuple[int, ...], cycles: int,
-) -> None:
-    """Consumer peer of :func:`measure_multicast`: wait, read, credit."""
-    import numpy as np
-
-    from repro.parallel.collectives import MulticastChannel, attach_segment
-    from repro.parallel.sharedmem import BoundaryPool
+def _collective_child(spec, sems, rank: int, cycles: int) -> None:
+    """Consumer peer of :func:`measure_multicast`: wait, publish back."""
+    from repro.parallel.collectives import MulticastChannel
 
     channel = MulticastChannel(spec, sems, rank)
-    seg = attach_segment(bpool_name)
-    slots = np.ndarray(
-        (spec.n_ranks, BoundaryPool.N_SLOTS, slot_elems),
-        dtype=np.float64,
-        buffer=seg.buf,
-    )
-    buf = np.empty(max(sizes), dtype=np.float64)
-    k = 0
     try:
-        for size in sizes:
-            for _ in range(cycles):
-                channel.wait_for(0, k, 60.0)
-                buf[:size] = slots[0][k % BoundaryPool.N_SLOTS][:size]
-                channel.credit(0, k)
-                k += 1
+        for k in range(cycles + 1):
+            channel.wait_block(k, 60.0)
+            channel.publish(k)
     finally:
         channel.detach()
-        try:
-            seg.close()
-        except BufferError:
-            pass
 
 
 def measure_multicast(
-    sizes: tuple[int, ...] = (1, 64, 512, 4096),
     fanouts: tuple[int, ...] = (1, 2, 4),
     cycles: int = 200,
     start_method: str | None = None,
 ) -> CollectiveParams:
     """Measure the collective cost model against real consumer processes.
 
-    For each fan-out ``f`` a one-producer fabric with ``f`` consumers runs
-    the steady-state double-buffered cycle — credit wait, stage ``s``
-    elements, epoch publish — ``cycles`` times per boundary size; the
-    per-cycle seconds over the ``(s, f)`` grid are least-squares fitted to
-    ``α_c + β·s + γ·f``.  The producer side is timed (it carries the
-    critical path in a pipeline), with consumers running flat out so the
-    measurement captures real park/wake traffic.
+    For each fan-out ``f`` a producer and ``f`` consumers ping-pong on the
+    epoch fabric: the producer publishes block ``k``, every consumer waits
+    for it and publishes ``k`` back, and the producer waits for all ``f``.
+    Half the mean round over ``cycles`` rounds is the one-way release
+    cost, and the samples are least-squares fitted to ``α_c + γ·f``.
     """
     import numpy as np
 
@@ -462,63 +434,45 @@ def measure_multicast(
         MulticastFabric,
         MulticastSpec,
     )
-    from repro.parallel.sharedmem import BoundaryPool
 
-    if len(sizes) < 2 or not fanouts:
-        raise MachineError(
-            "need at least two sizes and one fanout to fit the collective model"
-        )
+    if not fanouts:
+        raise MachineError("need at least one fanout to fit the collective model")
     if start_method is None:
         start_method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
     ctx = mp.get_context(start_method)
-    slot_elems = max(sizes)
-    samples: list[tuple[int, int, float]] = []
+    samples: list[tuple[int, float]] = []
     for f in fanouts:
         n_ranks = f + 1
+        peers = tuple(range(1, n_ranks))
+        # Rank 0 releases every consumer; each consumer releases rank 0.
         groups = MulticastGroups(
-            producers=((),) + ((0,),) * f,
-            consumers=(tuple(range(1, n_ranks)),) + ((),) * f,
-            fanout=(f,) + (0,) * f,
+            producers=(peers,) + ((0,),) * f,
+            consumers=(peers,) + ((0,),) * f,
+            fanout=(f,) + (1,) * f,
         )
         fabric = MulticastFabric(ctx, n_ranks)
-        bpool = BoundaryPool(n_ranks, slot_elems)
-        spec = MulticastSpec(
-            epoch_seg=fabric.name,
-            n_ranks=n_ranks,
-            groups=groups,
-            wave_dim=0,
-            wave_ascending=True,
-            rows_by_rank=(None,) * n_ranks,
-        )
+        spec = MulticastSpec(fabric.name, n_ranks, groups)
         procs = [
             ctx.Process(
                 target=_collective_child,
-                args=(spec, fabric.sems, r, bpool.name, slot_elems,
-                      tuple(sizes), cycles),
+                args=(spec, fabric.sems, r, cycles),
                 name=f"repro-mcast-probe-{r}",
             )
-            for r in range(1, n_ranks)
+            for r in peers
         ]
         channel = MulticastChannel(spec, fabric.sems, 0)
         try:
             for proc in procs:
                 proc.start()
-            slots = bpool.slots()
-            k = 0
-            for size in sizes:
-                payload = np.full(size, 0.5, dtype=np.float64)
-                # Credit waits are backpressure, not release cost: in a real
-                # pipeline they overlap consumer compute.  wait_credit reports
-                # the seconds it blocked, so the sample is stage+publish only.
-                start = time.perf_counter()
-                waited = 0.0
-                for _ in range(cycles):
-                    waited += channel.wait_credit(k, 60.0)
-                    slots[0][k % BoundaryPool.N_SLOTS][:size] = payload
-                    channel.publish(k)
-                    k += 1
-                elapsed = time.perf_counter() - start - waited
-                samples.append((size, f, max(0.0, elapsed) / cycles))
+            # One untimed round: every consumer is up and parked.
+            channel.publish(0)
+            channel.wait_block(0, 60.0)
+            start = time.perf_counter()
+            for k in range(1, cycles + 1):
+                channel.publish(k)
+                channel.wait_block(k, 60.0)
+            elapsed = time.perf_counter() - start
+            samples.append((f, elapsed / cycles / 2.0))
             for proc in procs:
                 proc.join(timeout=30.0)
         finally:
@@ -528,23 +482,21 @@ def measure_multicast(
                     proc.join(timeout=5.0)
             channel.detach()
             fabric.release()
-            bpool.release()
 
-    design = np.array([[1.0, s, f] for s, f, _ in samples])
-    y = np.array([t for _, _, t in samples])
+    design = np.array([[1.0, f] for f, _ in samples])
+    y = np.array([t for _, t in samples])
     coeffs, *_ = np.linalg.lstsq(design, y, rcond=None)
     alpha = max(0.0, float(coeffs[0]))
-    beta = max(0.0, float(coeffs[1]))
-    gamma = max(0.0, float(coeffs[2]))
+    gamma = max(0.0, float(coeffs[1]))
     if alpha == 0.0:
-        # Degenerate fit: the smallest single-consumer sample is almost
-        # pure publish cost.
-        alpha = min(t for _, _, t in samples)
-    return CollectiveParams(alpha, beta, gamma, tuple(samples))
+        # Degenerate fit: the cheapest sample is almost pure publish cost.
+        alpha = min(t for _, t in samples)
+    return CollectiveParams(alpha, gamma, tuple(samples))
 
 
 def collective_effective_params(
     coll: CollectiveParams,
+    comm: CommParams,
     compute_seconds: float,
     dispatch_seconds: float,
     n_procs: int,
@@ -555,18 +507,18 @@ def collective_effective_params(
 
     One release costs ``α_c + γ·f`` regardless of block width; amortised
     over the ``f`` consumer tiles it unblocks, the per-edge α drops by the
-    fan-out — that is the speedup Model 2 must predict.  Per-block engine
-    dispatch folds in exactly as on the pipe fabric.
+    fan-out — that is the speedup Model 2 must predict.  β is ``comm``'s:
+    the halo moves through shared storage exactly as on the pipe fabric.
+    Per-block engine dispatch folds in exactly as on the pipe fabric.
     """
     if compute_seconds <= 0:
         raise MachineError(f"compute cost must be positive, got {compute_seconds}")
-    f = max(1, fanout)
     local_dispatch = dispatch_seconds / max(1, n_procs)
-    per_edge = (coll.alpha_seconds + coll.gamma_seconds * f) / f
     return MachineParams(
         name=name,
-        alpha=(per_edge + local_dispatch) / compute_seconds,
-        beta=coll.beta_seconds / compute_seconds,
+        alpha=(coll.per_edge_seconds(max(1, fanout)) + local_dispatch)
+        / compute_seconds,
+        beta=comm.beta_seconds / compute_seconds,
     )
 
 
@@ -632,7 +584,7 @@ def tuned_block_size(
     compute, dispatch = costs
     if fabric == "multicast":
         params = collective_effective_params(
-            host_collective(), compute, dispatch, n_procs, fanout
+            host_collective(), host_comm(), compute, dispatch, n_procs, fanout
         )
     else:
         params = effective_params(host_comm(), compute, dispatch, n_procs)

@@ -55,7 +55,6 @@ from repro.parallel.plan import (
     meet_barrier,
     resolve_run,
 )
-from repro.parallel.sharedmem import BoundaryPool
 from repro.parallel.worker import WorkerTask, run_worker
 
 
@@ -120,9 +119,9 @@ def execute(
     (:mod:`repro.parallel.collectives`): ``True`` forces the epoch fabric,
     ``False`` forces pipes, ``"auto"``/``None`` honours ``REPRO_MULTICAST``
     and selects the epoch fabric when the tile DAG shows fan-out ≥ 2 from
-    one producer tile.  ``double_buffer`` gates the staged boundary copies
-    on multicast runs (``None`` honours ``REPRO_DOUBLE_BUFFER``, default
-    on).
+    one producer tile.  ``double_buffer`` is accepted and ignored: the
+    fabric stages no boundaries, so there is nothing to switch; the
+    parameter is removed with the fabric (ROADMAP item 2).
 
     ``REPRO_CERTIFY=1`` additionally runs the static schedule certifier
     (:mod:`repro.analyze.certify`) on the resolved
@@ -144,7 +143,6 @@ def execute(
             tracer=tracer,
             sanitize=sanitize,
             multicast=multicast,
-            double_buffer=double_buffer,
         )
     ctx = _context(start_method)
     if ctx.get_start_method() != "fork":
@@ -164,7 +162,6 @@ def execute(
         block=block,
         wavefront_dim=wavefront_dim,
         multicast=multicast,
-        double_buffer=double_buffer,
         sanitize=sanitize,
         tracer=obs,
     )
@@ -186,13 +183,7 @@ def execute(
         elif run_plan.fabric == "multicast":
             fabric = MulticastFabric(ctx, n)
             owned.append(fabric)
-            bpool = None
-            if run_plan.layout is not None:
-                bpool = BoundaryPool(n, run_plan.layout.slot_elems)
-                owned.append(bpool)
-            mcast_spec = run_plan.multicast_spec(
-                fabric.name, bpool.name if bpool is not None else None
-            )
+            mcast_spec = run_plan.multicast_spec(fabric.name)
             sems = fabric.sems
         else:
             links = chain_links(ctx, run_plan.chains)

@@ -32,7 +32,6 @@ import os
 import queue
 import time
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 from repro.compiler.grid import ProcessorGrid
@@ -47,16 +46,14 @@ from repro.errors import MachineError, SanitizerError
 from repro.obs.live import format_flight_tail
 from repro.obs.trace import NULL_TRACER, Trace
 from repro.parallel.collectives import (
-    BoundaryLayout,
     MulticastGroups,
     MulticastSpec,
-    boundary_layout,
     plan_groups,
-    resolve_double_buffer,
     resolve_multicast,
 )
 from repro.parallel.worker import BlockJob
 from repro.runtime.kernels import ensure_native, resolve_engine
+from repro.util.env import env_flag, env_int
 
 #: Environment knob: hard cap on worker counts chosen *by default* (CI safety).
 MAX_PROCS_ENV = "REPRO_PARALLEL_MAX_PROCS"
@@ -86,7 +83,7 @@ def resolve_schedule(schedule: str | None) -> str:
 
 def default_grid(max_procs: int | None = None) -> ProcessorGrid:
     """A rank-1 grid sized to the host, honouring ``REPRO_PARALLEL_MAX_PROCS``."""
-    cap = max_procs or int(os.environ.get(MAX_PROCS_ENV, "4"))
+    cap = max_procs or env_int(MAX_PROCS_ENV, 4)
     return ProcessorGrid((max(1, min(cap, os.cpu_count() or 1)),))
 
 
@@ -121,8 +118,6 @@ class RunPlan:
     fabric: str
     #: The epoch fabric's producer/consumer relation (multicast runs only).
     groups: MulticastGroups | None = None
-    #: Double-buffered boundary staging requested (multicast runs only).
-    staging: bool = False
     oversub: int | None = None
     #: The pruned tile DAG (:class:`repro.compiler.taskdag.TaskGraph`).
     graph: object | None = None
@@ -140,7 +135,6 @@ class RunPlan:
     chains = property(lambda self: self.geometry.chains)
     pred_by_rank = property(lambda self: chain_preds(self.geometry.chains))
     chunks_by_rank = property(lambda self: self.geometry.chunks_by_rank)
-    rows_by_rank = property(lambda self: self.geometry.rows_by_rank)
 
     @property
     def n_chunks(self) -> int:
@@ -153,28 +147,9 @@ class RunPlan:
     def fanout(self) -> int:
         return self.groups.max_fanout if self.groups is not None else 1
 
-    @cached_property
-    def layout(self) -> BoundaryLayout | None:
-        """The staging-slot layout, or ``None`` when nothing is staged."""
-        if self.fabric != "multicast" or not self.staging:
-            return None
-        return boundary_layout(self.compiled, self.wavefront)
-
-    def multicast_spec(
-        self, epoch_seg: str, boundary_seg: str | None
-    ) -> MulticastSpec:
+    def multicast_spec(self, epoch_seg: str) -> MulticastSpec:
         """What a worker needs to join the epoch fabric for this plan."""
-        return MulticastSpec(
-            epoch_seg=epoch_seg,
-            n_ranks=self.grid.size,
-            groups=self.groups,
-            wave_dim=self.wavefront.wavefront_dim,
-            wave_ascending=self.ascending,
-            rows_by_rank=self.rows_by_rank,
-            boundary_seg=boundary_seg,
-            layout=self.layout if boundary_seg is not None else None,
-            chunk_dim=self.wavefront.chunk_dim,
-        )
+        return MulticastSpec(epoch_seg, self.grid.size, self.groups)
 
     def meta(self) -> dict:
         """The run's trace meta (timings are added by :func:`finish`)."""
@@ -212,7 +187,6 @@ class RunKnobs:
     wavefront_dim: int | None
     #: ``"on"``/``"off"``/``"auto"`` (:func:`resolve_multicast`).
     multicast: str
-    double_buffer: bool
     oversub: int | None
     sanitize: bool
     #: Parsed ``REPRO_SANITIZE_INJECT`` (sanitized runs only).
@@ -226,7 +200,6 @@ def resolve_knobs(
     block: int | None = None,
     wavefront_dim: int | None = None,
     multicast: bool | str | None = None,
-    double_buffer: bool | None = None,
     sanitize: bool | None = None,
     oversub: int | None = None,
     static: bool = False,
@@ -237,9 +210,7 @@ def resolve_knobs(
     """
     schedule = resolve_schedule(schedule)
     if sanitize is None:
-        sanitize = not static and os.environ.get(
-            "REPRO_SANITIZE", ""
-        ) not in ("", "0")
+        sanitize = not static and env_flag("REPRO_SANITIZE", False)
     if schedule == "taskgraph" and oversub is None:
         from repro.parallel.taskgraph import resolve_oversub
 
@@ -255,7 +226,6 @@ def resolve_knobs(
         block=None if schedule == "naive" else block,
         wavefront_dim=wavefront_dim,
         multicast=resolve_multicast(multicast),
-        double_buffer=resolve_double_buffer(double_buffer),
         oversub=oversub,
         sanitize=bool(sanitize),
         inject=inject,
@@ -328,7 +298,6 @@ def plan_run(
         geometry=geometry,
         fabric=fabric,
         groups=groups,
-        staging=fabric == "multicast" and knobs.double_buffer,
         oversub=knobs.oversub,
         graph=graph,
         sanitize=knobs.sanitize,
@@ -339,7 +308,7 @@ def plan_run(
 def preflight(run_plan: RunPlan) -> None:
     """``REPRO_CERTIFY=1``: certify exactly what is about to be dispatched
     (raises :class:`~repro.errors.CertifyError` on a violation)."""
-    if os.environ.get("REPRO_CERTIFY", "") not in ("", "0"):
+    if env_flag("REPRO_CERTIFY", False):
         from repro.analyze.certify import certify_execution
 
         certify_execution(run_plan)
@@ -353,7 +322,6 @@ def resolve_run(
     block: int | None = None,
     wavefront_dim: int | None = None,
     multicast: bool | str | None = None,
-    double_buffer: bool | None = None,
     sanitize: bool | None = None,
     oversub: int | None = None,
     static: bool = False,
@@ -378,7 +346,6 @@ def resolve_run(
         block=block,
         wavefront_dim=wavefront_dim,
         multicast=multicast,
-        double_buffer=double_buffer,
         sanitize=sanitize,
         oversub=oversub,
         static=static,
@@ -415,8 +382,7 @@ class ParallelRun:
     #: when ``schedule="taskgraph"``: tile/pruning/steal accounting.
     taskgraph: object | None = None
     #: The communication fabric the run synchronised on: ``"pipes"``
-    #: (point-to-point tokens) or ``"multicast"`` (epoch publishes, with
-    #: double-buffered boundary staging unless ``REPRO_DOUBLE_BUFFER=0``).
+    #: (point-to-point tokens) or ``"multicast"`` (epoch publishes).
     fabric: str = "pipes"
 
     @property

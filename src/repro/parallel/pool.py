@@ -74,11 +74,7 @@ from repro.errors import MachineError, PoolBrokenError
 from repro.obs.live import FLIGHT, LIVE, MONITOR, current_tags
 from repro.obs.trace import NULL_TRACER, Tracer, resolve_tracer
 from repro.parallel.channels import chain_links
-from repro.parallel.collectives import (
-    MulticastChannel,
-    MulticastFabric,
-    MulticastSpec,
-)
+from repro.parallel.collectives import MulticastChannel, MulticastFabric
 from repro.parallel.executor import _context
 from repro.parallel.plan import (
     ParallelRun,
@@ -95,8 +91,6 @@ from repro.parallel.plan import (
     target_names,
 )
 from repro.parallel.sharedmem import (
-    BoundaryPool,
-    collect_arrays,
     dump_block,
     load_block,
     recv_fds,
@@ -175,20 +169,16 @@ def run_pool_worker(boot: PoolBoot, barrier, results) -> None:
       arrays.
     * ``("close",)`` — exit.
     """
-    #: fingerprint -> (compiled, runnable-with-hoisted-stripped)
-    cache: dict[str, tuple[CompiledScan, CompiledScan]] = {}
+    #: fingerprint -> the block with its hoisted temporaries stripped
+    cache: dict[str, CompiledScan] = {}
     #: fingerprint -> the last task graph shipped for it
     #: (:attr:`PoolJob.graph`); the parent tracks which one each rank holds.
     graphs: dict[str, tuple] = {}
-    #: segment name -> SharedMemory: multicast attachments live here so a
-    #: repeat job re-uses the mapping instead of re-attaching.
+    #: segment name -> SharedMemory: the epoch segment's attachment lives
+    #: here so a repeat job re-uses the mapping instead of re-attaching.
     seg_cache: dict[str, object] = {}
-    #: fingerprint -> per-plan segment names (boundary pools); closed on
-    #: "forget" so an evicted plan's staging memory is actually reclaimed.
-    plan_segs: dict[str, set[str]] = {}
-    #: (fingerprint, spec) -> MulticastChannel: a channel outlives its job
-    #: so its compiled staging geometry (view plans, copy pairs) amortises
-    #: across repeat runs of the same plan.
+    #: (fingerprint, spec) -> MulticastChannel: a channel outlives its job,
+    #: so a repeat run of the same plan rebuilds no index tables.
     channels: dict[tuple, MulticastChannel] = {}
     # Freeze the inherited heap once: every job after this pays collector
     # time only for what the pipeline loop itself allocates.
@@ -207,13 +197,6 @@ def run_pool_worker(boot: PoolBoot, barrier, results) -> None:
                 graphs.pop(msg[1], None)
                 for key in [k for k in channels if k[0] == msg[1]]:
                     channels.pop(key).detach()
-                for name in plan_segs.pop(msg[1], ()):
-                    seg = seg_cache.pop(name, None)
-                    if seg is not None:
-                        try:
-                            seg.close()
-                        except BufferError:
-                            pass
                 continue
             job: PoolJob = msg[1]
             spec = job.job
@@ -228,9 +211,7 @@ def run_pool_worker(boot: PoolBoot, barrier, results) -> None:
                 if job.blob is not None:
                     t0 = time.perf_counter()
                     compiled = load_block(job.blob, recv_fds(boot.jobs, job.fds))
-                    cache[job.fingerprint] = (
-                        compiled, replace(compiled, hoisted=())
-                    )
+                    cache[job.fingerprint] = replace(compiled, hoisted=())
                     if tracer.enabled:
                         tracer.add_span(
                             "plan_bind", "setup", t0, time.perf_counter()
@@ -238,13 +219,12 @@ def run_pool_worker(boot: PoolBoot, barrier, results) -> None:
                         tracer.count("pool_plan_misses")
                 elif tracer.enabled:
                     tracer.count("pool_plan_hits")
-                entry = cache.get(job.fingerprint)
-                if entry is None:
+                runnable = cache.get(job.fingerprint)
+                if runnable is None:
                     raise MachineError(
                         f"pool worker {boot.rank} has no cached plan "
                         f"{job.fingerprint[:12]} and was sent no blob"
                     )
-                runnable = entry[1]
                 if spec.taskgraph is not None:
                     if job.graph is not None:
                         graphs[job.fingerprint] = job.graph
@@ -260,10 +240,6 @@ def run_pool_worker(boot: PoolBoot, barrier, results) -> None:
                         preds=preds, succs=succs, sizes=sizes,
                     ))
                 if spec.mcast is not None:
-                    if spec.mcast.boundary_seg is not None:
-                        plan_segs.setdefault(job.fingerprint, set()).add(
-                            spec.mcast.boundary_seg
-                        )
                     chan_key = (job.fingerprint, spec.mcast)
                     channel = channels.get(chan_key)
                     if channel is None:
@@ -271,7 +247,6 @@ def run_pool_worker(boot: PoolBoot, barrier, results) -> None:
                             spec.mcast,
                             boot.mcast_sems,
                             boot.rank,
-                            arrays=collect_arrays(entry[0]),
                             attach_cache=seg_cache,
                         )
                         channels[chan_key] = channel
@@ -333,10 +308,6 @@ class _PlanEntry:
     storage: tuple
     #: Ranks that have already received (and cached) the blob.
     shipped: set[int] = field(default_factory=set)
-    #: Lazily-built multicast plumbing per (wave_dim, ascending, staging):
-    #: ``key -> (MulticastSpec, BoundaryPool | None)``.  Boundary pools pin
-    #: shared memory, so they are released with the entry.
-    mcast: dict = field(default_factory=dict)
     #: Resolved plans, ``RunKnobs -> RunPlan``, least recently used first
     #: (at most :data:`PLAN_ENTRY_CAP`).
     plans: dict = field(default_factory=dict)
@@ -468,10 +439,6 @@ class WorkerPool:
             if proc.is_alive():
                 proc.terminate()
                 proc.join(timeout=timeout)
-        for entry in self._plans.values():
-            for _spec, bpool in entry.mcast.values():
-                if bpool is not None:
-                    bpool.release()
         self._plans.clear()
         self._mcast_fabric.release()
 
@@ -483,16 +450,12 @@ class WorkerPool:
 
     # -- plan cache ----------------------------------------------------------
     def _forget(self, entry: _PlanEntry) -> None:
-        """Evict one plan: tell the workers, then unlink its staging."""
+        """Evict one plan: tell the workers, then drop it."""
         for rank in entry.shipped:
             try:
                 self._jobs[rank].send(("forget", entry.fingerprint))
             except (OSError, BrokenPipeError, ValueError):
                 pass
-        for _spec, bpool in entry.mcast.values():
-            if bpool is not None:
-                bpool.release()
-        entry.mcast.clear()
         self._plans.pop(entry.fingerprint, None)
 
     def _lookup(self, compiled: CompiledScan) -> tuple[str, _PlanEntry | None]:
@@ -604,6 +567,7 @@ class WorkerPool:
         Same semantics and return type as
         :func:`repro.parallel.executor.execute`; the difference is purely in
         what is amortised.  The block's arrays are updated in place.
+        ``double_buffer`` is accepted and ignored, as on ``execute``.
         ``sanitize`` (default: ``REPRO_SANITIZE``) shadow-executes the run
         with vector clocks; the stamp segment is per-run, so sanitizing one
         request costs nothing for the next.
@@ -624,7 +588,6 @@ class WorkerPool:
                 timeout=timeout,
                 tracer=tracer,
                 multicast=multicast,
-                double_buffer=double_buffer,
                 sanitize=sanitize,
             )
 
@@ -635,31 +598,6 @@ class WorkerPool:
             for rank, proc in zip(self.grid, self._procs)
             if not proc.is_alive()
         ]
-
-    def _multicast_spec(self, entry: _PlanEntry, run_plan: RunPlan) -> MulticastSpec:
-        """The plan entry's cached epoch-fabric spec (and boundary pool)."""
-        plan = run_plan.wavefront
-        key = (plan.wavefront_dim, run_plan.ascending, run_plan.staging)
-        spec_entry = entry.mcast.get(key)
-        if spec_entry is None:
-            layout = run_plan.layout
-            bpool = (
-                BoundaryPool(self.grid.size, layout.slot_elems)
-                if layout is not None
-                else None
-            )
-            spec_entry = (
-                run_plan.multicast_spec(
-                    self._mcast_fabric.name,
-                    bpool.name if bpool is not None else None,
-                ),
-                bpool,
-            )
-            entry.mcast[key] = spec_entry
-        # Zero the epochs/credits from the previous run; safe because
-        # submissions serialise and every worker is idle here.
-        self._mcast_fabric.reset()
-        return spec_entry[0]
 
     def _execute(
         self,
@@ -701,7 +639,10 @@ class WorkerPool:
             del entry.plans[next(iter(entry.plans))]
         mcast_spec = None
         if run_plan.fabric == "multicast":
-            mcast_spec = self._multicast_spec(entry, run_plan)
+            mcast_spec = run_plan.multicast_spec(self._mcast_fabric.name)
+            # Zero the previous run's epochs; safe because submissions
+            # serialise and every worker is idle here.
+            self._mcast_fabric.reset()
         resources = RunResources(run_plan)
         self.stats["executes"] += 1
         self._seq += 1
@@ -815,17 +756,10 @@ class WorkerPool:
                 ).set(st.get("ready_peak", 0))
             if "mcast_releases" in st:
                 # Multicast-fabric series: one release = one epoch stamp
-                # serving the whole fan-out; flips count staged boundary
-                # buffers, the gauge accumulates compute/copy overlap.
+                # serving the whole fan-out.
                 LIVE.counter(
                     "repro_multicast_releases_total", rank=label
                 ).inc(st.get("mcast_releases", 0))
-                LIVE.counter(
-                    "repro_boundary_buffer_flips_total", rank=label
-                ).inc(st.get("buffer_flips", 0))
-                LIVE.gauge(
-                    "repro_multicast_overlap_seconds", rank=label
-                ).inc(st.get("overlap_seconds", 0.0))
             busy += st.get("busy", 0.0)
             wait += st.get("wait", 0.0)
             elements += st.get("elements", 0)

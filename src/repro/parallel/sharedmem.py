@@ -14,9 +14,8 @@ carry only synchronisation (the pipeline tokens of
 :mod:`repro.parallel.channels`), never data.  This is the natural
 shared-memory realisation of the paper's message-passing schedules — the
 α cost survives as per-token latency, the β cost as memory traffic.  Only
-the scheduler, shadow and fabric state live in named
-:mod:`multiprocessing.shared_memory` segments (:class:`BoundaryPool` and
-its siblings).
+the scheduler, shadow and epoch-fabric state live in named
+:mod:`multiprocessing.shared_memory` segments.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ import os
 import pickle
 import socket
 from contextlib import contextmanager
-from multiprocessing import resource_tracker, shared_memory
+from multiprocessing import resource_tracker
 from multiprocessing.connection import Connection
 from multiprocessing.reduction import recvfds, sendfds
 
@@ -85,50 +84,6 @@ def _untracked_attach():
         yield
     finally:
         resource_tracker.register = original
-
-
-class BoundaryPool:
-    """Parent-side owner of the double-buffered boundary staging segment.
-
-    One segment holds ``n_ranks × N_SLOTS × slot_elems`` float64 elements:
-    each producer rank owns two *slots* and stages block ``k``'s halo rows
-    into slot ``k % 2`` while consumers still read block ``k - 1`` out of
-    the other one (:class:`repro.parallel.collectives.MulticastChannel`).
-    The flip is synchronised purely by the epoch fabric — this class only
-    owns the memory.
-    """
-
-    N_SLOTS = 2
-
-    def __init__(self, n_ranks: int, slot_elems: int):
-        self.n_ranks = n_ranks
-        self.slot_elems = slot_elems
-        nbytes = max(8, n_ranks * self.N_SLOTS * slot_elems * 8)
-        self.seg = shared_memory.SharedMemory(create=True, size=nbytes)
-        self._view = np.ndarray(
-            (n_ranks, self.N_SLOTS, slot_elems),
-            dtype=np.float64,
-            buffer=self.seg.buf,
-        )
-        self._view[...] = 0.0
-
-    @property
-    def name(self) -> str:
-        return self.seg.name
-
-    def slots(self) -> np.ndarray:
-        """Parent-side view (tests and probes)."""
-        return self._view
-
-    def release(self) -> None:
-        if self._view is None:
-            return
-        self._view = None
-        try:
-            self.seg.close()
-            self.seg.unlink()
-        except FileNotFoundError:
-            pass
 
 
 class _BlockPickler(pickle.Pickler):

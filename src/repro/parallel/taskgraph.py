@@ -40,7 +40,6 @@ a dozen of them.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from itertools import accumulate
@@ -51,6 +50,7 @@ import numpy as np
 from repro.errors import MachineError, SanitizerError
 from repro.parallel.sharedmem import _untracked_attach
 from repro.runtime.kernels import PlanRunner
+from repro.util.env import env_int
 from repro.zpl.regions import Region
 
 #: Idle backoff while every deque is empty but the graph is unfinished.
@@ -409,10 +409,4 @@ def resolve_oversub(default: int = 3) -> int:
     ``REPRO_TASKGRAPH_OVERSUB`` overrides; the default of 3 gives the
     stealing scheduler rebalancing slack at ~3x the tile bookkeeping.
     """
-    raw = os.environ.get("REPRO_TASKGRAPH_OVERSUB", "")
-    try:
-        return max(1, int(raw)) if raw else default
-    except ValueError:
-        raise MachineError(
-            f"REPRO_TASKGRAPH_OVERSUB={raw!r} is not an integer"
-        ) from None
+    return max(1, env_int("REPRO_TASKGRAPH_OVERSUB", default))

@@ -11,8 +11,8 @@ releases on:
 
 * :class:`PipeSync` — one token per block over the chain's pipe
   (:mod:`repro.parallel.channels`);
-* :class:`EpochSync` — epoch waits plus boundary absorb, then stage plus
-  one epoch stamp (:mod:`repro.parallel.collectives`);
+* :class:`EpochSync` — epoch waits, then one epoch stamp
+  (:mod:`repro.parallel.collectives`);
 * :class:`repro.analyze.sanitizer.SanitizedSync` — wraps either of the
   above with the race sanitizer's vector clocks, checks and fault
   injections (``REPRO_SANITIZE=1``).
@@ -49,7 +49,6 @@ from repro.compiler.lowering import CompiledScan
 from repro.obs.live.flight import FLIGHT
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.parallel.channels import recv_token, send_token
-from repro.parallel.sharedmem import collect_arrays
 from repro.runtime.kernels import PlanRunner
 from repro.zpl.regions import Region
 
@@ -147,27 +146,23 @@ class PipeSync:
 
 
 class EpochSync:
-    """The multicast fabric: waits are epoch reads (plus the double-buffer
-    absorb), a release is ``stage`` + one stamp serving every consumer."""
+    """The multicast fabric: a wait reads the producers' epochs, a release
+    is one stamp serving every consumer."""
 
     inject_kind = "early-publish"
 
-    def __init__(self, channel, chunks: tuple[Region, ...], timeout: float):
-        self._channel, self._chunks, self._timeout = channel, chunks, timeout
-        self._absorbed = 0
+    def __init__(self, channel, timeout: float):
+        self._channel, self._timeout = channel, timeout
         self.producers = channel.producers
         self.releases = bool(channel.consumers)
 
     def wait(self, k: int) -> int:
         if not self.producers:
             return 0
-        channel = self._channel
-        channel.wait_block(k, self._timeout)
-        self._absorbed = channel.absorb_through(k, self._absorbed, self._chunks)
+        self._channel.wait_block(k, self._timeout)
         return len(self.producers)
 
     def release(self, k: int, chunk: Region) -> None:
-        self._channel.stage(k, chunk, self._timeout)
         self._channel.publish(k)
 
     def stats(self) -> dict:
@@ -302,7 +297,7 @@ def run_blocks(
             tags=job.tags,
         )
     if channel is not None:
-        sync = EpochSync(channel, job.chunks, job.timeout)
+        sync = EpochSync(channel, job.timeout)
     else:
         sync = PipeSync(*links, job.timeout, peer)
     state = None
@@ -365,12 +360,7 @@ def run_worker(task: WorkerTask, barrier, results) -> None:
         if job.mcast is not None:
             from repro.parallel.collectives import MulticastChannel
 
-            channel = MulticastChannel(
-                job.mcast,
-                task.mcast_sems,
-                task.rank,
-                arrays=collect_arrays(compiled),
-            )
+            channel = MulticastChannel(job.mcast, task.mcast_sems, task.rank)
         if tracing:
             tracer.add_span("startup", "setup", t_entry, time.perf_counter())
         # The inherited (forked) heap is garbage-collector ballast: freeze it

@@ -109,6 +109,7 @@ from repro.obs.live.context import current_tags
 from repro.obs.live.flight import FLIGHT
 from repro.obs.trace import NULL_TRACER
 from repro.runtime import native
+from repro.util.env import OFF, env_flag
 from repro.zpl.arrays import ZArray
 from repro.zpl.expr import (
     BinOp, Const, IndexExpr, Node, ParallelOp, Ref, UnOp, Where,
@@ -127,8 +128,6 @@ SKEW_ENV = "REPRO_SKEW"
 #: The engine names every ``engine=`` parameter accepts.
 ENGINES = ("kernel", "flat", "interp")
 
-_OFF_VALUES = ("0", "false", "off", "no", "interp")
-
 #: Plans kept per template and lowering.  A plan is a tuple of views (or one
 #: packed argument block), so the cap only has to exceed the block regions one
 #: decomposition cycles through (a p=16 simulator sweep of Tomcatv 129^2
@@ -137,21 +136,26 @@ PLAN_CACHE_CAP = 1024
 
 
 def _env_engine() -> str | None:
-    """The engine named by the environment, or ``None`` when unset."""
-    value = os.environ.get(ENGINE_ENV)
-    if value is None:
+    """The engine named by the environment, or ``None`` when unset.
+
+    A switch-off value (``0``/``false``/``off``/``no``) means ``interp``;
+    an unknown name is refused like an unknown ``engine=``.
+    """
+    value = os.environ.get(ENGINE_ENV, "").strip().lower()
+    if not value:
         return None
-    value = value.strip().lower()
-    if value in _OFF_VALUES:
+    if value in OFF:
         return "interp"
-    if value in ENGINES:
-        return value
-    return "kernel"
+    if value not in ENGINES:
+        raise MachineError(
+            f"unknown engine {value!r} in {ENGINE_ENV}; pick from {ENGINES}"
+        )
+    return value
 
 
 def skew_enabled() -> bool:
     """True unless ``REPRO_SKEW`` turns hyperplane skewing off."""
-    return os.environ.get(SKEW_ENV, "").strip().lower() not in _OFF_VALUES[:4]
+    return env_flag(SKEW_ENV, True)
 
 
 def default_engine() -> str:

@@ -1,8 +1,7 @@
 """The static schedule certifier (``repro.analyze.certify``).
 
-Covers the three proof obligations on clean planner output — sync coverage
-(E101), deadlock freedom (E102), staging safety (E103) — across all four
-pseudo-schedules, the ``python -m repro.analyze certify`` command line
+Covers the two proof obligations on clean planner output — sync coverage
+(E101) and deadlock freedom (E102) — across all four pseudo-schedules, the ``python -m repro.analyze certify`` command line
 (exit codes, ``--mutate``, ``--out`` report files, W110 on planner-refused
 configurations), and the ``REPRO_CERTIFY=1`` pre-flight hook on the real
 executor.  The mutation soundness harness has its own module
@@ -83,15 +82,17 @@ def test_pipelined_model_shape():
     assert not model.producers and not model.graph_edges
 
 
-def test_multicast_model_carries_staging():
+def test_multicast_model_carries_epoch_waits():
+    from repro.parallel.plan import resolve_run
+
     compiled, _ = _single_stream()
-    model = build_schedule_model(
-        compiled, grid=4, block=8, schedule="pipelined", multicast=True
-    )
+    kwargs = dict(grid=4, block=8, schedule="pipelined", multicast=True)
+    model = build_schedule_model(compiled, **kwargs)
     assert model.fabric == "multicast"
     assert any(model.producers), "epoch waits must replace pipe tokens"
-    assert model.staging and model.n_slots >= model.credit_lag
-    assert model.slot_areas and model.slot_elems > 0
+    run_plan = resolve_run(compiled, static=True, **kwargs)
+    assert model.producers == run_plan.groups.producers
+    assert not model.token_edges and not model.graph_edges
 
 
 def test_taskgraph_model_pending_matches_indegree():
@@ -164,12 +165,7 @@ def test_repro_certify_env_taskgraph_clean(monkeypatch):
 # ---------------------------------------------------------------------------
 RUN_SHAPES = {
     "pipes": dict(schedule="pipelined", multicast=False),
-    "multicast+double-buffer": dict(
-        schedule="pipelined", multicast=True, double_buffer=True
-    ),
-    "multicast-double-buffer": dict(
-        schedule="pipelined", multicast=True, double_buffer=False
-    ),
+    "multicast": dict(schedule="pipelined", multicast=True),
     "taskgraph": dict(schedule="taskgraph", oversub=2),
 }
 
@@ -206,7 +202,7 @@ def test_model_is_a_projection_of_the_run_plan(shape):
         assert model.tiles == tuple(chunk for chunk, _, _ in placed)
         assert model.owners == tuple(rank for _, rank, _ in placed)
         assert model.local_index == tuple(k for _, _, k in placed)
-    assert model.staging == (shape == "multicast+double-buffer")
+    assert model.fabric == {"taskgraph": "graph"}.get(shape, shape)
 
 
 def test_preflight_certifies_the_dispatched_plan(monkeypatch):

@@ -1,4 +1,4 @@
-"""The multicast epoch fabric: groups, staging, flow control, channels.
+"""The multicast epoch fabric: groups, channels, fabric selection.
 
 Unit coverage for :mod:`repro.parallel.collectives` plus the channel-layer
 error paths this PR hardened: `chain_links` layout validation, the timeout
@@ -7,6 +7,7 @@ that turns silently-racing shapes into typed errors.
 """
 
 import multiprocessing as mp
+import os
 
 import numpy as np
 import pytest
@@ -22,16 +23,14 @@ from repro.compiler.schedule import (
 )
 from repro.errors import DistributionError, MachineError
 from repro.machine import ProcessorGrid
-from repro.parallel import execute
+from repro.parallel import WorkerPool, execute
 from repro.parallel.channels import chain_links, recv_token
 from repro.parallel.collectives import (
     MulticastChannel,
     MulticastFabric,
     MulticastGroups,
     MulticastSpec,
-    boundary_layout,
     plan_groups,
-    resolve_double_buffer,
     resolve_multicast,
 )
 from repro.runtime import execute_vectorized, run_and_capture
@@ -112,14 +111,6 @@ def test_resolve_multicast_values(monkeypatch):
         resolve_multicast("sometimes")
 
 
-def test_resolve_double_buffer(monkeypatch):
-    monkeypatch.delenv("REPRO_DOUBLE_BUFFER", raising=False)
-    assert resolve_double_buffer(None) is True
-    assert resolve_double_buffer(False) is False
-    monkeypatch.setenv("REPRO_DOUBLE_BUFFER", "0")
-    assert resolve_double_buffer(None) is False
-
-
 # -- fan-out derivation ------------------------------------------------------
 
 def test_plan_groups_diagonal_fanout_two():
@@ -172,30 +163,6 @@ def test_plan_groups_none_without_chunk_dim():
     assert groups is None
 
 
-# -- boundary staging layout -------------------------------------------------
-
-def test_boundary_layout_depths_and_offsets():
-    compiled, _ = _diagonal_block()
-    plan = plan_wavefront(compiled)
-    layout = boundary_layout(compiled, plan)
-    assert layout is not None
-    assert layout.arrays == ((0, 1),)  # one written array, depth-1 halo
-    assert layout.offsets == (0,)
-    region = plan.region
-    unit = region.size // region.extent(plan.wavefront_dim)
-    assert layout.slot_elems == unit
-
-
-def test_boundary_layout_depth_two():
-    compiled, _ = _diagonal_block(depth2=True)
-    plan = plan_wavefront(compiled)
-    layout = boundary_layout(compiled, plan)
-    assert layout.arrays == ((0, 2),)
-    region = plan.region
-    unit = region.size // region.extent(plan.wavefront_dim)
-    assert layout.slot_elems == 2 * unit
-
-
 # -- the epoch channel -------------------------------------------------------
 
 def _fabric_pair():
@@ -204,14 +171,7 @@ def _fabric_pair():
         producers=((), (0,)), consumers=((1,), ()), fanout=(1, 0)
     )
     fabric = MulticastFabric(ctx, 2)
-    spec = MulticastSpec(
-        epoch_seg=fabric.name,
-        n_ranks=2,
-        groups=groups,
-        wave_dim=0,
-        wave_ascending=True,
-        rows_by_rank=(None, None),
-    )
+    spec = MulticastSpec(epoch_seg=fabric.name, n_ranks=2, groups=groups)
     producer = MulticastChannel(spec, fabric.sems, 0)
     consumer = MulticastChannel(spec, fabric.sems, 1)
     return fabric, producer, consumer
@@ -250,29 +210,6 @@ def test_wait_for_timeout_names_producer_and_epoch():
         fabric.release()
 
 
-def test_slow_consumer_blocks_buffer_reuse():
-    # Epoch-flip correctness: the producer may not overwrite slot k % 2
-    # until the (slow) consumer has credited block k - 1.  The front
-    # buffer therefore stays stable for as long as any reader needs it.
-    fabric, producer, consumer = _fabric_pair()
-    try:
-        assert producer.wait_credit(0, timeout=0.1) == 0.0  # slot 0 fresh
-        assert producer.wait_credit(1, timeout=0.1) == 0.0  # slot 1 fresh
-        with pytest.raises(MachineError) as err:
-            producer.wait_credit(2, timeout=0.15)  # slot 0 still held
-        assert "consumer rank(s) [1]" in str(err.value)
-        consumer.credit(0, 0)  # the slow reader finally releases block 0
-        producer.wait_credit(2, timeout=0.1)
-        with pytest.raises(MachineError):
-            producer.wait_credit(3, timeout=0.15)  # block 1 still held
-        consumer.credit(0, 1)
-        producer.wait_credit(3, timeout=0.1)
-    finally:
-        producer.detach()
-        consumer.detach()
-        fabric.release()
-
-
 def test_drain_swallows_stale_posts_and_reset_zeroes():
     fabric, producer, consumer = _fabric_pair()
     try:
@@ -281,10 +218,8 @@ def test_drain_swallows_stale_posts_and_reset_zeroes():
         consumer.drain()
         assert not fabric.sems[1].acquire(False)
         producer.publish(0)
-        consumer.credit(0, 0)
         fabric.reset()
         assert list(fabric.epochs()) == [0, 0]
-        assert fabric.consumed().sum() == 0
     finally:
         producer.detach()
         consumer.detach()
@@ -366,3 +301,54 @@ def test_multicast_off_forces_pipes():
 
     run_and_capture(engine, compiled, arrays)
     assert runs[0].fabric == "pipes"
+
+
+def test_pool_plans_once_whatever_double_buffer_says():
+    # ``double_buffer`` is accepted and ignored, so it must not split the
+    # pool's plan cache: the second call is a plan hit.
+    compiled, arrays = _diagonal_block()
+    oracle = run_and_capture(execute_vectorized, compiled, arrays)
+    pool = WorkerPool(2)
+    try:
+        runs = []
+
+        def engine(c):
+            for double_buffer in (True, False):
+                runs.append(pool.execute(
+                    c, schedule="pipelined", block=3,
+                    double_buffer=double_buffer, timeout=60.0,
+                ))
+
+        got = run_and_capture(engine, compiled, arrays)
+        assert pool.stats["run_plan_misses"] == 1
+        assert pool.stats["run_plan_hits"] == 1
+    finally:
+        pool.close()
+    assert [run.fabric for run in runs] == ["multicast", "multicast"]
+    for want, have in zip(oracle, got):
+        np.testing.assert_array_equal(have, want)
+
+
+def _segments() -> set[str]:
+    if not os.path.isdir("/dev/shm"):
+        pytest.skip("needs /dev/shm to observe per-plan segments")
+    return set(os.listdir("/dev/shm"))
+
+
+def test_multicast_runs_leave_no_per_plan_segment():
+    compiled, _ = _diagonal_block()
+    before_pool = _segments()
+    pool = WorkerPool(2)
+    try:
+        with_pool = _segments()
+        run = pool.execute(compiled, schedule="pipelined", block=3, timeout=60.0)
+        assert run.fabric == "multicast"
+        # The pool's epoch segment is all it holds; the plan adds nothing.
+        assert _segments() <= with_pool
+    finally:
+        pool.close()
+    assert _segments() <= before_pool
+    before = _segments()
+    run = execute(compiled, grid=2, schedule="pipelined", block=3, timeout=60.0)
+    assert run.fabric == "multicast"
+    assert _segments() <= before

@@ -4,8 +4,7 @@ Random legal scan blocks — optionally masked, optionally with a
 contracted temporary, with per-dimension direction signs drawn so
 descending (negative-stride) traversals are covered — must leave storage
 bit-identical whether the pipelined schedule synchronises over
-point-to-point pipes, over the multicast epoch fabric, or over the
-fabric with double-buffered boundary staging on top; all three must
+point-to-point pipes or over the multicast epoch fabric; both must
 match the vectorised sequential engine and (to float tolerance) the
 scalar loop-nest oracle.  The dependence pool leans on diagonal and
 depth-2 reads so tile fan-outs ≥ 2 — the shapes the planner actually
@@ -158,12 +157,8 @@ def test_multicast_matches_all_engines(program):
             got, want, err_msg=f"array {array.name}: pipes != vectorized"
         )
 
-    for label, kwargs in (
-        ("multicast", {"multicast": True, "double_buffer": False}),
-        ("multicast+dbuf", {"multicast": True, "double_buffer": True}),
-    ):
-        fabric = run_fabric(**kwargs)
-        for array, want, got in zip(arrays, fast, fabric):
-            np.testing.assert_array_equal(
-                got, want, err_msg=f"array {array.name}: {label} != vectorized"
-            )
+    fabric = run_fabric(multicast=True)
+    for array, want, got in zip(arrays, fast, fabric):
+        np.testing.assert_array_equal(
+            got, want, err_msg=f"array {array.name}: multicast != vectorized"
+        )
