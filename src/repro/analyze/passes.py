@@ -39,6 +39,7 @@ from repro.compiler.skew import (
     MAX_SKEW_RANK,
     derive_time_vector,
     looped_dims,
+    planes_independent,
 )
 from repro.compiler.udv import constraint_vectors, extract_dependences, true_vectors
 from repro.compiler.wsv import DimClass, classify
@@ -754,11 +755,15 @@ def explain_skew(
     planes = skew.planes(region.shape)
     sliced = [d for d in dims if d not in skew.dims]
     coefficient = dict(zip(skew.dims, skew.tau))
+    # The kernel layer's decision, dependence by dependence: the ones a
+    # point-by-point sweep of a plane would break.
+    ties = [d for d in deps if not planes_independent(skew.tau, skew.dims, (d,))]
     data |= {
         "tau": [coefficient.get(d, 0) for d in dims],
         "axis_aligned": skew.lowering == "rows",
         "lowering": skew.lowering or "flat",
         "planes": planes,
+        "native_order": "planes" if skew.lowering and not ties else "loop",
     }
     if skew.lowering is None:
         return [
@@ -766,30 +771,42 @@ def explain_skew(
                 "I302",
                 f"skew ineligible: the {planes} planes of {skew!r} are not "
                 f"lines (three or more components, or no unit coefficient), "
-                f"so numpy has no strided sweep for them",
+                f"so neither numpy nor the native nest sweeps them",
                 span=span_of(statements[0]),
                 hint="the native loop nest runs the block in loop order; "
-                     "without it the flat point loop does",
+                     "without a C compiler the flat point loop does",
                 data=data,
             )
         ] + w111
     if skew.lowering == "rows":
         how = (
-            f"dimension {skew.dims[0]} carries every dependence; the rest "
-            f"vectorise — a row loop of {planes} steps, no hyperplane gathers"
+            f"dimension {skew.dims[0]} carries every dependence — a row loop "
+            f"of {planes} steps, no hyperplane gathers"
         )
     else:
-        how = (
-            f"executes {planes} sheared diagonals over dimensions "
-            f"{skew.dims}: strided views, no index tables"
-        )
+        how = f"{planes} sheared diagonals over dimensions {skew.dims}"
         if sliced:
-            how += f"; looped dimension(s) {sliced} carry nothing and vectorise"
+            how += f", looped dimension(s) {sliced} carrying nothing"
+    if ties:
+        how += (
+            "; numpy evaluates each plane whole, but the native nest keeps "
+            "loop order: a dependence ties inside a plane"
+        )
+    else:
+        how += "; the native nest runs plane by plane, numpy slices each plane"
     return [
         Diagnostic(
             "I302",
             f"skew eligible: {skew!r} — {how}",
             span=span_of(statements[0]),
+            because=tuple(
+                Because(
+                    "udv",
+                    f"{d.kind.value} dependence {d.vector} on {d.array!r} "
+                    f"ties inside a plane (τ·v = 0)",
+                )
+                for d in ties
+            ),
             hint="the kernel engine auto-selects this plan",
             data=data,
         )

@@ -41,6 +41,7 @@ from repro.compiler.skew import (
     derive_time_vector,
     legal_time_vector,
     looped_dims,
+    planes_independent,
 )
 
 __all__ = [
@@ -73,4 +74,5 @@ __all__ = [
     "derive_time_vector",
     "legal_time_vector",
     "looped_dims",
+    "planes_independent",
 ]

@@ -20,7 +20,9 @@ loop-nest normalisation is needed):
   because execution keeps array semantics within a hyperplane: each
   statement evaluates its whole right-hand side before it stores (into a
   fresh array, or through a ufunc ``out=``, which NumPy defines to behave
-  as if it overlapped no input), and statements run in lexical order;
+  as if it overlapped no input), and statements run in lexical order
+  (a point-by-point sweep has no such guarantee: it needs
+  :func:`planes_independent`, which allows no tie at all);
 * components over completely *parallel* dimensions are ignored (those
   dimensions stay vectorised inside each hyperplane, exactly as in the flat
   engines; true dependences have zero components there by construction of
@@ -129,6 +131,26 @@ def legal_time_vector(
             if any(restricted) and dot <= 0:
                 return False
         elif dot < 0:  # anti/output: write must not overtake the read
+            return False
+    return True
+
+
+def planes_independent(
+    tau: Sequence[int],
+    dims: Sequence[int],
+    dependences: Sequence[Dependence],
+) -> bool:
+    """True when the points of one plane of ``tau`` are independent.
+
+    Stricter than :func:`legal_time_vector`: every dependence whose vector
+    restricted to ``dims`` is nonzero needs ``τ·v > 0``, anti and output
+    ones included.  A sweep that stores point by point (the native nest)
+    may then visit a plane's points in any order; a tie is safe only for a
+    sweep that evaluates the whole plane before it stores.
+    """
+    for dep in dependences:
+        restricted = tuple(dep.vector[d] for d in dims)
+        if any(restricted) and sum(t * c for t, c in zip(tau, restricted)) <= 0:
             return False
     return True
 

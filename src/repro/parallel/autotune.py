@@ -550,7 +550,7 @@ def host_collective(start_method: str | None = None) -> CollectiveParams:
 #: (plan fingerprint, plan kind) -> (compute s/elt, dispatch s/block).
 #: Skewed and flat plans of the same block have wildly different constants
 #: (one fused kernel per hyperplane vs one dispatch per point), so the memo
-#: is keyed per kind: flipping ``REPRO_SKEW``/``REPRO_ENGINE`` re-measures
+#: is keyed per kind: flipping ``REPRO_ENGINE`` re-measures
 #: instead of reusing the other family's α.
 _BLOCK_COSTS: dict[tuple[str, str], tuple[float, float]] = {}
 

@@ -26,13 +26,11 @@ from repro.runtime.kernels import (
     ENGINE_ENV,
     ENGINES,
     KERNEL_STATS,
-    SKEW_ENV,
     PlanRunner,
     default_engine,
     plan_fingerprint,
     plan_kind,
     resolve_engine,
-    skew_enabled,
     statement_needs_copy,
     try_execute_kernels,
 )
@@ -41,7 +39,6 @@ __all__ = [
     "ENGINE_ENV",
     "ENGINES",
     "KERNEL_STATS",
-    "SKEW_ENV",
     "ArraySnapshot",
     "PlanRunner",
     "default_engine",
@@ -52,7 +49,6 @@ __all__ = [
     "plan_kind",
     "resolve_engine",
     "run_and_capture",
-    "skew_enabled",
     "statement_needs_copy",
     "try_execute_kernels",
 ]

@@ -55,17 +55,23 @@ sweep: it runs the flat family.
 **The native lowering.**  Every numpy lowering above approximates, with one
 ufunc call per node per row, the loop nest the paper's compiler emits.  Where
 the host has a C compiler the emitter's second back end (:class:`_CEmitter`)
-writes that nest itself — every dimension in ``loops.order`` with
-``loops.signs``, statements in lexical order at each point, exactly what
-:func:`~repro.runtime.loopnest.execute_loopnest` runs — as one C function
-over the same slots (base pointer and element strides per ``(array, offset)``
-view; extents, start coordinates and signs are run-time arguments, so the
-text is region- and shape-independent), and :mod:`repro.runtime.native`
-builds it once per machine behind a source-hash disk cache.  It is a
-*lowering*, not an engine: ``engine="kernel"`` runs it for either plan family
-whenever it exists, :func:`plan_kind` still answers ``flat``/``skewed``, and
-``"flat"``/``"interp"`` still mean numpy.  Bit-identity defines what it
-covers: float64 storage and exactly rounded operators only (``+ - * /``,
+writes that nest itself, statements in lexical order at each point.  A block
+with a skew whose planes are independent
+(:func:`~repro.compiler.skew.planes_independent`: no dependence ties inside
+a plane) gets the *plane nest*: an outer loop over the planes, an inner loop
+over the points of one plane — no two of which wait on each other, so the
+CPU overlaps them instead of running at the recurrence's latency — and every
+other dimension inside those in ``loops.order``.  Any other block gets
+exactly the nest :func:`~repro.runtime.loopnest.execute_loopnest` runs, every
+dimension in ``loops.order``.  Either is one C function over the same slots
+(base pointer and element strides per ``(array, offset)`` view, with
+``loops.signs`` folded in; extents, start coordinates and signs are run-time
+arguments, so the text is region- and shape-independent), and
+:mod:`repro.runtime.native` builds it once per machine behind a source-hash
+disk cache.  It is a *lowering*, not an engine: ``engine="kernel"`` runs it
+for either plan family whenever it exists, :func:`plan_kind` still answers
+``flat``/``skewed``, and ``"flat"``/``"interp"`` still mean numpy.
+Bit-identity defines what it covers: float64 storage and exactly rounded operators only (``+ - * /``,
 unary ``-``, ``abs``, ``sqrt``, ``floor``/``ceil``, ``max``/``min`` with
 numpy's NaN and ±0 choices, comparisons, ``where``); anything else — and any
 block with no looped dimension, which is already one ufunc pass per
@@ -76,9 +82,9 @@ The engine selection contract is shared by every consumer: ``"kernel"``
 (the default) runs plans from here, auto-selecting the skewed family when
 legal; ``"flat"`` keeps the kernel plans but never skews; ``"interp"`` is
 the escape hatch back to the tree-walking engines.  ``REPRO_ENGINE``
-flips the default, ``REPRO_SKEW=0`` disables skewing globally.  Blocks the
-kernel layer cannot express (stray parallel operators) fall back silently —
-behaviour is identical either way, only the constant factor changes.
+flips the default.  Blocks the kernel layer cannot express (stray parallel
+operators) fall back silently — behaviour is identical either way, only the
+constant factor changes.
 
 :func:`plan_fingerprint` names a lowered plan by *structure* (region, loop
 nest, statement trees with arrays numbered in first-occurrence order) so
@@ -102,14 +108,14 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from repro.compiler.lowering import CompiledScan
-from repro.compiler.skew import derive_skew
+from repro.compiler.skew import derive_skew, planes_independent
 from repro.compiler.wsv import DimClass
 from repro.errors import ArrayError, MachineError
 from repro.obs.live.context import current_tags
 from repro.obs.live.flight import FLIGHT
 from repro.obs.trace import NULL_TRACER
 from repro.runtime import native
-from repro.util.env import OFF, env_flag
+from repro.util.env import OFF
 from repro.zpl.arrays import ZArray
 from repro.zpl.expr import (
     BinOp, Const, IndexExpr, Node, ParallelOp, Ref, UnOp, Where,
@@ -120,10 +126,6 @@ from repro.zpl.statements import Assign
 #: The one engine knob: ``kernel`` (default; skewed plans auto-selected),
 #: ``flat`` (kernel plans, no skewing) or ``interp`` (tree-walking engines).
 ENGINE_ENV = "REPRO_ENGINE"
-
-#: Hyperplane-skewing kill switch: ``0``/``false``/``off`` turn every
-#: ``kernel`` selection (explicit or default) into ``flat``.
-SKEW_ENV = "REPRO_SKEW"
 
 #: The engine names every ``engine=`` parameter accepts.
 ENGINES = ("kernel", "flat", "interp")
@@ -153,35 +155,17 @@ def _env_engine() -> str | None:
     return value
 
 
-def skew_enabled() -> bool:
-    """True unless ``REPRO_SKEW`` turns hyperplane skewing off."""
-    return env_flag(SKEW_ENV, True)
-
-
 def default_engine() -> str:
     """The engine used when no explicit ``engine=`` is given (env-driven)."""
-    engine = _env_engine()
-    if engine is None:
-        engine = "kernel"
-    if engine == "kernel" and not skew_enabled():
-        return "flat"
-    return engine
+    return _env_engine() or "kernel"
 
 
 def resolve_engine(engine: str | None) -> str:
-    """Engine resolution used by every entry point: explicit > env > kernel.
-
-    ``"kernel"`` means *best available* — it downgrades to ``"flat"`` when
-    ``REPRO_SKEW`` disables skewing, so the kill switch works even against
-    explicit ``engine="kernel"`` callers; ``"flat"`` and ``"interp"`` are
-    always honoured verbatim.
-    """
+    """Engine resolution used by every entry point: explicit > env > kernel."""
     if engine is None:
         return default_engine()
     if engine not in ENGINES:
         raise MachineError(f"unknown engine {engine!r}; pick from {ENGINES}")
-    if engine == "kernel" and not skew_enabled():
-        return "flat"
     return engine
 
 
@@ -482,24 +466,31 @@ def _native_unsupported(statements) -> str | None:
 
 
 class _CEmitter(_Emitter):
-    """The emitter's second back end: the block as the C nest the oracle runs.
+    """The emitter's second back end: the block as a scalar C loop nest.
 
     Same slots, same contraction bookkeeping, different text: every dimension
-    is looped, in ``loops.order`` — the bind folds each traversal sign into
-    the view's base pointer and strides, so the C always counts ``i`` up
-    from zero — and the body is scalar: statements in lexical order at each
-    point, a mask as a select on the store, a contracted temporary as a
-    ``double``, an :class:`IndexExpr` as ``start + sign·i``.  The function
-    takes one packed ``long long`` block (:meth:`KernelTemplate._bind_native`
-    fills it): ``rank`` extents, start coordinates and signs, then base
-    address and ``rank`` element strides per view slot.  No ``restrict``:
-    views of one array overlap, and the reloads that costs are the oracle's
-    semantics.  Nothing in the text depends on a region, a shape, an address
-    or a hash order, so equal programs give equal bytes in every interpreter.
+    is looped, outermost first in ``order`` — the bind folds each traversal
+    sign into the view's base pointer and strides, so the C always counts
+    ``i`` up from zero — and the body is scalar: statements in lexical order
+    at each point, a mask as a select on the store, a contracted temporary as
+    a ``double``, an :class:`IndexExpr` as ``start + sign·i``.  ``order`` is
+    ``loops.order`` (the oracle's nest) or a skew's dimensions followed by the
+    rest of ``loops.order`` (the plane nest).  A ``shear`` coefficient
+    ``c > 0`` sweeps the first two, ``u`` then ``q``, plane by plane: ``t``
+    runs over the planes of τ = (1, c) and the inner loop over the ``q`` of
+    plane ``t``, with ``i_u = t - c·i_q``.  The function takes one packed
+    ``long long`` block (:meth:`KernelTemplate._bind_native` fills it):
+    ``rank`` extents, start coordinates and signs, then base address and
+    ``rank`` element strides per view slot.  No ``restrict``: views of one
+    array overlap, and the reloads that costs are the oracle's semantics.
+    Nothing in the text depends on a region, a shape, an address or a hash
+    order, so equal programs give equal bytes in every interpreter.
     """
 
-    def __init__(self, order: tuple[int, ...], contracted_ids: frozenset[int]):
+    def __init__(self, order: tuple[int, ...], contracted_ids: frozenset[int],
+                 shear: int = 0):
         super().__init__(order, len(order), contracted_ids, "rows")
+        self.shear = shear
         self.index_dims: set[int] = set()
 
     def _at(self, array: ZArray, offset: tuple[int, ...]) -> str:
@@ -554,12 +545,19 @@ class _CEmitter(_Emitter):
                 f"    double *const v{j} = (double *)A[{base}]; "
                 f"const long long {strides};"
             )
-        for depth, d in enumerate(self.looped, 1):
-            lines.append(
-                "    " * depth
-                + f"for (long long i{d} = 0; i{d} < n{d}; i{d}++)"
-                + (" {" if depth == rank else "")
+        loops = [f"for (long long i{d} = 0; i{d} < n{d}; i{d}++)" for d in self.looped]
+        if self.shear:
+            (u, q), c = self.looped[:2], self.shear
+            cq, first = (
+                (f"{c} * ", f"(t - n{u}) / {c} + 1") if c > 1 else ("", f"t - n{u} + 1")
             )
+            loops[:2] = [
+                f"for (long long t = 0; t < n{u} + {cq}(n{q} - 1); t++)",
+                f"for (long long i{q} = t < n{u} ? 0 : {first}, i{u} = t - {cq}i{q}; "
+                f"i{q} < n{q} && i{u} >= 0; i{q}++, i{u} -= {c})",
+            ]
+        for depth, loop in enumerate(loops, 1):
+            lines.append("    " * depth + loop + (" {" if depth == rank else ""))
         body = [
             f"const double x{d} = (double)(A[{rank + d}] + A[{2 * rank + d}] * i{d});"
             for d in sorted(self.index_dims)
@@ -679,8 +677,8 @@ class KernelTemplate:
     """Per-plan compile-time state: generated kernels plus the region-plan cache."""
 
     __slots__ = ("_compiled", "statements", "loops", "region", "contracted",
-                 "contracted_ids", "looped", "supported", "skew", "plans",
-                 "_kernels", "_native", "native_error")
+                 "contracted_ids", "looped", "supported", "skew", "native_order",
+                 "plans", "_kernels", "_native", "native_error")
 
     def __init__(self, statements, region: Region, loops=None, contracted=()):
         self._compiled = None
@@ -700,6 +698,10 @@ class KernelTemplate:
         #: no legal τ, a plane that is not a line, or unsupported
         #: expressions).  Set once by :func:`template_for`.
         self.skew = None
+        #: The native nest: ``planes`` sweeps :attr:`skew`'s planes (no
+        #: dependence ties inside one), ``loop`` is ``loops.order``.  Set
+        #: once by :func:`template_for`.
+        self.native_order = "loop"
         #: (region.ranges, skewed | "native") -> plan, insertion-ordered (LRU
         #: eviction).
         self.plans: dict[tuple, KernelPlan] = {}
@@ -773,7 +775,12 @@ class KernelTemplate:
             return None
         why = _native_unsupported(self.statements)
         if why is None:
-            emitter = _CEmitter(self.loops.order, self.contracted_ids)
+            order, shear = self.loops.order, 0
+            if self.native_order == "planes":
+                dims, _, lowering = self._nest(True)
+                order = dims + tuple(d for d in order if d not in dims)
+                shear = max(map(abs, self.skew.tau)) if lowering == "shear" else 0
+            emitter = _CEmitter(order, self.contracted_ids, shear)
             for stmt in self.statements:
                 emitter.statement(stmt)
             source = emitter.source()
@@ -963,6 +970,8 @@ def template_for(compiled: CompiledScan) -> KernelTemplate:
         skew = derive_skew(compiled)
         if skew is not None and skew.lowering is not None:
             template.skew = skew
+            if planes_independent(skew.tau, skew.dims, compiled.dependences):
+                template.native_order = "planes"
     KERNEL_STATS.template_builds += 1
     _TEMPLATES[key] = template
     weakref.finalize(compiled, _TEMPLATES.pop, key, None)

@@ -1,10 +1,10 @@
 """The ``python -m repro.analyze`` command line.
 
-Includes the env-knob satellite: linting under ``REPRO_ENGINE``, the
-removed (now ignored) ``REPRO_KERNELS`` alias and the ``REPRO_SKEW=0`` kill
-switch must behave identically — lint never executes a program, so it must
-never touch the kernel layer those knobs configure (``KERNEL_STATS`` stays
-frozen) and never mutate array storage.
+Includes the env-knob satellite: linting under ``REPRO_ENGINE`` and the
+removed (now ignored) ``REPRO_KERNELS`` alias must behave identically —
+lint never executes a program, so it must never touch the kernel layer
+those knobs configure (``KERNEL_STATS`` stays frozen) and never mutate
+array storage.
 """
 
 import json
@@ -108,7 +108,7 @@ def test_repro_examples_lint_clean():
 
 
 def test_lint_untouched_by_kernel_env_knobs(zpl_file, capsys, monkeypatch):
-    """REPRO_ENGINE, the removed REPRO_KERNELS and REPRO_SKEW=0 don't change lint.
+    """REPRO_ENGINE and the removed REPRO_KERNELS don't change lint.
 
     Lint never executes: the kernel layer the knobs configure must stay
     completely cold (no template/plan builds, no fallbacks), and the output
@@ -119,11 +119,9 @@ def test_lint_untouched_by_kernel_env_knobs(zpl_file, capsys, monkeypatch):
     baseline = capsys.readouterr().out
 
     monkeypatch.delenv("REPRO_ENGINE", raising=False)
-    monkeypatch.delenv("REPRO_SKEW", raising=False)
     monkeypatch.setenv("REPRO_KERNELS", "interp")  # removed alias: ignored
     assert default_engine() == "kernel"
     monkeypatch.setenv("REPRO_ENGINE", "interp")
-    monkeypatch.setenv("REPRO_SKEW", "0")  # skew kill switch
     KERNEL_STATS.reset()
     before = KERNEL_STATS.snapshot()
     assert main(["lint", path, "--json"]) == 1
@@ -131,8 +129,7 @@ def test_lint_untouched_by_kernel_env_knobs(zpl_file, capsys, monkeypatch):
     assert KERNEL_STATS.snapshot() == before  # no kernel activity at all
 
 
-def test_lint_suite_builds_no_kernel_plans(capsys, monkeypatch):
-    monkeypatch.setenv("REPRO_SKEW", "0")
+def test_lint_suite_builds_no_kernel_plans(capsys):
     KERNEL_STATS.reset()
     assert main(["lint", "--suite", "--n", "48"]) == 0
     capsys.readouterr()

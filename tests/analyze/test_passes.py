@@ -384,10 +384,27 @@ def test_i302_dp_recurrence_skew_eligible():
     program, _ = lint(source)
     d = only(explain_program(program), "I302")
     assert "skew eligible" in d.message
-    assert "29 sheared diagonals" in d.message and "no index tables" in d.message
+    assert "29 sheared diagonals" in d.message and "plane by plane" in d.message
     assert d.data["tau"] == [1, 1] and d.data["axis_aligned"] is False
-    assert d.data["lowering"] == "shear"
+    assert d.data["lowering"] == "shear" and d.data["native_order"] == "planes"
     assert d.data["planes"] == 15 + 15 - 1  # anti-diagonals of the 15x15 region
+    assert not d.because
+
+
+def test_i302_names_the_dependence_that_ties_inside_a_plane():
+    """An old-value read across the anti-diagonal: numpy's whole-plane sweep
+    is legal, a point-by-point one is not, so the native nest keeps loop order."""
+    source = (
+        "[2..n, 2..n] scan\n"
+        "  a := 0.4 * a'@(-1,0) + 0.4 * a'@(0,-1) + 0.1 * a@(1,-1);\n"
+        "end;"
+    )
+    program, _ = lint(source)
+    d = only(explain_program(program), "I302")
+    assert d.data["lowering"] == "shear" and d.data["native_order"] == "loop"
+    assert "keeps loop order" in d.message
+    (tie,) = d.because
+    assert tie.detail.startswith("anti dependence") and "ties inside a plane" in tie.detail
 
 
 def _three_carriers():
@@ -406,7 +423,7 @@ def test_i302_three_carriers_have_no_numpy_sweep():
     d = only(explain_program(_three_carriers()), "I302")
     assert "not lines" in d.message and "skew ineligible" in d.message
     assert d.data["tau"] == [1, 1, 1] and d.data["lowering"] == "flat"
-    assert d.data["planes"] == 19
+    assert d.data["planes"] == 19 and d.data["native_order"] == "loop"
     assert d.data["native"] is (native.HOST.probe() is None)
 
 
@@ -442,6 +459,7 @@ def test_i302_lowering_of_the_repo_examples(example, lowering, capsys):
     (report,) = json.loads(capsys.readouterr().out)
     (d,) = [d for d in report["diagnostics"] if d["code"] == "I302"]
     assert d["data"]["lowering"] == lowering
+    assert d["data"]["native_order"] == "planes"
 
 
 @pytest.mark.parametrize(
@@ -461,7 +479,7 @@ def test_i302_single_carrier_is_axis_aligned(region, expr, tau, planes):
     assert "hyperplane gathers" in d.message and "anti-diagonal" not in d.message
     assert d.data["looped_dims"] == [0, 1]
     assert d.data["tau"] == tau and d.data["axis_aligned"] is True
-    assert d.data["lowering"] == "rows"
+    assert d.data["lowering"] == "rows" and d.data["native_order"] == "planes"
     assert d.data["planes"] == planes
 
 

@@ -33,10 +33,9 @@ def numpy_lowerings():
 
 @pytest.fixture
 def kernel_engine(monkeypatch):
-    """The default engine, whatever ``REPRO_ENGINE``/``REPRO_SKEW`` the
-    suite runs under: for tests about which kernel plan family runs."""
+    """The default engine, whatever ``REPRO_ENGINE`` the suite runs under:
+    for tests about which kernel plan family runs."""
     monkeypatch.delenv("REPRO_ENGINE", raising=False)
-    monkeypatch.delenv("REPRO_SKEW", raising=False)
 
 
 @pytest.fixture

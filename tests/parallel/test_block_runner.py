@@ -166,7 +166,7 @@ def test_skew_flip_between_pooled_calls_changes_the_plan_tag(
             return {s.args["plan"] for s in run.trace.worker_spans("compute")}
 
         assert plans() == {"skewed"}
-        monkeypatch.setenv("REPRO_SKEW", "0")
+        monkeypatch.setenv("REPRO_ENGINE", "flat")
         assert plans() == {"flat"}
     finally:
         pool.close()

@@ -82,6 +82,13 @@ RO_BASES = {
     2: ((-1, 0), (1, 0), (0, -1), (0, 1), (1, 1), (0, 0)),
     3: ((-1, 0, 0), (0, 1, 0), (0, 0, -1), (1, 1, 0), (0, 0, 0)),
 }
+#: Unprimed target reads across a plane of the multi-carrier variant's τ
+#: (sign-scaled): an anti dependence with ``τ·v = 0`` that only whole-plane
+#: evaluation keeps correct, so the native nest must keep loop order.
+PLANE_TIE_BASES = {
+    2: ((1, -1), (-1, 1)),
+    3: ((1, -1, 0), (-1, 1, 0), (1, 0, -1), (-1, 0, 1)),
+}
 
 
 @st.composite
@@ -131,10 +138,14 @@ def skew_programs(draw, single_carrier=False, three_carriers=False):
     ro_dirs = [_scaled(d, signs) for d in RO_BASES[rank]]
     #: Unprimed other-target offsets with a zero on the carrying axis.
     tie_dirs = [d for d in ro_dirs if any(d) and not d[axis]]
+    plane_dirs = [_scaled(d, signs) for d in PLANE_TIE_BASES[rank]]
+    plane_ties = []
 
     kinds = ("primed", "readonly", "self", "temp")
     if single_carrier:
         kinds += ("tie", "tie")
+    elif not three_carriers:
+        kinds += ("plane", "plane")
 
     def one_expr(k, force_wavefront):
         expr = zpl.as_node(draw(st.floats(0.05, 0.5)))
@@ -158,6 +169,10 @@ def skew_programs(draw, single_carrier=False, three_carriers=False):
             elif kind == "tie":
                 direction = draw(st.sampled_from(tie_dirs))
                 expr = expr + coeff * (targets[1 - k] @ direction)
+            elif kind == "plane":
+                other = targets[draw(st.integers(0, n_targets - 1))]
+                plane_ties.append(draw(st.sampled_from(plane_dirs)))
+                expr = expr + coeff * (other @ plane_ties[-1])
             elif kind == "temp" and temp is not None:
                 expr = expr + coeff * temp.ref
             else:
@@ -187,7 +202,7 @@ def skew_programs(draw, single_carrier=False, three_carriers=False):
         compiled = compile_scan(block)
     except ReproError:
         # Only a drawn tie may over-constrain the loop structure: redraw.
-        assume(not single_carrier)
+        assume(not (single_carrier or plane_ties))
         raise
     if temp is not None and contractible(compiled, temp):
         compiled = contract(compiled, [temp])

@@ -41,7 +41,6 @@ def kernel_vs_interp(compiled, arrays):
 class TestEngineSelection:
     def test_default_is_kernel(self, monkeypatch):
         monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        monkeypatch.delenv("REPRO_SKEW", raising=False)
         assert default_engine() == "kernel"
         assert resolve_engine(None) == "kernel"
 
@@ -53,7 +52,6 @@ class TestEngineSelection:
     @pytest.mark.parametrize("value", ["0", "interp", "flat"])
     def test_removed_alias_is_ignored(self, monkeypatch, value):
         monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        monkeypatch.delenv("REPRO_SKEW", raising=False)
         monkeypatch.setenv("REPRO_KERNELS", value)
         assert default_engine() == "kernel"
 

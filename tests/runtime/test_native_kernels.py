@@ -2,10 +2,11 @@
 
 Bit identity is checked against every numpy way to run the same block
 (``tests.conftest.engine_matrix``) and against the scalar loop-nest oracle,
-whose order the C nest reproduces.  Everything about *who compiles, and how
-often* runs in fresh interpreters on a private cache directory with ``$CC``
-pointed at a stub that records each invocation before handing over to the
-real compiler.
+whose order the C nest reproduces — or sweeps plane by plane, where no
+dependence ties inside a plane of the block's skew.  Everything about *who
+compiles, and how often* runs in fresh interpreters on a private cache
+directory with ``$CC`` pointed at a stub that records each invocation before
+handing over to the real compiler.
 """
 
 import hashlib
@@ -23,6 +24,7 @@ import pytest
 
 from repro import zpl
 from repro.apps import sweep3d, tomcatv
+from repro.apps.alignment import _build_batch_plan, build_score_block
 from repro.compiler import compile_scan, contract
 from repro.obs.trace import Tracer
 from repro.parallel.sharedmem import collect_arrays
@@ -35,7 +37,7 @@ from repro.runtime import (
     plan_kind,
     run_and_capture,
 )
-from repro.runtime.kernels import native_obstacle, template_for
+from repro.runtime.kernels import _CEmitter, native_obstacle, template_for
 from tests.conftest import (
     assert_bit_identical,
     engine_matrix,
@@ -229,6 +231,102 @@ class TestDirectedBitIdentity:
             execute_vectorized(compiled, tracer=tracer)
         span = [s for s in tracer.spans if s.name == "kernel_compile"][-1]
         assert span.args["native"] is False and "cache" not in span.args
+
+
+def oracle_text(compiled):
+    """The C text of ``compiled`` in ``loops.order``: the oracle's nest."""
+    emitter = _CEmitter(compiled.loops.order, template_for(compiled).contracted_ids)
+    for stmt in compiled.statements:
+        emitter.statement(stmt)
+    return emitter.source()
+
+
+PLANE_LOOP = "for (long long t = 0;"
+
+
+@needs_cc
+class TestPlaneNest:
+    """A skew with independent planes runs the plane nest, anything else the
+    oracle's; blocks whose skew is the outer loop keep their text."""
+
+    def test_in_plane_anti_dependence_keeps_the_oracle_nest(self):
+        """``a@(1,-1)`` reads the old value on the point's own anti-diagonal:
+        swept point by point, a plane would read it already overwritten."""
+        n = 40
+        a = uniform((n, n), 16, "a")
+
+        def body():
+            a[...] = (
+                0.4 * (a.p @ (-1, 0)) + 0.4 * (a.p @ (0, -1)) + 0.1 * (a @ (1, -1))
+            )
+
+        compiled = compile_scan(scan(zpl.Region.of((2, n - 1), (2, n - 1)), body))
+        template = template_for(compiled)
+        assert template.skew.tau == (1, 1) and template.native_order == "loop"
+        assert PLANE_LOOP not in template.source
+        assert template.source == oracle_text(compiled)
+        assert_native_matches_everything(compiled, [a])
+
+    def test_alignment_blocks_sweep_planes(self):
+        compiled, _ = build_score_block("GATTACAGG" * 3, "GCATGCTA" * 3, local=True)
+        assert PLANE_LOOP in template_for(compiled).source
+        assert_native_matches_everything(compiled, collect_arrays(compiled))
+        stacked = _build_batch_plan(4, 10, 12, 2.0, -1.0, 1.0, False).compiled
+        assert PLANE_LOOP in template_for(stacked).source
+        assert_native_matches_everything(stacked, collect_arrays(stacked))
+
+    def test_shear_with_coefficient_two(self):
+        """τ = i0 + 2·i1, with dimension 1 first in ``loops.order``: the nest
+        puts the unit dimension 0 first, and it steps by 2 inside a plane."""
+        n = 12
+        a = uniform((n, n), 20, "a")
+
+        def body():
+            a[...] = 0.3 * (a.p @ (-1, 0)) + 0.3 * (a.p @ (0, -1)) + 0.3 * (a.p @ (1, -1))
+
+        compiled = compile_scan(scan(zpl.Region.of((2, n - 1), (2, n - 1)), body))
+        template = template_for(compiled)
+        assert compiled.loops.order == (1, 0)
+        assert (template.skew.dims, template.skew.tau) == ((1, 0), (2, 1))
+        assert template.native_order == "planes"
+        assert "t < n0 + 2 * (n1 - 1)" in template.source
+        assert_native_matches_everything(compiled, [a])
+
+    def test_wide_block_loops_its_carrier_outermost(self):
+        n, width = 40, 8
+        a = uniform((n, width), 17, "a", fluff=2)
+
+        def body():
+            a[...] = 0.3 + 0.4 * (a.p @ (0, -1)) + 0.2 * (a.p @ (-1, -1))
+
+        compiled = compile_scan(scan(zpl.Region.of((3, n), (3, width)), body))
+        assert compiled.loops.order[0] == 0
+        loops = [line for line in template_for(compiled).source.splitlines() if "for (" in line]
+        assert loops[0].strip() == "for (long long i1 = 0; i1 < n1; i1++)"
+        assert_native_matches_everything(compiled, [a])
+
+    def test_outer_row_skews_keep_the_oracle_text(self):
+        """Tomcatv (no skew) and the banded DP (τ on the outer loop): warm
+        kernel caches stay warm."""
+        state = tomcatv.build(17, seed=3)
+        tomcatv.coefficients_phase(state)
+        tomcatv.prepare_solve(state)
+        n = 12
+        a, m = uniform((n, n), 18, "a", fluff=2), uniform((n, n), 19, "m", fluff=2)
+        m._data[...] = (m._data > 1.0).astype(float)
+        with zpl.masked(m):
+            banded = scan(
+                zpl.Region.of((2, n), (1, n)),
+                lambda: a.__setitem__(
+                    ..., 0.2 + 0.45 * (a.p @ (-1, 0)) + 0.3 * (a.p @ (-1, -1))
+                ),
+            )
+        forward, banded = tomcatv.compile_forward(state), compile_scan(banded)
+        assert template_for(forward).skew is None
+        assert template_for(banded).skew.dims == banded.loops.order[:1]
+        assert template_for(banded).native_order == "planes"
+        for compiled in (forward, banded):
+            assert template_for(compiled).native().source == oracle_text(compiled)
 
 
 class TestFallbacks:

@@ -20,7 +20,6 @@ from repro.runtime import (
     plan_kind,
     resolve_engine,
     run_and_capture,
-    skew_enabled,
 )
 from repro.runtime import kernels as kernels_mod
 from repro.runtime.kernels import template_for
@@ -157,17 +156,8 @@ class TestSkewEquivalence:
 
 
 class TestEscapeHatches:
-    def test_repro_skew_downgrades_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        assert default_engine() == "kernel"
-        monkeypatch.setenv("REPRO_SKEW", "0")
-        assert not skew_enabled()
-        assert default_engine() == "flat"
-        # The kill switch also beats explicit engine="kernel".
-        assert resolve_engine("kernel") == "flat"
-
-    def test_repro_skew_off_runs_flat(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SKEW", "0")
+    def test_repro_engine_flat_runs_flat(self, monkeypatch):
+        monkeypatch.setenv("REPRO_ENGINE", "flat")
         compiled, arrays = dp_block()
         assert plan_kind(compiled) == "flat"
         KERNEL_STATS.reset()
@@ -203,7 +193,6 @@ class TestEngineResolver:
     def test_legacy_alias_is_ignored(self, monkeypatch, recwarn):
         """``REPRO_KERNELS`` is gone: no effect on resolution, no warning."""
         monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        monkeypatch.delenv("REPRO_SKEW", raising=False)
         monkeypatch.setenv("REPRO_KERNELS", "0")
         assert default_engine() == "kernel"
         assert resolve_engine(None) == "kernel"

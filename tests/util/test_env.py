@@ -9,7 +9,7 @@ from repro.errors import MachineError
 from repro.obs.live.flight import flight_enabled
 from repro.obs.trace import tracing_enabled
 from repro.parallel.plan import default_grid, preflight, resolve_knobs, resolve_run
-from repro.runtime.kernels import ENGINES, default_engine, resolve_engine, skew_enabled
+from repro.runtime.kernels import ENGINES, default_engine, resolve_engine
 from repro.util.env import OFF, ON
 from tests.conftest import record_tomcatv_block
 
@@ -32,7 +32,6 @@ def _certify_on(monkeypatch):
 SWITCHES = [
     ("REPRO_TRACE", lambda mp: tracing_enabled(), False),
     ("REPRO_FLIGHT", lambda mp: flight_enabled(), True),
-    ("REPRO_SKEW", lambda mp: skew_enabled(), True),
     ("REPRO_SANITIZE", lambda mp: _sanitize_on(), False),
     ("REPRO_CERTIFY", _certify_on, False),
 ]
