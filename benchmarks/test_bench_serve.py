@@ -6,23 +6,22 @@ Two measurement harnesses (see :mod:`repro.serve.client`):
   per level: p50/p99 latency, sustained throughput, rejection rate and
   the server's batch-size histogram.  This is the latency-vs-load curve.
 * **Closed-loop saturation** — 16 back-to-back clients flood one
-  same-shape alignment request for a fixed window, once with coalescing
+  same-shape alignment request for a fixed time, once with coalescing
   disabled (``batch_max=1``: every request is its own kernel dispatch)
-  and once with the 5 ms window + ``batch_max=32``.  The asserted gate:
-  batching sustains **>= 2x** the per-request-dispatch throughput.  The
-  mechanism is exactly the paper's economics — the per-dispatch overhead
-  (Python loop set-up per anti-diagonal, request plumbing) is paid once
-  per fused rank-3 batch instead of once per request.  That overhead is
-  the *numpy* lowering's (≈ 120 plane steps per 60×60 request), so the 2x
-  gate is asserted with the toolchain made to look absent.  Under the
-  native lowering a request is ≈ 10 µs of compiled nest and HTTP plumbing
-  is what saturates: there the pair is recorded (``lowering: native``)
-  and gated on what it now measures — per-request and batched serving are
-  each at least as fast as the numpy lowering made them.  The recorded
-  ratio is *below* 1 (≈ 0.75x on the 2-core dev host): with nothing left
-  to amortise, the 5 ms window only delays a closed loop.  That is a serve
-  policy finding (ROADMAP item 2: pick the window from the model), not a
-  kernel one, and it is not gated here.
+  and once with the server defaults (``batch_max=32``, dispatch as soon
+  as compute is free, so each batch is whatever queued meanwhile — 16
+  here).  The mechanism is exactly the paper's economics — the
+  per-dispatch overhead (Python loop set-up per anti-diagonal, request
+  plumbing) is paid once per fused rank-3 batch instead of once per
+  request.  With the toolchain made to look absent (the *numpy*
+  lowering, ≈ 120 plane steps per 60×60 request) the asserted gate is
+  **>= 2x** the per-request-dispatch throughput: 5.4–5.6x on the 2-core
+  dev host (3,599–3,779 against 638–705 req/s).  Under the native
+  lowering a request is ≈ 10 µs of compiled nest and the rest is HTTP
+  and dispatch plumbing; batching still amortises the dispatch, 2.2–2.5x
+  there (5,540–7,067 against 2,486–2,781 req/s), and is gated at
+  batched >= per-request, plus each side at least as fast as numpy made
+  it.
 
 Results land in ``BENCH_serve.json`` (:func:`repro.util.benchjson.write_bench`).
 """
@@ -33,6 +32,7 @@ import asyncio
 
 import pytest
 
+from repro.apps import alignment
 from repro.runtime import native
 from repro.serve import ServeApp, ServeConfig
 from repro.serve.client import run_closed_loop, run_open_loop, summarize
@@ -53,8 +53,7 @@ _RESULTS: list[dict] = []
 
 
 def _serve_config(**overrides) -> ServeConfig:
-    values = dict(port=0, window=0.005, batch_max=32, max_queue=256,
-                  timeout=60.0)
+    values = dict(port=0, batch_max=32, max_queue=256, timeout=60.0)
     values.update(overrides)
     return ServeConfig(**values)
 
@@ -105,9 +104,10 @@ def test_stepped_open_loop_latency():
 
 
 def test_batching_doubles_saturated_throughput():
-    """The gate: coalescing sustains >= 2x per-request-dispatch throughput."""
+    """The gates: coalescing sustains >= 2x per-request-dispatch throughput
+    on the numpy lowering and does not lose on the native one."""
 
-    async def saturate(batch_max: int, window: float):
+    async def saturate(**overrides):
         async def measure(app):
             return await run_closed_loop(
                 "127.0.0.1", app.port, lambda i, n: PAYLOAD,
@@ -115,16 +115,19 @@ def test_batching_doubles_saturated_throughput():
             )
 
         (samples, wall), metrics = await _with_app(
-            _serve_config(batch_max=batch_max, window=window), measure
+            _serve_config(**overrides), measure
         )
         return summarize(samples, wall), metrics
 
     async def run():
-        per_request = await saturate(1, 0.0)
-        batched = await saturate(32, 0.005)
+        per_request = await saturate(batch_max=1)
+        batched = await saturate()
         return per_request, batched
 
     def pair(lowering: str):
+        # A cached stacked plan keeps the runner it was built with, and a
+        # runner fixes its lowering at construction: start each pair empty.
+        alignment._BATCH_PLANS.clear()
         (per_stats, per_metrics), (bat_stats, bat_metrics) = asyncio.run(run())
         speedup = bat_stats["throughput_rps"] / max(
             per_stats["throughput_rps"], 1e-9
@@ -151,16 +154,21 @@ def test_batching_doubles_saturated_throughput():
 
     with numpy_lowerings():
         numpy_lone, numpy_batched, speedup = pair("numpy")
+    # Both pairs are measured (and recorded) before either is gated.
+    native_rps = pair("native")[:2] if native.HOST.error is None else None
     # Batching bought the sustained-throughput multiple the design promises.
     assert speedup >= 2.0, (
         f"batched {numpy_batched:.0f} rps vs "
         f"per-request {numpy_lone:.0f} rps = {speedup:.2f}x"
     )
-    if native.HOST.error is None:
-        lone, batched, _ = pair("native")
+    if native_rps is not None:
+        lone, batched = native_rps
         assert lone >= numpy_lone and batched >= numpy_batched, (
             f"native: per-request {lone:.0f} rps (numpy {numpy_lone:.0f}), "
             f"batched {batched:.0f} rps (numpy {numpy_batched:.0f})"
+        )
+        assert batched >= lone, (
+            f"native: batched {batched:.0f} rps < per-request {lone:.0f} rps"
         )
 
 

@@ -4,8 +4,9 @@ A request id is minted once, in :mod:`repro.serve`, when a request is
 admitted.  From there it must survive three hand-offs to reach the spans
 that actually did the work:
 
-1. **event loop → batcher**: the coalescing window gathers several ids
-   into one batch; the batch's :class:`RequestContext` carries all of them.
+1. **event loop → batcher**: requests that queued while the previous
+   batch computed become one batch; the batch's :class:`RequestContext`
+   carries all of their ids.
 2. **event loop → backend thread**: ``loop.run_in_executor`` does *not*
    propagate :mod:`contextvars` into the worker thread, so the batcher
    wraps the backend call in :func:`run_with_context` explicitly.

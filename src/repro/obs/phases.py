@@ -367,8 +367,8 @@ def format_serve_report(trace: Trace, title: str | None = None) -> str:
     The ``serve_request`` spans carry the request's end-to-end window and
     its queue/compute split in their args; ``serve_batch`` spans record
     each fused dispatch.  Together they answer the serving questions the
-    phase report cannot: where did a request's latency go, and how well
-    did the coalescing window pack the batches?
+    phase report cannot: where did a request's latency go, and how many
+    requests did each dispatch carry?
     """
     from repro.util.tables import Table
 

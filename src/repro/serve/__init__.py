@@ -6,16 +6,16 @@ subsystem pipelines *many requests* through one compiled plan.  An
 asyncio HTTP/JSON server accepts alignment scoring requests
 (``POST /v1/align``) and generic compiled-scan requests
 (``POST /v1/zpl``); requests that share a coalescing key — same shape,
-same scoring parameters, same program — and arrive within a short window
-are fused into **one** batched kernel dispatch (a rank-3 stacked scan
-for alignment), so the per-dispatch overhead the paper's α+β model
-prices is paid once per batch instead of once per request.
+same scoring parameters, same program — and queue while the previous
+batch computes are fused into **one** batched kernel dispatch (a rank-3
+stacked scan for alignment), so the per-dispatch overhead the paper's
+α+β model prices is paid once per batch instead of once per request.
 
 Layers (each importable and testable on its own):
 
 * :mod:`repro.serve.protocol` — request schema, validation, typed errors;
 * :mod:`repro.serve.scheduler` — FIFO/SJF batch ordering, Model-2 costs;
-* :mod:`repro.serve.batching` — the coalescing window + dispatcher;
+* :mod:`repro.serve.batching` — the per-key queues + dispatch-when-idle;
 * :mod:`repro.serve.metrics` — counters, percentiles, ``/metrics``;
 * :mod:`repro.serve.server` — the asyncio HTTP shell + compute backend;
 * :mod:`repro.serve.client` — a stdlib client and load generators.

@@ -1,14 +1,14 @@
-"""Request coalescing: same-key requests within a window become one dispatch.
+"""Request coalescing: same-key requests that queue together become one dispatch.
 
 The batcher is the heart of :mod:`repro.serve`.  Requests arrive on the
-event loop and are appended to a per-``batch_key`` pending list; a key
-becomes *ready* when its oldest request has waited ``window`` seconds or
-the list reaches ``batch_max``.  Ready keys are ordered by the
-scheduling :class:`~repro.serve.scheduler.Policy` and dispatched one at
-a time to the compute backend on a single worker thread (compute is a
-shared resource — the kernels and the worker pool serialise anyway, and
-one thread keeps the event loop free to keep accepting while a batch
-runs).
+event loop and are appended to a per-``batch_key`` pending list.  As
+soon as the compute thread is free, the scheduling
+:class:`~repro.serve.scheduler.Policy` picks a pending key and up to
+``batch_max`` of its requests go to the backend as one batch — whatever
+queued while the previous batch computed, so batch size follows load.
+Compute runs on a single worker thread (compute is a shared resource —
+the kernels and the worker pool serialise anyway, and one thread keeps
+the event loop free to keep accepting while a batch runs).
 
 Admission control happens at :meth:`Batcher.submit`: when ``max_queue``
 requests are already pending the submission raises
@@ -70,7 +70,6 @@ class Batcher:
         backend,
         policy: Policy,
         *,
-        window: float = 0.005,
         batch_max: int = 32,
         max_queue: int = 128,
         metrics: ServeMetrics | None = None,
@@ -85,7 +84,6 @@ class Batcher:
             raise ValueError(f"max_queue must be >= 1, got {max_queue}")
         self.backend = backend
         self.policy = policy
-        self.window = window
         self.batch_max = batch_max
         self.max_queue = max_queue
         self.metrics = metrics or ServeMetrics(clock=clock)
@@ -133,10 +131,10 @@ class Batcher:
         return self._queued
 
     def retry_after_hint(self) -> float:
-        """A coarse back-off: one window plus one batch's recent compute."""
+        """A coarse back-off: one batch's recent compute, at least 50 ms."""
         recent = list(self.metrics._compute)
         drain = recent[-1] if recent else 0.0
-        return round(max(self.window + drain, 0.05), 3)
+        return round(max(drain, 0.05), 3)
 
     def submit(self, request, rid: int = 0) -> asyncio.Future:
         """Enqueue; returns the future resolving to a :class:`BatchResult`."""
@@ -157,30 +155,21 @@ class Batcher:
         return future
 
     # -- dispatch loop -------------------------------------------------------
-    def _ready_candidates(self, now: float) -> list[Candidate]:
-        ready = []
+    def _candidates(self) -> list[Candidate]:
+        out = []
         for key, entries in self._pending.items():
-            oldest = entries[0].enqueued
-            if len(entries) >= self.batch_max or now - oldest >= self.window:
-                ready.append(
-                    Candidate(
-                        key=key,
-                        items=min(len(entries), self.batch_max),
-                        arrival=oldest,
-                        cost=estimate_cost(
-                            key,
-                            min(len(entries), self.batch_max),
-                            params=self.model_params,
-                            p=self.procs,
-                        ),
-                    )
+            items = min(len(entries), self.batch_max)
+            out.append(
+                Candidate(
+                    key=key,
+                    items=items,
+                    arrival=entries[0].enqueued,
+                    cost=estimate_cost(
+                        key, items, params=self.model_params, p=self.procs
+                    ),
                 )
-        return ready
-
-    def _next_deadline(self, now: float) -> float:
-        return min(
-            entries[0].enqueued + self.window for entries in self._pending.values()
-        ) - now
+            )
+        return out
 
     def _take(self, key: tuple) -> list[_Pending]:
         entries = self._pending[key]
@@ -201,12 +190,7 @@ class Batcher:
                 self._wake.clear()
                 await self._wake.wait()
                 continue
-            now = self._clock()
-            ready = self._ready_candidates(now)
-            if not ready:
-                await asyncio.sleep(max(self._next_deadline(now), 0.0))
-                continue
-            choice = self.policy.select(ready)
+            choice = self.policy.select(self._candidates())
             live = self._take(choice.key)
             if not live:
                 continue

@@ -1,7 +1,7 @@
 """Batch scheduling policies: which coalesced batch dispatches next.
 
-The batcher keeps one pending list per coalescing key.  When more than
-one key is *ready* (its window elapsed or it hit ``batch_max``), a
+The batcher keeps one pending list per coalescing key.  Whenever the
+compute thread is free and more than one key has requests pending, a
 :class:`Policy` picks the dispatch order:
 
 * :class:`FIFOPolicy` — oldest first-arrival wins.  Fair, no starvation,

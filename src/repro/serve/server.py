@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from itertools import count
@@ -77,7 +78,6 @@ class ServeConfig:
 
     host: str = "127.0.0.1"
     port: int = 8077
-    window: float = 0.005  # coalescing window, seconds
     batch_max: int = 32  # largest fused dispatch
     max_queue: int = 128  # admission bound (pending requests)
     timeout: float = 30.0  # per-request deadline, seconds
@@ -88,7 +88,6 @@ class ServeConfig:
 
     def describe(self) -> dict:
         return {
-            "window_s": self.window,
             "batch_max": self.batch_max,
             "max_queue": self.max_queue,
             "timeout_s": self.timeout,
@@ -206,7 +205,6 @@ class ServeApp:
         self.batcher = Batcher(
             self.backend,
             make_policy(self.config.policy),
-            window=self.config.window,
             batch_max=self.config.batch_max,
             max_queue=self.config.max_queue,
             metrics=self.metrics,
@@ -320,7 +318,11 @@ class ServeApp:
             body = exc.payload()
         except QueueFull as exc:
             status = exc.status  # metrics counted at the admission gate
-            headers.append(("Retry-After", f"{exc.retry_after:g}"))
+            # RFC 9110 §10.2.3: delay-seconds is a whole number; the body
+            # keeps the fine-grained hint.
+            headers.append(
+                ("Retry-After", str(max(1, math.ceil(exc.retry_after))))
+            )
             body = {**exc.payload(), "retry_after": exc.retry_after}
         except RequestTimeout as exc:
             status = exc.status

@@ -37,7 +37,7 @@ def served():
     async def scenario():
         tracer = Tracer()
         app = ServeApp(ServeConfig(
-            window=0.02, batch_max=8, max_queue=32, timeout=90.0,
+            batch_max=8, max_queue=32, timeout=90.0,
             grid=2, tracer=tracer,
         ))
         app.batcher.start()

@@ -7,6 +7,7 @@ errors for every failure mode, and no failure poisoning the next request.
 """
 
 import asyncio
+import threading
 import time
 
 import pytest
@@ -23,12 +24,21 @@ def _run(coro):
 
 
 async def _start(**overrides) -> ServeApp:
-    values = dict(port=0, window=0.005, batch_max=16, max_queue=64,
-                  timeout=15.0)
+    values = dict(port=0, batch_max=16, max_queue=64, timeout=15.0)
     values.update(overrides)
     app = ServeApp(ServeConfig(**values))
     await app.start()
     return app
+
+
+async def _until(condition, timeout=5.0):
+    """Yield to the event loop until ``condition()`` holds, or time out."""
+
+    async def poll():
+        while not condition():
+            await asyncio.sleep(0.001)
+
+    await asyncio.wait_for(poll(), timeout)
 
 
 async def _post_align(port, kind, a, b, **scores):
@@ -45,23 +55,41 @@ class TestAlignEndpoint:
 
         async def scenario():
             app = await _start()
-            try:
-                responses = await asyncio.gather(*(
-                    _post_align(app.port, "nw", a, b) for a, b in pairs
-                ))
-            finally:
-                await app.stop()
-            return responses, app.metrics.snapshot()
+            real_backend = app.batcher.backend
+            entered, release = threading.Event(), threading.Event()
+            sizes = []
 
-        responses, metrics = _run(scenario())
+            def held(key, requests):
+                sizes.append(len(requests))
+                entered.set()
+                release.wait(10)
+                return real_backend(key, requests)
+
+            app.batcher.backend = held
+            try:
+                # The first request occupies the compute thread; the other
+                # three queue behind it and become the next dispatch.
+                first = asyncio.ensure_future(
+                    _post_align(app.port, "nw", *pairs[0])
+                )
+                await _until(entered.is_set)
+                rest = [asyncio.ensure_future(_post_align(app.port, "nw", a, b))
+                        for a, b in pairs[1:]]
+                await _until(lambda: app.batcher.depth == len(rest))
+                release.set()
+                responses = await asyncio.gather(first, *rest)
+            finally:
+                release.set()
+                await app.stop()
+            return responses, sizes, app.metrics.snapshot()
+
+        responses, sizes, metrics = _run(scenario())
         for (status, _, body), (a, b) in zip(responses, pairs):
             assert status == 200
-            assert body["score"] == pytest.approx(
-                nw_score_oracle(a, b, 2.0, -1.0, 1.0)
-            )
-        # The same-shape burst fused: fewer dispatches than requests.
-        assert metrics["batches"]["dispatched"] < len(pairs)
-        assert any(body["batch"] > 1 for _, _, body in responses)
+            assert body["score"] == nw_score_oracle(a, b, 2.0, -1.0, 1.0)
+        assert sizes == [1, 3]
+        assert [body["batch"] for _, _, body in responses] == [1, 3, 3, 3]
+        assert metrics["batches"]["dispatched"] == 2
         assert metrics["requests"]["completed"] == len(pairs)
 
     def test_sw_and_custom_scores(self):
@@ -183,7 +211,7 @@ class TestErrorContract:
 
     def test_timeout_is_typed_504_and_recovers(self):
         async def scenario():
-            app = await _start(timeout=0.1, window=0.001)
+            app = await _start(timeout=0.1)
             real_backend = app.batcher.backend
 
             def stall(key, requests):
@@ -209,8 +237,7 @@ class TestErrorContract:
 
     def test_overload_sheds_429_with_retry_after(self):
         async def scenario():
-            app = await _start(max_queue=4, batch_max=4, window=0.001,
-                               timeout=30.0)
+            app = await _start(max_queue=4, batch_max=4, timeout=30.0)
             real_backend = app.batcher.backend
 
             def slow(key, requests):
@@ -233,7 +260,9 @@ class TestErrorContract:
         assert shed, "a 6x-overloaded tiny queue must shed"
         assert served, "admitted requests still complete under overload"
         for _, headers, body in shed:
-            assert float(headers["retry-after"]) > 0
+            # RFC 9110 §10.2.3: delay-seconds is a non-negative integer.
+            assert headers["retry-after"].isdigit()
+            assert int(headers["retry-after"]) >= 1
             assert body["error"] == "queue_full"
             assert body["retry_after"] > 0
         assert metrics["requests"]["rejected"] == len(shed)
@@ -244,7 +273,7 @@ class TestErrorContract:
 
     def test_broken_pool_is_typed_503_and_recovers(self):
         async def scenario():
-            app = await _start(window=0.001)
+            app = await _start()
             real_backend = app.batcher.backend
 
             def broken(key, requests):
