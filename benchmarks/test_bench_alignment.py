@@ -1,4 +1,4 @@
-"""Smith-Waterman at ~1k×1k: the skewed plans vs the interpreted point loop.
+"""Smith-Waterman at ~1k×1k: the skewed plans vs the O(n·m) loop nest.
 
 Both dimensions of the alignment DP carry dependences, so before hyperplane
 skewing every engine degenerated to O(n·m) Python iterations; the skewed
@@ -6,16 +6,17 @@ kernel plans sweep O(n+m) anti-diagonals instead.  This bench regenerates
 the acceptance numbers on random ~1k-base sequences (override the size with
 ``REPRO_BENCH_ALIGN_N`` — CI's smoke step runs a small n):
 
-* the three sequential engines produce the *same score* (equality gate);
-* the skewed engine is at least **5×** faster than the interpreted point
-  loop (the acceptance gate; on a typical host the ratio is >100×).  The
-  ratio is a statement about the *numpy* sheared lowering — O(n+m) plane
-  steps against O(n·m) point steps — so it is asserted on that lowering
-  (``skewed_numpy_seconds``, the toolchain made to look absent) as well as
-  on what ``engine="kernel"`` runs by default, the native loop nest where
-  the host has a compiler, which must in turn not be slower than the numpy
-  lowering it replaces;
-* the flat kernel engine is reported alongside for the trajectory.
+* both lowerings and the scalar loop-nest oracle
+  (:func:`~repro.runtime.execute_loopnest`) produce the *same score*
+  (equality gate);
+* the skewed engine is at least **5×** faster than the oracle's O(n·m)
+  point loop (the acceptance gate; on a typical host the ratio is far
+  larger).  The ratio is a statement about the *numpy* sheared lowering —
+  O(n+m) plane steps against O(n·m) point steps — so it is asserted on that
+  lowering (``skewed_numpy_seconds``, the toolchain made to look absent) as
+  well as on what :func:`execute_vectorized` runs by default, the native
+  loop nest where the host has a compiler, which must in turn not be slower
+  than the numpy lowering it replaces.
 
 The payload is written to ``BENCH_alignment.json`` via
 :mod:`repro.util.benchjson` and uploaded by CI next to the other
@@ -27,7 +28,7 @@ import random
 
 from repro.apps.alignment import build_score_block
 from repro.parallel import oversubscription
-from repro.runtime import KERNEL_STATS, execute_vectorized, plan_kind
+from repro.runtime import KERNEL_STATS, execute_loopnest, execute_vectorized, plan_kind
 from repro.runtime.interp import ArraySnapshot
 from repro.util.benchjson import read_bench, write_bench
 from repro.util.timing import WallTimer
@@ -36,7 +37,7 @@ from tests.conftest import numpy_lowerings
 #: Acceptance-criterion sequence length (~1k×1k DP table).
 N = int(os.environ.get("REPRO_BENCH_ALIGN_N", "1000"))
 REPEATS = 3
-#: The CI gate: skewed must beat the interpreted point loop by this factor.
+#: The CI gate: skewed must beat the loop-nest point loop by this factor.
 MIN_SPEEDUP = 5.0
 
 
@@ -44,13 +45,13 @@ def _random_sequence(rng, n):
     return "".join(rng.choice("ACGT") for _ in range(n))
 
 
-def _timed(compiled, snap, repeats, engine):
+def _timed(compiled, snap, repeats, run=execute_vectorized):
     best = float("inf")
     for _ in range(repeats):
         snap.restore()
         timer = WallTimer()
         with timer:
-            execute_vectorized(compiled, engine=engine)
+            run(compiled)
         best = min(best, timer.elapsed)
     return best
 
@@ -65,26 +66,23 @@ def test_alignment_engine_artifact():
     host = oversubscription(1)
     assert plan_kind(compiled) == "skewed"
 
-    # The interpreted point loop pays O(n·m) tree walks: one repeat is
+    # The oracle's point loop pays O(n·m) scalar tree walks: one repeat is
     # plenty (it is the slow baseline, minutes at full size).
-    interp_best = _timed(compiled, snap, 1, "interp")
-    interp_score = float(h.to_numpy().max())
-
-    flat_best = _timed(compiled, snap, 1, "flat")
-    flat_score = float(h.to_numpy().max())
+    loopnest_best = _timed(compiled, snap, 1, execute_loopnest)
+    loopnest_score = float(h.to_numpy().max())
 
     KERNEL_STATS.reset()
     snap.restore()
     cold_timer = WallTimer()
     with cold_timer:
-        execute_vectorized(compiled, engine="kernel")
+        execute_vectorized(compiled)
     skewed_cold = cold_timer.elapsed
     skewed_score = float(h.to_numpy().max())
-    skewed_best = _timed(compiled, snap, REPEATS, "kernel")
+    skewed_best = _timed(compiled, snap, REPEATS)
     kernel_stats = KERNEL_STATS.snapshot()
     with numpy_lowerings():
-        numpy_best = _timed(compiled, snap, 1 + REPEATS, "kernel")
-    assert float(h.to_numpy().max()) == skewed_score
+        numpy_best = _timed(compiled, snap, 1 + REPEATS)
+    numpy_score = float(h.to_numpy().max())
     snap.restore()
 
     results = [
@@ -92,13 +90,11 @@ def test_alignment_engine_artifact():
             "test": "smith_waterman_engines",
             "n": N,
             "table_cells": N * N,
-            "interp_seconds": interp_best,
-            "flat_seconds": flat_best,
+            "loopnest_seconds": loopnest_best,
             "skewed_cold_seconds": skewed_cold,
             "skewed_seconds": skewed_best,
             "skewed_numpy_seconds": numpy_best,
-            "skewed_speedup_vs_interp": interp_best / skewed_best,
-            "skewed_speedup_vs_flat": flat_best / skewed_best,
+            "skewed_speedup_vs_loopnest": loopnest_best / skewed_best,
             "score": skewed_score,
             "cells_per_second": N * N / skewed_best,
         },
@@ -120,15 +116,15 @@ def test_alignment_engine_artifact():
     assert path.name == "BENCH_alignment.json"
     assert written["results"][0]["skewed_seconds"] > 0
 
-    # All engines compute the same alignment (bit-identical table maxima).
-    assert skewed_score == flat_score == interp_score
+    # Both lowerings compute the oracle's alignment (equal table maxima).
+    assert skewed_score == numpy_score == loopnest_score
 
     # Acceptance criterion — the CI gate, on both lowerings of the plan.
     for label, best in (("skewed", skewed_best), ("numpy skewed", numpy_best)):
-        assert best * MIN_SPEEDUP <= interp_best, (
+        assert best * MIN_SPEEDUP <= loopnest_best, (
             f"{label} engine must be >={MIN_SPEEDUP}x faster than the "
-            f"interpreted point loop on Smith-Waterman n={N}: "
-            f"{label} {best:.4f}s vs interp {interp_best:.4f}s"
+            f"loop-nest point loop on Smith-Waterman n={N}: "
+            f"{label} {best:.4f}s vs loopnest {loopnest_best:.4f}s"
         )
     assert skewed_best <= numpy_best * 1.1, (
         f"the default lowering must not lose to the numpy sheared sweep: "

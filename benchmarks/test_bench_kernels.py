@@ -1,24 +1,22 @@
-"""AOT kernels vs the tree-walking engine, measured on the paper's kernel.
+"""The native loop nest vs the numpy row loop, measured on the paper's kernel.
 
 This bench regenerates the acceptance numbers for the kernel layer on the
 Tomcatv forward-elimination wavefront at the paper-scale mesh (256×256,
 single process):
 
-* engine throughput — the interpreted slab engine against the compiled
-  kernel engine (cold first run, then warm minima), asserting the kernel
-  path is at least **2×** faster.  The ratio was stated about the numpy row
-  loop (hoisted interpretation, same row-steps), so it is asserted on that
-  lowering (``kernel_numpy_seconds``, the toolchain made to look absent) as
-  well as on what ``engine="kernel"`` runs by default — the native loop
-  nest where the host has a compiler, which must not lose to the row loop;
-* dispatch cost — the per-block cost a pipelined schedule pays, for the
-  interpreted engine (the pre-kernel ~9 ms/block recorded in
-  ``BENCH_parallel.json``) against a persistent :class:`WorkerPool`
-  dispatch, asserting the pooled path is at least **5×** cheaper.
+* engine throughput — what :func:`execute_vectorized` runs on this host
+  (the native loop nest where the host has a compiler; cold first run,
+  then warm minima) against the numpy row loop (``kernel_numpy_seconds``,
+  the toolchain made to look absent), asserting the default lowering does
+  not lose to the row loop by more than 10 %;
+* dispatch cost — the per-block cost a pipelined schedule pays, in one
+  process (``PlanRunner.run_block``) and through a persistent
+  :class:`WorkerPool` (one token plus one warm dispatch).  Recorded for the
+  trajectory, not gated.
 
 The payload is written to ``BENCH_kernels.json`` directly (this module
 bypasses pytest-benchmark: the interesting numbers are ratios between
-engines, not the harness clock).  CI runs this as a smoke step with
+lowerings, not the harness clock).  CI runs this as a smoke step with
 ``REPRO_PARALLEL_MAX_PROCS=2`` and uploads the artifact.
 """
 
@@ -40,13 +38,13 @@ N = 256
 REPEATS = 3
 
 
-def _timed(compiled, snap, repeats, **kwargs):
+def _timed(compiled, snap, repeats):
     best = float("inf")
     for _ in range(repeats):
         snap.restore()
         timer = WallTimer()
         with timer:
-            execute_vectorized(compiled, **kwargs)
+            execute_vectorized(compiled)
         best = min(best, timer.elapsed)
     return best
 
@@ -58,26 +56,23 @@ def test_kernel_engine_artifact():
     snap = ArraySnapshot(arrays)
     host = oversubscription(1)
 
-    # Engine throughput.  The first kernel run pays template + plan
-    # compilation; warm runs hit the plan cache.
-    interp_best = _timed(compiled, snap, REPEATS, engine="interp")
+    # Engine throughput.  The first run pays template + plan compilation;
+    # warm runs hit the plan cache.
     KERNEL_STATS.reset()
     snap.restore()
     cold_timer = WallTimer()
     with cold_timer:
-        execute_vectorized(compiled, engine="kernel")
+        execute_vectorized(compiled)
     kernel_cold = cold_timer.elapsed
-    kernel_best = _timed(compiled, snap, REPEATS, engine="kernel")
+    kernel_best = _timed(compiled, snap, REPEATS)
     kernel_stats = KERNEL_STATS.snapshot()
     with numpy_lowerings():
-        numpy_best = _timed(compiled, snap, 1 + REPEATS, engine="kernel")
+        numpy_best = _timed(compiled, snap, 1 + REPEATS)
 
-    # Dispatch cost per pipeline block: interpreted fork-per-run vs a warm
+    # Dispatch cost per pipeline block: the in-process block path vs a warm
     # persistent pool (one token + one warm dispatch).
     snap.restore()
-    dispatch_interp = measure_block_overhead(compiled, engine="interp")
-    snap.restore()
-    dispatch_kernel = measure_block_overhead(compiled, engine="kernel")
+    dispatch_kernel = measure_block_overhead(compiled)
     snap.restore()
     dispatch_pooled = measure_pool_dispatch(compiled)
     snap.restore()
@@ -86,18 +81,15 @@ def test_kernel_engine_artifact():
         {
             "test": "engine_throughput",
             "n": N,
-            "interp_seconds": interp_best,
             "kernel_cold_seconds": kernel_cold,
             "kernel_seconds": kernel_best,
             "kernel_numpy_seconds": numpy_best,
-            "kernel_speedup": interp_best / kernel_best,
+            "native_speedup_vs_numpy": numpy_best / kernel_best,
         },
         {
             "test": "dispatch_per_block",
-            "interp_seconds": dispatch_interp,
             "kernel_seconds": dispatch_kernel,
             "pooled_seconds": dispatch_pooled,
-            "pooled_reduction": dispatch_interp / max(dispatch_pooled, 1e-12),
         },
     ]
     meta = {
@@ -115,19 +107,8 @@ def test_kernel_engine_artifact():
     assert path.name == "BENCH_kernels.json"
     assert written["results"][0]["kernel_seconds"] > 0
 
-    # Acceptance criteria — these are the CI gates.
-    for label, best in (("kernel", kernel_best), ("numpy kernel", numpy_best)):
-        assert best * 2 <= interp_best, (
-            f"{label} engine must be >=2x faster than the interpreted engine "
-            f"on Tomcatv forward n={N}: {label} {best:.4f}s vs "
-            f"interp {interp_best:.4f}s"
-        )
+    # Acceptance criterion — the CI gate.
     assert kernel_best <= numpy_best * 1.1, (
         f"the default lowering must not lose to the numpy row loop: "
         f"{kernel_best:.4f}s vs {numpy_best:.4f}s"
-    )
-    assert dispatch_pooled * 5 <= dispatch_interp, (
-        f"pooled dispatch must be >=5x cheaper than the interpreted "
-        f"per-block dispatch: pooled {dispatch_pooled * 1e3:.3f}ms vs "
-        f"interp {dispatch_interp * 1e3:.3f}ms"
     )

@@ -35,7 +35,7 @@ def _timed_run(compiled, snap):
     snap.restore()
     timer = WallTimer()
     with timer:
-        execute_vectorized(compiled, engine="kernel")
+        execute_vectorized(compiled)
     return timer.elapsed
 
 

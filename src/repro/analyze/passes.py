@@ -715,7 +715,7 @@ def explain_skew(
             Diagnostic(
                 "I302",
                 f"skew ineligible: only {len(dims)} looped dimension(s) — "
-                f"the flat engines already vectorise the parallel subspace",
+                f"the row loop already vectorises the parallel subspace",
                 span=span_of(statements[0]),
                 hint="nothing to do; the row loop is already the whole nest",
                 data=data,
@@ -807,7 +807,7 @@ def explain_skew(
                 )
                 for d in ties
             ),
-            hint="the kernel engine auto-selects this plan",
+            hint="every entry point runs this plan; no option selects it",
             data=data,
         )
     ] + w111

@@ -13,11 +13,11 @@ score array.  Traceback is ordinary sequential code.
 
 Both dimensions of the DP carry dependences, so this workload is exactly
 what the hyperplane-skewed kernel plans (:mod:`repro.runtime.kernels`) were
-built for: the default ``engine="kernel"`` sweeps anti-diagonals with one
-fused numpy kernel each (O(n+m) dispatches) instead of interpreting O(n·m)
-points.  The ``engine`` parameters below accept either an engine *name*
-(``"kernel"``/``"flat"``/``"interp"``) or any callable with the
-:func:`~repro.runtime.vectorized.execute_vectorized` signature.
+built for: the default engine sweeps anti-diagonals — with the native plane
+nest where the host builds it, else one fused numpy kernel each (O(n+m)
+dispatches) — instead of interpreting O(n·m) points.  The ``engine``
+parameters below take any callable with the
+:func:`~repro.runtime.kernels.execute_vectorized` signature.
 """
 
 from __future__ import annotations
@@ -42,15 +42,6 @@ class AlignmentResult:
     score: float
     aligned_a: str
     aligned_b: str
-
-
-def _as_engine(engine):
-    """Normalise ``engine``: a name selects :func:`execute_vectorized`."""
-    if callable(engine):
-        return engine
-    return lambda compiled, name=engine: execute_vectorized(
-        compiled, engine=name
-    )
 
 
 def _substitution_scores(
@@ -130,21 +121,18 @@ class _BatchPlan:
     la: int
     lb: int
     local: bool
-    runners: dict = field(default_factory=dict)
+    runner: PlanRunner | None = None
     lock: threading.Lock = field(default_factory=threading.Lock)
 
     def execute(self, engine, items: int) -> None:
-        """Run the stacked plan: amortised runner for names, verbatim for
-        callable engines."""
-        if callable(engine) and engine is not execute_vectorized:
+        """Run the stacked plan: an amortised runner for the default
+        engine, any other callable verbatim."""
+        if engine is not execute_vectorized:
             engine(self.compiled)
             return
-        name = engine if isinstance(engine, str) else None
-        runner = self.runners.get(name)
-        if runner is None:
-            runner = PlanRunner(self.compiled, name)
-            self.runners[name] = runner
-        runner.run(items)
+        if self.runner is None:
+            self.runner = PlanRunner(self.compiled)
+        self.runner.run(items)
 
 
 _BATCH_PLANS: "OrderedDict[tuple, _BatchPlan]" = OrderedDict()

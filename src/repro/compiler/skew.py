@@ -3,8 +3,8 @@
 The derived loop structure of a multi-dependence wavefront — Needleman-
 Wunsch, Smith-Waterman, any recurrence whose WSV has two or more nonzero
 components — has *no* completely parallel dimension: every dimension either
-carries the wavefront or is serialised, so the slab engines degenerate into
-an O(n·m) pure-Python point loop.  The classic hyperplane (loop-skewing)
+carries the wavefront or is serialised, so a numpy row loop degenerates
+into an O(n·m) pure-Python point loop.  The classic hyperplane (loop-skewing)
 transformation recovers vector parallelism anyway: pick an integer **time
 vector** τ over the looped dimensions and execute all iteration points with
 equal ``τ·i`` — one *hyperplane*, the anti-diagonal for τ = (1, 1) —
@@ -25,7 +25,7 @@ loop-nest normalisation is needed):
   :func:`planes_independent`, which allows no tie at all);
 * components over completely *parallel* dimensions are ignored (those
   dimensions stay vectorised inside each hyperplane, exactly as in the flat
-  engines; true dependences have zero components there by construction of
+  row loop; true dependences have zero components there by construction of
   :func:`repro.compiler.wsv.classify`).
 
 The search is tiny by design: candidate components are the loop structure's
@@ -40,9 +40,9 @@ component needs is dropped from :attr:`Skew.dims` and vectorised like a
 parallel one.  When a single dimension carries every true dependence τ is
 axis-aligned — a plain row loop over that dimension, no diagonal at all.
 When no candidate is legal — or when fewer than two dimensions are looped,
-where the flat engines already vectorise everything that can be vectorised
-— :func:`derive_skew` returns ``None`` and the kernel engine keeps its flat
-point loop.
+where the flat row loop already vectorises everything that can be
+vectorised — :func:`derive_skew` returns ``None`` and the block keeps its
+flat point loop.
 """
 
 from __future__ import annotations

@@ -31,8 +31,8 @@ partial order at plan time, in two halves:
   array values.  When every globally-storing statement is masked, none of
   its masks is written by the block, and all of them are zero everywhere
   on a tile, the tile stores nothing — running it would only recompute
-  values that :func:`~repro.runtime.vectorized` masks back out — so it
-  never enters the graph.  This is the banded Smith-Waterman win: blocks
+  values that :func:`~repro.runtime.kernels.execute_vectorized` masks back
+  out — so it never enters the graph.  This is the banded Smith-Waterman win: blocks
   entirely outside the band cost nothing.  Liveness is one block-reduce
   per mask over the plan region, and the :class:`TaskGraph` is the
   subgraph the structure induces on the live tiles

@@ -57,8 +57,7 @@ from repro.errors import DistributionError
 from repro.machine.comm import Endpoint
 from repro.machine.params import MachineParams
 from repro.machine.simulator import Machine, RunResult
-from repro.runtime.kernels import PlanRunner
-from repro.runtime.vectorized import execute_vectorized
+from repro.runtime.kernels import PlanRunner, execute_vectorized
 
 #: Tag used by the pre-pipeline halo exchange.
 HALO_TAG = -1

@@ -12,7 +12,8 @@ are measurable:
   shared-memory host this is small but not zero: tokens still cross the
   kernel and array traffic crosses the cache hierarchy);
 * **compute cost** — seconds per element of the actual compiled block under
-  :func:`~repro.runtime.vectorized.execute_vectorized`.
+  :func:`~repro.runtime.kernels.execute_vectorized`, in whichever lowering
+  the host runs (the native nest where it builds one, else numpy).
 
 Dividing the measured α and β by the measured per-element compute time gives
 a :class:`~repro.machine.params.MachineParams` directly comparable with the
@@ -36,8 +37,9 @@ from repro.models.pipeline_model import model2_of
 from repro.models.tuning import Probe, TuningResult, select_dynamic
 from repro.parallel.sharedmem import collect_arrays
 from repro.runtime.interp import ArraySnapshot
-from repro.runtime.kernels import PlanRunner, plan_fingerprint, plan_kind
-from repro.runtime.vectorized import execute_vectorized
+from repro.runtime.kernels import (
+    PlanRunner, execute_vectorized, plan_fingerprint, plan_kind,
+)
 
 #: Bytes per element everywhere in this library (float64 storage).
 ELEMENT_BYTES = 8
@@ -124,16 +126,12 @@ def measure_comm(
     return CommParams(alpha, beta, tuple(samples))
 
 
-def measure_compute_cost(
-    compiled: CompiledScan, repeats: int = 3, engine: str | None = None
-) -> float:
+def measure_compute_cost(compiled: CompiledScan, repeats: int = 3) -> float:
     """Seconds per element of the compiled block on one processor.
 
-    Runs the real vectorised engine over the full region ``repeats`` times
+    Runs the real sequential engine over the full region ``repeats`` times
     (restoring the arrays between runs so every run does identical work) and
-    takes the fastest.  ``engine`` picks the sequential engine
-    (``"kernel"``/``"interp"``, default-resolved like
-    :func:`~repro.runtime.vectorized.execute_vectorized`).
+    takes the fastest.
     """
     if repeats < 1:
         raise MachineError(f"repeats must be >= 1, got {repeats}")
@@ -145,7 +143,7 @@ def measure_compute_cost(
         for _ in range(repeats):
             snap.restore()
             start = time.perf_counter()
-            execute_vectorized(compiled, engine=engine)
+            execute_vectorized(compiled)
             best = min(best, time.perf_counter() - start)
     finally:
         snap.restore()
@@ -161,7 +159,6 @@ def measure_block_overhead(
     compiled: CompiledScan,
     block: int = 8,
     repeats: int = 3,
-    engine: str | None = None,
 ) -> float:
     """Seconds of extra per-block dispatch cost of the block path workers run.
 
@@ -173,12 +170,8 @@ def measure_block_overhead(
     the worker loops call, and attribute the gap to the extra block
     boundaries.  The result is folded into the *effective* α that Equation
     (1) sees (pure pipe latency alone would suggest far smaller blocks than
-    the host actually rewards).
-
-    ``engine`` selects the sequential engine being measured; the default
-    (AOT kernels) pays per block only a plan-cache lookup per region, so its
-    dispatch cost is orders of magnitude below the tree-walking
-    ``engine="interp"`` number this library used to report.
+    the host actually rewards).  A block pays only a plan-cache lookup per
+    region plus its kernel, in the lowering the host runs.
     """
     chunks = _one_stage(compiled, block).chunks_by_rank[0]
     if len(chunks) < 2:
@@ -186,7 +179,7 @@ def measure_block_overhead(
     arrays = collect_arrays(compiled)
     snap = ArraySnapshot(arrays)
     compiled.prepare()
-    runner = PlanRunner(compiled, engine)
+    runner = PlanRunner(compiled)
     try:
         whole = float("inf")
         blocked = float("inf")
@@ -275,9 +268,9 @@ class AutotuneResult:
     effective_params: MachineParams
     block_size: int
     n_procs: int
-    #: The plan family the measured engine executed (``skewed``/``flat``/
-    #: ``interp``).  Skewed plans have a very different per-element cost and
-    #: per-block dispatch cost than flat point loops, so Eq. (1) must not mix
+    #: The plan family the measured engine executed (``skewed``/``flat``).
+    #: Skewed plans have a very different per-element cost and per-block
+    #: dispatch cost than flat point loops, so Eq. (1) must not mix
     #: measurements across kinds.
     plan_kind: str = "flat"
 
@@ -327,7 +320,7 @@ def autotune(
     measurements (the benchmarks measure once and tune for every processor
     count) — but only measurements taken under the same plan kind: the
     result records :func:`repro.runtime.kernels.plan_kind` so callers can
-    tell which engine family the constants describe.
+    tell which plan family the constants describe.
     """
     plan = plan_wavefront(compiled)
     kind = plan_kind(compiled)
@@ -548,10 +541,9 @@ def host_collective(start_method: str | None = None) -> CollectiveParams:
 
 
 #: (plan fingerprint, plan kind) -> (compute s/elt, dispatch s/block).
-#: Skewed and flat plans of the same block have wildly different constants
-#: (one fused kernel per hyperplane vs one dispatch per point), so the memo
-#: is keyed per kind: flipping ``REPRO_ENGINE`` re-measures
-#: instead of reusing the other family's α.
+#: Skewed and flat plans have wildly different constants (one fused kernel
+#: per hyperplane vs one dispatch per point), so the kind is part of the key
+#: and a memo entry never describes another family's α.
 _BLOCK_COSTS: dict[tuple[str, str], tuple[float, float]] = {}
 
 
@@ -566,7 +558,7 @@ def tuned_block_size(
     """The executor's default block size: cached host α/β into Eq. (1).
 
     Compute and dispatch costs are memoised per (plan fingerprint, plan
-    kind), so structurally equal blocks tune once per engine family.
+    kind), so structurally equal blocks tune once per plan family.
     ``fabric="multicast"`` swaps the pipe constants for the collective
     model (:func:`host_collective`) amortised over ``fanout`` — a cheaper
     α rewards narrower blocks, so the fabrics tune to different widths.

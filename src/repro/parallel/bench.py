@@ -37,7 +37,7 @@ from repro.parallel.autotune import (
 from repro.parallel.executor import execute
 from repro.parallel.sharedmem import collect_arrays
 from repro.runtime.interp import ArraySnapshot
-from repro.runtime.vectorized import execute_vectorized
+from repro.runtime.kernels import execute_vectorized
 from repro.util.timing import WallTimer
 
 
@@ -123,11 +123,10 @@ def speedup_curve(
     pickle and segment creation paid once per ``p`` instead of once per
     repeat, so the timed minima measure the pipeline, not process startup.
 
-    The ``machine`` block reports three dispatch costs: the kernel engine's
-    (``dispatch_seconds_per_block``, what the default schedule pays), the
-    tree-walking interpreter's (``..._interp``, the pre-kernel cost kept for
-    comparability with older artifacts), and the pooled cost (``..._pooled``,
-    one token plus one warm dispatch — what Eq. (1) sees under the pool).
+    The ``machine`` block reports two dispatch costs: the in-process block
+    path's (``dispatch_seconds_per_block``, what the default schedule pays)
+    and the pooled cost (``..._pooled``, one token plus one warm dispatch —
+    what Eq. (1) sees under the pool).
     The payload also carries :func:`oversubscription` facts; oversubscribed
     hosts get a :class:`RuntimeWarning` and a marked artifact.
     """
@@ -153,7 +152,6 @@ def speedup_curve(
         comm = measure_comm(start_method=start_method)
     compute_seconds = measure_compute_cost(compiled)
     dispatch_seconds = measure_block_overhead(compiled)
-    dispatch_interp = measure_block_overhead(compiled, engine="interp")
     snap.restore()
     dispatch_pooled = measure_pool_dispatch(compiled)
     snap.restore()
@@ -259,7 +257,6 @@ def speedup_curve(
             "alpha_seconds": comm.alpha_seconds,
             "beta_seconds": comm.beta_seconds,
             "dispatch_seconds_per_block": dispatch_seconds,
-            "dispatch_seconds_per_block_interp": dispatch_interp,
             "dispatch_seconds_per_block_pooled": dispatch_pooled,
             "compute_seconds_per_element": compute_seconds,
             "alpha_normalized": params.alpha,

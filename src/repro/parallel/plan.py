@@ -52,7 +52,7 @@ from repro.parallel.collectives import (
     resolve_multicast,
 )
 from repro.parallel.worker import BlockJob
-from repro.runtime.kernels import ensure_native, resolve_engine
+from repro.runtime.kernels import ensure_native
 from repro.util.env import env_flag, env_int
 
 #: Environment knob: hard cap on worker counts chosen *by default* (CI safety).
@@ -406,13 +406,11 @@ class RunResources:
     stamps — sanitizing rides those stamps); a sanitized static-order run
     owns one shadow segment (stamp plane + per-``(rank, block)`` clock
     rows).  Both are per run, so one request can never leak state into
-    the next; :meth:`release` unlinks them.  The engine every rank runs is
-    resolved here too, once per run in the calling process.
+    the next; :meth:`release` unlinks them.
     """
 
     def __init__(self, run_plan: RunPlan):
         self.run_plan = run_plan
-        self.engine = resolve_engine(None)
         self._segment = self._taskgraph = self._sanitize = None
         n = run_plan.grid.size
         if run_plan.graph is not None:
@@ -450,7 +448,6 @@ class RunResources:
             taskgraph=self._taskgraph,
             mcast=mcast,
             sanitize=self._sanitize,
-            engine=self.engine,
         )
 
     def release(self) -> None:

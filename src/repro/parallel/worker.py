@@ -6,8 +6,10 @@ the same :func:`block_loop`: *wait* for block ``k``'s inputs, execute the
 block's local portion with the kernels the sequential engine uses, through
 one per-job :class:`~repro.runtime.kernels.PlanRunner` whose ``run_block``
 costs a plan-cache lookup plus the kernel, *release* block ``k``
-downstream.  What differs is the ``sync`` object the loop waits and
-releases on:
+downstream.  The kernel's lowering is the host's: the native nest the
+planner published where there is one, else numpy — no job carries a
+choice.  What differs is the ``sync`` object the loop waits and releases
+on:
 
 * :class:`PipeSync` — one token per block over the chain's pipe
   (:mod:`repro.parallel.channels`);
@@ -85,9 +87,6 @@ class BlockJob:
     #: run shadow-executes; kept untyped so the worker does not import the
     #: analyzer unless asked.  Taskgraph runs sanitize through ``taskgraph``.
     sanitize: object | None = None
-    #: The engine, resolved by the caller's process on each call (a pooled
-    #: worker's own environment is the one it was forked with).
-    engine: str | None = None
 
 
 @dataclass
@@ -279,10 +278,9 @@ def run_blocks(
     its :class:`~repro.parallel.collectives.MulticastChannel` (``None``
     unless ``job.mcast`` is set), ``tg_locks`` the taskgraph lock set — the
     pieces each process lifecycle inherits its own way.  Either loop runs
-    its blocks through one :class:`PlanRunner` built here, per job, for the
-    engine the caller resolved.
+    its blocks through one :class:`PlanRunner` built here, per job.
     """
-    runner = PlanRunner(runnable, job.engine)
+    runner = PlanRunner(runnable)
     if job.taskgraph is not None:
         from repro.parallel.taskgraph import taskgraph_loop
 

@@ -17,24 +17,21 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.runtime.kernels import resolve_engine, statement_kernel
+from repro.runtime.kernels import statement_kernel
 from repro.zpl.arrays import ZArray
 from repro.zpl.program import eager_reader
 from repro.zpl.statements import Assign
 
 
-def execute_interpreted(
-    statements: Sequence[Assign], *, engine: str | None = None
-) -> None:
+def execute_interpreted(statements: Sequence[Assign]) -> None:
     """Run plain array statements one at a time, RHS before assignment.
 
-    By default each unmasked statement runs through its ahead-of-time kernel
+    Each unmasked statement runs through its ahead-of-time kernel
     (:func:`repro.runtime.kernels.statement_kernel` — cached per statement,
-    one generated-kernel call instead of a tree walk); ``engine="interp"`` or
-    ``REPRO_ENGINE=interp`` keeps the original tree-walking path.  Statements
-    the kernel layer cannot express fall back statement-by-statement.
+    one generated-kernel call instead of a tree walk).  Statements the
+    kernel layer cannot express (parallel operators, masks) keep the tree
+    walk, statement by statement.
     """
-    kernels = resolve_engine(engine) != "interp"
     for stmt in statements:
         if stmt.expr.has_prime():
             from repro.errors import ExpressionError
@@ -43,7 +40,7 @@ def execute_interpreted(
                 "the prime operator has no array-semantics meaning; compile "
                 "the statements as a scan block instead"
             )
-        if kernels and stmt.mask is None:
+        if stmt.mask is None:
             runner = statement_kernel(stmt)
             if runner is not None:
                 runner()

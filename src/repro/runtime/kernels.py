@@ -1,11 +1,11 @@
 """Ahead-of-time statement kernels: generate the code once, bind regions cheap.
 
-:func:`~repro.runtime.vectorized.execute_vectorized` is an interpreter: every
-carried iteration re-walks the expression tree, re-builds shifted
-:class:`~repro.zpl.regions.Region` objects, re-derives numpy slices through
-``ZArray._slices`` and re-runs the ``np.shares_memory`` aliasing check.  All
-of that is loop-invariant, so this module hoists each piece to the outermost
-level it is invariant at:
+:func:`execute_vectorized` runs a compiled scan block.  Interpreting it per
+carried iteration would re-walk the expression tree, re-build shifted
+:class:`~repro.zpl.regions.Region` objects, re-derive numpy slices through
+``ZArray._slices`` and re-run the ``np.shares_memory`` aliasing check every
+row.  All of that is loop-invariant, so this module hoists each piece to the
+outermost level it is invariant at:
 
 * **template -> source.**  A :class:`KernelTemplate` is derived once per
   :class:`CompiledScan` (cached by object identity, evicted with the plan).
@@ -68,23 +68,28 @@ dimension in ``loops.order``.  Either is one C function over the same slots
 ``loops.signs`` folded in; extents, start coordinates and signs are run-time
 arguments, so the text is region- and shape-independent), and
 :mod:`repro.runtime.native` builds it once per machine behind a source-hash
-disk cache.  It is a *lowering*, not an engine: ``engine="kernel"`` runs it
-for either plan family whenever it exists, :func:`plan_kind` still answers
-``flat``/``skewed``, and ``"flat"``/``"interp"`` still mean numpy.
-Bit-identity defines what it covers: float64 storage and exactly rounded operators only (``+ - * /``,
-unary ``-``, ``abs``, ``sqrt``, ``floor``/``ceil``, ``max``/``min`` with
-numpy's NaN and ±0 choices, comparisons, ``where``); anything else — and any
+disk cache.  It is a *lowering*, not a plan family: it runs for either
+family whenever it exists, and :func:`plan_kind` still answers
+``flat``/``skewed``.  Bit-identity defines what it covers: float64 storage
+and exactly rounded operators only (``+ - * /``, unary ``-``, ``abs``,
+``sqrt``, ``floor``/``ceil``, ``max``/``min`` with numpy's NaN and ±0
+choices, comparisons, ``where``); anything else — and any
 block with no looped dimension, which is already one ufunc pass per
 statement — keeps the numpy lowering, counted in ``KERNEL_STATS.fallbacks``
 and reported by ``repro.analyze explain`` as W111 when that was not the plan.
 
-The engine selection contract is shared by every consumer: ``"kernel"``
-(the default) runs plans from here, auto-selecting the skewed family when
-legal; ``"flat"`` keeps the kernel plans but never skews; ``"interp"`` is
-the escape hatch back to the tree-walking engines.  ``REPRO_ENGINE``
-flips the default.  Blocks the kernel layer cannot express (stray parallel
-operators) fall back silently — behaviour is identical either way, only the
-constant factor changes.
+**The host picks the lowering; nothing else does.**
+:func:`execute_vectorized`, :class:`PlanRunner` and the worker loops built
+on it run the native nest where the host builds it.  Otherwise they run
+numpy: the ``rows``/``shear`` sweep when the block has a line-shaped skew,
+the flat row loop when it has none.  There is no knob, because every
+lowering is bit-identical to
+:func:`~repro.runtime.loopnest.execute_loopnest` and the choice moves only
+the constant factor.  ``engine=`` survives on :func:`execute_vectorized` and
+:func:`plan_kind` as ``None`` or ``"kernel"`` for callers that still pass
+it; any other value is refused.  Every node of a compiled block is
+expressible (lowering hoists the parallel operators), so the template
+refuses anything else when it is built.
 
 :func:`plan_fingerprint` names a lowered plan by *structure* (region, loop
 nest, statement trees with arrays numbered in first-occurrence order) so
@@ -99,7 +104,6 @@ from __future__ import annotations
 import hashlib
 import linecache
 import math
-import os
 import time
 import weakref
 from typing import Callable, NamedTuple
@@ -110,25 +114,17 @@ from numpy.lib.stride_tricks import as_strided
 from repro.compiler.lowering import CompiledScan
 from repro.compiler.skew import derive_skew, planes_independent
 from repro.compiler.wsv import DimClass
-from repro.errors import ArrayError, MachineError
+from repro.errors import ArrayError, ExpressionError, MachineError
 from repro.obs.live.context import current_tags
 from repro.obs.live.flight import FLIGHT
 from repro.obs.trace import NULL_TRACER
 from repro.runtime import native
-from repro.util.env import OFF
 from repro.zpl.arrays import ZArray
 from repro.zpl.expr import (
     BinOp, Const, IndexExpr, Node, ParallelOp, Ref, UnOp, Where,
 )
 from repro.zpl.regions import Region
 from repro.zpl.statements import Assign
-
-#: The one engine knob: ``kernel`` (default; skewed plans auto-selected),
-#: ``flat`` (kernel plans, no skewing) or ``interp`` (tree-walking engines).
-ENGINE_ENV = "REPRO_ENGINE"
-
-#: The engine names every ``engine=`` parameter accepts.
-ENGINES = ("kernel", "flat", "interp")
 
 #: Plans kept per template and lowering.  A plan is a tuple of views (or one
 #: packed argument block), so the cap only has to exceed the block regions one
@@ -137,36 +133,13 @@ ENGINES = ("kernel", "flat", "interp")
 PLAN_CACHE_CAP = 1024
 
 
-def _env_engine() -> str | None:
-    """The engine named by the environment, or ``None`` when unset.
-
-    A switch-off value (``0``/``false``/``off``/``no``) means ``interp``;
-    an unknown name is refused like an unknown ``engine=``.
-    """
-    value = os.environ.get(ENGINE_ENV, "").strip().lower()
-    if not value:
-        return None
-    if value in OFF:
-        return "interp"
-    if value not in ENGINES:
+def _check_engine(engine: str | None) -> None:
+    """Refuse any ``engine=`` but the default: the host picks the lowering."""
+    if engine not in (None, "kernel"):
         raise MachineError(
-            f"unknown engine {value!r} in {ENGINE_ENV}; pick from {ENGINES}"
+            f"unknown engine {engine!r}: the host picks the lowering, so only "
+            f"None or 'kernel' is accepted"
         )
-    return value
-
-
-def default_engine() -> str:
-    """The engine used when no explicit ``engine=`` is given (env-driven)."""
-    return _env_engine() or "kernel"
-
-
-def resolve_engine(engine: str | None) -> str:
-    """Engine resolution used by every entry point: explicit > env > kernel."""
-    if engine is None:
-        return default_engine()
-    if engine not in ENGINES:
-        raise MachineError(f"unknown engine {engine!r}; pick from {ENGINES}")
-    return engine
 
 
 class KernelStats:
@@ -211,35 +184,48 @@ KERNEL_STATS = KernelStats()
 # ---------------------------------------------------------------------------
 # Compile-time aliasing analysis
 # ---------------------------------------------------------------------------
-def statement_needs_copy(stmt: Assign, contracted_ids: frozenset[int] | set[int]) -> bool:
-    """Decide the ``values.copy()`` question once per plan, not once per slab.
+def statement_needs_copy(stmt: Assign) -> bool:
+    """Decide the ``values.copy()`` question once per plan, not once per row.
 
     Only a *root-level* :class:`Ref` can evaluate to a view of array storage —
     every other node allocates a fresh array (ufuncs, ``np.where``, reduction
     copies).  A masked store never needs the copy either: the ``np.where``
-    blend allocates before anything is written.  Contracted sources are
-    flagged conservatively — their per-iteration buffer is a broadcast view
-    of whatever the defining statement evaluated, which may alias anything.
+    blend allocates before anything is written.  A contracted source needs
+    no rule of its own: once defined it is an emitter local, always a fresh
+    array or a ``.copy()`` snapshot, and before that it reads its own
+    storage, which the overlap test below sees like any other array's.
     """
     expr = stmt.expr
-    if not isinstance(expr, Ref):
+    if not isinstance(expr, Ref) or stmt.mask is not None:
         return False
-    if stmt.mask is not None:
-        return False
-    if id(expr.array) in contracted_ids:
-        return True
     return bool(np.shares_memory(expr.array._data, stmt.target._data))
 
 
-def _supported_expr(node: Node, rank: int) -> bool:
-    """True when the kernel builder can express ``node`` (no parallel ops)."""
-    if isinstance(node, (Const, Ref)):
-        return True
+def _unexpressible(node: Node, rank: int) -> Node | None:
+    """The first node under ``node`` the kernel builder cannot express (a
+    parallel operator, or an index past ``rank``), or ``None``."""
     if isinstance(node, IndexExpr):
-        return node.dim < rank
-    if isinstance(node, (BinOp, UnOp, Where)):
-        return all(_supported_expr(c, rank) for c in node.children())
-    return False
+        return node if node.dim >= rank else None
+    if not isinstance(node, (Const, Ref, BinOp, UnOp, Where)):
+        return node
+    return next(
+        filter(None, (_unexpressible(c, rank) for c in node.children())), None
+    )
+
+
+def _check_expressible(statements, rank: int) -> None:
+    """Raise the error the tree walk would for a node no kernel expresses."""
+    for stmt in statements:
+        node = _unexpressible(stmt.expr, rank)
+        if isinstance(node, IndexExpr):
+            raise ExpressionError(
+                f"index dimension {node.dim} out of range for rank {rank}"
+            )
+        if node is not None:
+            raise MachineError(
+                f"kernel builder cannot express {type(node).__name__} nodes; "
+                f"compile the block so its parallel operators are hoisted"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -434,9 +420,8 @@ def _native_unsupported(statements) -> str | None:
     """The first construct the C back end would not reproduce bit for bit.
 
     A parallel operator passes: lowering hoists it into a float64 temporary
-    before the kernel layer sees the block (a stray one makes the template
-    unsupported altogether), and ``repro.analyze`` asks about blocks it has
-    not lowered.
+    before the kernel layer sees the block (the template refuses a stray
+    one), and ``repro.analyze`` asks about blocks it has not lowered.
     """
 
     def walk(node: Node) -> str | None:
@@ -677,10 +662,11 @@ class KernelTemplate:
     """Per-plan compile-time state: generated kernels plus the region-plan cache."""
 
     __slots__ = ("_compiled", "statements", "loops", "region", "contracted",
-                 "contracted_ids", "looped", "supported", "skew", "native_order",
-                 "plans", "_kernels", "_native", "native_error")
+                 "contracted_ids", "looped", "skew", "native_order", "plans",
+                 "_kernels", "_native", "native_error")
 
     def __init__(self, statements, region: Region, loops=None, contracted=()):
+        _check_expressible(statements, region.rank)
         self._compiled = None
         self.statements = statements
         self.loops = loops
@@ -691,12 +677,9 @@ class KernelTemplate:
         self.looped = () if loops is None else tuple(
             d for d in loops.order if loops.classes[d] is not DimClass.PARALLEL
         )
-        self.supported = all(
-            _supported_expr(stmt.expr, region.rank) for stmt in statements
-        )
         #: Legal hyperplane schedule numpy can sweep, or None (one looped dim,
-        #: no legal τ, a plane that is not a line, or unsupported
-        #: expressions).  Set once by :func:`template_for`.
+        #: no legal τ, or a plane that is not a line).  Set once by
+        #: :func:`template_for`.
         self.skew = None
         #: The native nest: ``planes`` sweeps :attr:`skew`'s planes (no
         #: dependence ties inside one), ``loop`` is ``loops.order``.  Set
@@ -722,10 +705,7 @@ class KernelTemplate:
         tracebacks and profilers show the generated lines; the entry goes
         when the function does.
         """
-        copies = tuple(
-            statement_needs_copy(stmt, self.contracted_ids)
-            for stmt in self.statements
-        )
+        copies = tuple(map(statement_needs_copy, self.statements))
         key = (skewed, copies)
         kern = self._kernels.get(key)
         if kern is not None:
@@ -771,7 +751,7 @@ class KernelTemplate:
 
     def _lower_native(self, host: native.Host) -> _Kernel | None:
         self.native_error = None
-        if not (self.looped and self.supported):
+        if not self.looped:
             return None
         why = _native_unsupported(self.statements)
         if why is None:
@@ -966,23 +946,21 @@ def template_for(compiled: CompiledScan) -> KernelTemplate:
         compiled.statements, compiled.region, compiled.loops, compiled.contracted
     )
     template._compiled = weakref.ref(compiled)
-    if template.supported:
-        skew = derive_skew(compiled)
-        if skew is not None and skew.lowering is not None:
-            template.skew = skew
-            if planes_independent(skew.tau, skew.dims, compiled.dependences):
-                template.native_order = "planes"
+    skew = derive_skew(compiled)
+    if skew is not None and skew.lowering is not None:
+        template.skew = skew
+        if planes_independent(skew.tau, skew.dims, compiled.dependences):
+            template.native_order = "planes"
     KERNEL_STATS.template_builds += 1
     _TEMPLATES[key] = template
     weakref.finalize(compiled, _TEMPLATES.pop, key, None)
     return template
 
 
-def _family(template: KernelTemplate, mode: str) -> str:
-    """The plan family a non-``interp`` engine ``mode`` runs: skewed/flat/interp."""
-    if not template.supported:
-        return "interp"
-    return "skewed" if mode == "kernel" and template.skew is not None else "flat"
+def _family(template: KernelTemplate) -> str:
+    """The plan family a template runs: ``skewed`` when numpy can sweep a
+    skew of the block, else ``flat``."""
+    return "flat" if template.skew is None else "skewed"
 
 
 def native_obstacle(statements) -> str | None:
@@ -993,15 +971,6 @@ def native_obstacle(statements) -> str | None:
     return _native_unsupported(statements) or native.HOST.probe()
 
 
-def _runs_native(template: KernelTemplate, mode: str) -> bool:
-    """Does engine ``mode`` run this block's plans through the compiled nest?
-
-    Only ``"kernel"`` — best available — ever does; ``"flat"`` keeps meaning
-    the numpy point/row loop.
-    """
-    return mode == "kernel" and template.native() is not None
-
-
 def ensure_native(compiled: CompiledScan) -> None:
     """Build or load ``compiled``'s native object *now*, in this process.
 
@@ -1009,8 +978,7 @@ def ensure_native(compiled: CompiledScan) -> None:
     dispatches: worker processes never run the compiler
     (:mod:`repro.runtime.native`), they load what the planner published.
     """
-    if resolve_engine(None) == "kernel":
-        template_for(compiled).native()
+    template_for(compiled).native()
 
 
 def _dispatch(template: KernelTemplate, region: Region, skewed: bool, obs,
@@ -1024,43 +992,35 @@ def _dispatch(template: KernelTemplate, region: Region, skewed: bool, obs,
             obs.count("hyperplanes", plan.n_planes)
 
 
-def try_execute_kernels(
+def execute_vectorized(
     compiled: CompiledScan,
     within: Region | None = None,
-    tracer=None,
+    *,
     engine: str | None = None,
-) -> bool:
-    """Run ``compiled`` through its AOT kernels; False when unsupported.
+    tracer=None,
+) -> None:
+    """Run the compiled block: the sequential engine every entry point uses.
 
-    Semantically identical to the interpreted
-    :func:`~repro.runtime.vectorized.execute_vectorized` path — same
-    traversal order (hyperplane sweeps respect it via the legality rule),
-    same mask blending, same contraction buffering — minus the per-iteration
-    interpretation.  ``engine`` picks the plan family: ``"kernel"`` (the
-    default) auto-selects the skewed plan whenever the template derived a
-    legal hyperplane schedule, ``"flat"`` forces the point-loop plans.  A
-    ``False`` return means the caller must fall back to the tree-walking
-    engine (the block contains nodes the builder does not express, or the
-    resolved engine is ``"interp"``); nothing has been executed in that
-    case.
+    ``within`` restricts execution to a sub-region of the compiled region —
+    the distributed executor uses this to run one processor's portion (or one
+    pipeline block) with identical code.  The block runs through its
+    template: the native nest where the host builds it, else the numpy
+    lowering of its plan family (:func:`plan_kind`).  Every lowering keeps
+    the loop nest's traversal order (hyperplane sweeps respect it via the
+    legality rule), mask blending and contraction buffering, so all are
+    bit-identical to :func:`~repro.runtime.loopnest.execute_loopnest`.
+    ``engine`` accepts only ``None`` or ``"kernel"``.  ``tracer`` (a
+    :class:`repro.obs.Tracer`) records kernel-compile spans and plan-cache
+    counters when given.
     """
+    _check_engine(engine)
     obs = tracer if tracer is not None else NULL_TRACER
-    mode = engine if engine in ("kernel", "flat") else resolve_engine(engine)
-    if mode == "interp":
-        return False
     template = template_for(compiled)
-    kind = _family(template, mode)
-    if kind == "interp":
-        KERNEL_STATS.fallbacks += 1
-        if obs.enabled:
-            obs.count("kernel_fallbacks")
-        return False
     region = compiled.region if within is None else compiled.region.intersect(within)
     compiled.prepare()
     if not region.is_empty():
-        _dispatch(template, region, kind == "skewed", obs,
-                  _runs_native(template, mode))
-    return True
+        _dispatch(template, region, template.skew is not None, obs,
+                  template.native() is not None)
 
 
 class PlanRunner:
@@ -1069,11 +1029,11 @@ class PlanRunner:
 
     A server, a worker's block loop, the simulator's value walk and the
     autotuner execute the *same* plan thousands of times, and
-    :func:`try_execute_kernels` pays engine resolution, template lookup,
-    family and native probing, region intersection and ``prepare()`` on
-    every call.  ``PlanRunner`` hoists all of it to construction, so a block
-    costs one ``template.instantiate`` (the template's plan cache is the
-    only cache; a rebound storage buffer re-instantiates) plus its kernel:
+    :func:`execute_vectorized` pays template lookup, native probing, region
+    intersection and ``prepare()`` on every call.  ``PlanRunner`` hoists all
+    of it to construction, so a block costs one ``template.instantiate``
+    (the template's plan cache is the only cache; a rebound storage buffer
+    re-instantiates) plus its kernel:
 
     * ``run_block(region)`` executes one block.  The caller evaluates the
       hoisted temporaries once per loop (``compiled.prepare()``; a worker's
@@ -1084,26 +1044,18 @@ class PlanRunner:
       kernel dispatch covering ``items`` logical requests
       (``KERNEL_STATS.batch_dispatches`` / ``batch_items``).
 
-    The engine is resolved at construction: a loop builds its runner once
-    per job, so an environment flip between jobs still changes the family.
-    Blocks the kernel layer cannot express (or an explicit
-    ``engine="interp"``) fall back to the tree-walking engine per block, so
-    the runner is safe to use unconditionally.
+    The lowering is fixed at construction, as :func:`execute_vectorized`
+    would pick it then; a loop builds its runner once per job.
     """
 
-    __slots__ = ("compiled", "engine", "kind", "_template", "_native")
+    __slots__ = ("compiled", "kind", "_template", "_native")
 
-    def __init__(self, compiled: CompiledScan, engine: str | None = None):
+    def __init__(self, compiled: CompiledScan):
         self.compiled = compiled
-        self.engine = resolve_engine(engine)
-        #: The plan family ``run`` executes: ``skewed``/``flat``/``interp``.
-        self.kind = plan_kind(compiled, self.engine)
-        self._template = (
-            None if self.kind == "interp" else template_for(compiled)
-        )
-        self._native = self._template is not None and _runs_native(
-            self._template, self.engine
-        )
+        self._template = template_for(compiled)
+        #: The plan family ``run`` executes: ``skewed``/``flat``.
+        self.kind = _family(self._template)
+        self._native = self._template.native() is not None
 
     def run(self, items: int = 1, tracer=None) -> None:
         """Execute the plan once, covering ``items`` coalesced requests.
@@ -1133,30 +1085,24 @@ class PlanRunner:
 
     def run_block(self, region: Region, tracer=NULL_TRACER) -> None:
         """Execute the plan over one block ``region`` (see the class notes)."""
-        if self._template is None:
-            from repro.runtime.vectorized import execute_vectorized
-
-            execute_vectorized(
-                self.compiled, region, engine=self.engine, tracer=tracer
-            )
-            return
         _dispatch(self._template, region, self.kind == "skewed", tracer,
                   self._native)
 
 
 def plan_kind(compiled: CompiledScan, engine: str | None = None) -> str:
-    """The plan family ``compiled`` would execute under: skewed/flat/interp.
+    """The plan family ``compiled`` executes: ``skewed`` or ``flat``.
 
     Pure query — no plan is instantiated (the template is, which is cheap
     and cached).  The parallel workers use this to tag ``compute`` spans and
-    the autotuner to key its per-kind cost memo.
+    the autotuner to key its per-kind cost memo.  ``engine`` accepts only
+    ``None`` or ``"kernel"``, as :func:`execute_vectorized`'s does.
     """
-    mode = resolve_engine(engine)
-    return "interp" if mode == "interp" else _family(template_for(compiled), mode)
+    _check_engine(engine)
+    return _family(template_for(compiled))
 
 
 # ---------------------------------------------------------------------------
-# Single-statement kernels (the interp fast path)
+# Single-statement kernels (eager array-semantics statements)
 # ---------------------------------------------------------------------------
 #: id(Assign) -> (weakref to stmt, bound plan) for eager array-semantics
 #: statements.
@@ -1181,7 +1127,8 @@ def statement_kernel(stmt: Assign) -> Callable[[], None] | None:
             KERNEL_STATS.plan_hits += 1
             return plan.run
         del _STMT_KERNELS[key]
-    if stmt.expr.has_prime() or not _supported_expr(stmt.expr, stmt.region.rank):
+    if (stmt.expr.has_prime()
+            or _unexpressible(stmt.expr, stmt.region.rank) is not None):
         return None
     plan = KernelTemplate((stmt,), stmt.region)._build(stmt.region)
     KERNEL_STATS.plan_builds += 1

@@ -190,7 +190,7 @@ class Program:
 
     def run(self, engine=None) -> None:
         """Execute every item in order."""
-        from repro.runtime.vectorized import execute_vectorized
+        from repro.runtime.kernels import execute_vectorized
         from repro.zpl.program import execute_eager
 
         run_block = engine or execute_vectorized

@@ -95,7 +95,7 @@ def set_default_engine(engine: Callable | None) -> None:
 
 
 def _builtin_engine() -> Callable:
-    from repro.runtime.vectorized import execute_vectorized
+    from repro.runtime.kernels import execute_vectorized
 
     return execute_vectorized
 

@@ -1,10 +1,9 @@
 """The ``python -m repro.analyze`` command line.
 
-Includes the env-knob satellite: linting under ``REPRO_ENGINE`` and the
-removed (now ignored) ``REPRO_KERNELS`` alias must behave identically —
+Includes the env-knob satellite: linting under the removed (now ignored)
+``REPRO_ENGINE`` and ``REPRO_KERNELS`` knobs must behave identically —
 lint never executes a program, so it must never touch the kernel layer
-those knobs configure (``KERNEL_STATS`` stays frozen) and never mutate
-array storage.
+(``KERNEL_STATS`` stays frozen) and never mutate array storage.
 """
 
 import json
@@ -14,7 +13,7 @@ import pytest
 
 from repro.analyze.cli import main
 from repro.analyze.diagnostics import validate_report
-from repro.runtime import KERNEL_STATS, default_engine
+from repro.runtime import KERNEL_STATS
 
 
 @pytest.fixture
@@ -108,19 +107,17 @@ def test_repro_examples_lint_clean():
 
 
 def test_lint_untouched_by_kernel_env_knobs(zpl_file, capsys, monkeypatch):
-    """REPRO_ENGINE and the removed REPRO_KERNELS don't change lint.
+    """The removed REPRO_ENGINE and REPRO_KERNELS knobs don't change lint.
 
-    Lint never executes: the kernel layer the knobs configure must stay
-    completely cold (no template/plan builds, no fallbacks), and the output
-    must be byte-identical with and without the knobs.
+    Lint never executes: the kernel layer must stay completely cold (no
+    template/plan builds, no fallbacks), and the output must be
+    byte-identical with and without the knobs.
     """
     path = zpl_file(BROKEN)
     assert main(["lint", path, "--json"]) == 1
     baseline = capsys.readouterr().out
 
-    monkeypatch.delenv("REPRO_ENGINE", raising=False)
-    monkeypatch.setenv("REPRO_KERNELS", "interp")  # removed alias: ignored
-    assert default_engine() == "kernel"
+    monkeypatch.setenv("REPRO_KERNELS", "interp")  # removed knobs: ignored
     monkeypatch.setenv("REPRO_ENGINE", "interp")
     KERNEL_STATS.reset()
     before = KERNEL_STATS.snapshot()

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro import zpl
-from repro.runtime import execute_vectorized, native, run_and_capture
+from repro.runtime import execute_loopnest, execute_vectorized, native, run_and_capture
 
 
 @pytest.fixture
@@ -32,41 +32,46 @@ def numpy_lowerings():
 
 
 @pytest.fixture
-def kernel_engine(monkeypatch):
-    """The default engine, whatever ``REPRO_ENGINE`` the suite runs under:
-    for tests about which kernel plan family runs."""
-    monkeypatch.delenv("REPRO_ENGINE", raising=False)
-
-
-@pytest.fixture
 def no_compiler():
     """A host without a C compiler, for tests about the numpy lowerings."""
     with numpy_lowerings():
         yield
 
 
-def engine_matrix(compiled, arrays) -> dict[str, list[np.ndarray]]:
-    """Storage after each way to run a block, from identical initial state:
-    the native nest (``kernel`` where the host can build it), the numpy
-    ``kernel`` lowering, ``flat`` and ``interp``."""
-    def run(engine):
-        return run_and_capture(
-            lambda c: execute_vectorized(c, engine=engine), compiled, arrays
-        )
+#: The :func:`engine_matrix` key of the oracle's storage.
+ORACLE = "loopnest"
 
-    results = {engine: run(engine) for engine in ("kernel", "flat", "interp")}
+
+def engine_matrix(compiled, arrays) -> dict[str, list[np.ndarray | None]]:
+    """Storage after each way to run a block, from identical initial state:
+    ``kernel`` is what :func:`execute_vectorized` runs on this host (the
+    native nest where it builds one), ``numpy`` the same block with the
+    toolchain looking absent.  :data:`ORACLE` holds
+    :func:`execute_loopnest`'s storage, ``None`` for contracted arrays:
+    the oracle materialises them, and no lowering touches their storage."""
+    results = {
+        "kernel": run_and_capture(execute_vectorized, compiled, arrays),
+    }
     with numpy_lowerings():
-        results["kernel/numpy"] = run("kernel")
+        results["numpy"] = run_and_capture(execute_vectorized, compiled, arrays)
+    oracle = run_and_capture(execute_loopnest, compiled, arrays)
+    results[ORACLE] = [
+        None if compiled.is_contracted(array) else want
+        for array, want in zip(arrays, oracle)
+    ]
     return results
 
 
-def assert_bit_identical(results: dict[str, list[np.ndarray]], arrays) -> None:
-    """Every entry of an :func:`engine_matrix` equals ``interp`` bit for bit."""
+def assert_bit_identical(results: dict[str, list[np.ndarray | None]], arrays) -> None:
+    """Every run of an :func:`engine_matrix` equals the oracle bit for bit,
+    on every array the oracle does not treat as a temporary."""
+    oracle = results[ORACLE]
     for engine, got in results.items():
-        for array, g, i in zip(arrays, got, results["interp"]):
-            assert g.tobytes() == i.tobytes(), (
-                f"array {array.name}: {engine} != interp"
-            )
+        for array, g, want in zip(arrays, got, oracle):
+            if want is not None and engine != ORACLE:
+                assert g.tobytes() == want.tobytes(), (
+                    f"array {array.name}: {engine} != {ORACLE}"
+                )
 
 
 def make_tomcatv_arrays(n: int, rng: np.random.Generator | None = None):

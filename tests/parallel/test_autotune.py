@@ -99,7 +99,6 @@ def test_optimal_block_size_degenerates_to_full_width_serially():
     assert 1 <= b <= cols
 
 
-@pytest.mark.usefixtures("kernel_engine")
 def test_autotune_end_to_end():
     compiled = _compiled()
     result = autotune(compiled, 2)
@@ -112,7 +111,6 @@ def test_autotune_end_to_end():
     assert result.plan_kind == "flat"  # one looped dim: nothing to skew
 
 
-@pytest.mark.usefixtures("kernel_engine")
 def test_autotune_records_skewed_plan_kind():
     from repro.apps.alignment import build_score_block
 
@@ -122,9 +120,10 @@ def test_autotune_records_skewed_plan_kind():
     assert result.plan_kind == "skewed"
 
 
-@pytest.mark.usefixtures("kernel_engine")
-def test_tuned_block_size_memoises_per_plan_kind(monkeypatch):
+def test_tuned_block_size_memoises_per_plan_kind():
     import sys
+
+    from repro.apps.alignment import build_score_block
 
     mod = sys.modules["repro.parallel.autotune"]
     compiled = _compiled()
@@ -136,8 +135,8 @@ def test_tuned_block_size_memoises_per_plan_kind(monkeypatch):
     # Same block, same kind: measured once.
     mod.tuned_block_size(compiled, 2)
     assert len(mod._BLOCK_COSTS) == 1
-    # Forcing interp changes the plan kind: a separate measurement.
-    monkeypatch.setenv("REPRO_ENGINE", "interp")
-    mod.tuned_block_size(compiled, 2)
+    # A skewed block is a separate measurement under its own kind.
+    skewed, _ = build_score_block("GATTACAGG" * 3, "GCATGCUTA" * 3)
+    mod.tuned_block_size(skewed, 2)
     assert len(mod._BLOCK_COSTS) == 2
-    assert {k for _, k in mod._BLOCK_COSTS} == {"flat", "interp"}
+    assert {k for _, k in mod._BLOCK_COSTS} == {"flat", "skewed"}

@@ -1,14 +1,13 @@
 """The per-block dispatch both worker loops share: one ``PlanRunner`` per job.
 
 ``block_loop`` and ``taskgraph_loop`` run every block through
-:meth:`repro.runtime.kernels.PlanRunner.run_block`: the engine, the plan
-family and the native kernel are resolved once per job, and a block costs
-one plan-cache lookup plus its kernel — no ``Region`` intersection and no
-``execute_vectorized`` call on the kernel path.  These tests drive both
-loops in-process (one rank, no fabric) and pin what that hoisting must
-keep: bit-identity with the loop-nest oracle, a rebind after storage moves,
-the tree-walking fallback for a block outside the kernel-supported set, a
-fresh engine per job, and the task-graph scheduler's idle accounting.
+:meth:`repro.runtime.kernels.PlanRunner.run_block`: the plan family and the
+native kernel are resolved once per job, and a block costs one plan-cache
+lookup plus its kernel — no ``Region`` intersection and no
+``execute_vectorized`` call.  These tests drive both loops in-process (one
+rank, no fabric) and pin what that hoisting must keep: bit-identity with the
+loop-nest oracle, a rebind after storage moves, and the task-graph
+scheduler's idle accounting.
 """
 
 import multiprocessing as mp
@@ -18,12 +17,11 @@ import pytest
 
 from repro.compiler import compile_scan
 from repro.obs.trace import NULL_TRACER, Tracer
-from repro.parallel import WorkerPool
 from repro.parallel.plan import resolve_run
 from repro.parallel.taskgraph import TaskgraphState, make_locks, taskgraph_loop
 from repro.parallel.worker import PipeSync, block_loop
-from repro.runtime import execute_loopnest, run_and_capture, vectorized
-from repro.runtime.kernels import KERNEL_STATS, PlanRunner, template_for
+from repro.runtime import execute_loopnest, kernels, run_and_capture
+from repro.runtime.kernels import KERNEL_STATS, PlanRunner
 from repro.zpl.regions import Region
 from tests.conftest import record_tomcatv_block
 from tests.parallel.test_taskgraph import _banded_program
@@ -86,7 +84,7 @@ def _assert_matches_loopnest(compiled, arrays, run):
         assert have.tobytes() == want.tobytes(), f"array {array.name}"
 
 
-def test_rebound_storage_reinstantiates(kernel_engine):
+def test_rebound_storage_reinstantiates():
     compiled, arrays = _tomcatv()
     chunks = resolve_run(
         compiled, 1, schedule="pipelined", block=3, static=True
@@ -108,29 +106,7 @@ def test_rebound_storage_reinstantiates(kernel_engine):
 
 
 @pytest.mark.parametrize("loop", sorted(LOOPS))
-def test_unsupported_block_runs_the_tree_walking_engine(
-    loop, kernel_engine, monkeypatch
-):
-    compiled, arrays = _tomcatv()
-    run = LOOPS[loop](compiled)
-    template_for(compiled).supported = False  # as a stray parallel op makes it
-    assert PlanRunner(compiled).kind == "interp"
-    calls = []
-    real = vectorized.execute_vectorized
-    monkeypatch.setattr(
-        vectorized, "execute_vectorized",
-        lambda *a, **k: calls.append(a) or real(*a, **k),
-    )
-    KERNEL_STATS.reset()
-    _assert_matches_loopnest(compiled, arrays, run)
-    assert len(calls) == KERNEL_STATS.fallbacks > 1  # one per block, counted
-    assert all(isinstance(region, Region) for _, region in calls)
-
-
-@pytest.mark.parametrize("loop", sorted(LOOPS))
-def test_warm_kernel_path_neither_intersects_nor_interprets(
-    loop, kernel_engine, monkeypatch
-):
+def test_warm_kernel_path_neither_intersects_nor_interprets(loop, monkeypatch):
     compiled, _ = _banded_program()
     run = LOOPS[loop](compiled)
     run(compiled)  # cold: templates and plans built
@@ -145,31 +121,10 @@ def test_warm_kernel_path_neither_intersects_nor_interprets(
         counts["execute_vectorized"] += 1
 
     monkeypatch.setattr(Region, "intersect", counting_intersect)
-    monkeypatch.setattr(vectorized, "execute_vectorized", counting_execute)
+    monkeypatch.setattr(kernels, "execute_vectorized", counting_execute)
     stats = run(compiled)
     assert stats["blocks"] > 1
     assert counts == {"intersect": 0, "execute_vectorized": 0}
-
-
-def test_skew_flip_between_pooled_calls_changes_the_plan_tag(
-    kernel_engine, monkeypatch
-):
-    from repro.apps.alignment import build_score_block
-
-    compiled, _ = build_score_block("GATTACAGG" * 3, "GCATGCUTA" * 3)
-    pool = WorkerPool(2)
-    try:
-        def plans():
-            run = pool.execute(
-                compiled, schedule="pipelined", block=9, tracer=Tracer()
-            )
-            return {s.args["plan"] for s in run.trace.worker_spans("compute")}
-
-        assert plans() == {"skewed"}
-        monkeypatch.setenv("REPRO_ENGINE", "flat")
-        assert plans() == {"flat"}
-    finally:
-        pool.close()
 
 
 def test_taskgraph_wait_is_the_time_actually_slept(monkeypatch):

@@ -65,7 +65,6 @@ class TestRank1Counters:
         ]
         assert sum(widths) == trace.meta["cols"]
 
-    @pytest.mark.usefixtures("kernel_engine")
     def test_compute_spans_tagged_with_plan_kind(self):
         # Tomcatv has one looped dim: the workers run flat kernel plans,
         # and every compute span says so.
@@ -73,7 +72,6 @@ class TestRank1Counters:
         plans = {s.args["plan"] for s in trace.worker_spans("compute")}
         assert plans == {"flat"}
 
-    @pytest.mark.usefixtures("kernel_engine")
     def test_skewed_blocks_tagged_skewed(self):
         # The alignment DP carries both dims: workers auto-select the
         # skewed plans inside their chunks and tag the spans accordingly.

@@ -1,4 +1,4 @@
-"""Tests for the AOT kernel layer: engine selection, plan cache, aliasing."""
+"""Tests for the AOT kernel layer: no engine selection, plan cache, aliasing."""
 
 import pickle
 from dataclasses import replace
@@ -11,57 +11,77 @@ from repro.compiler import compile_scan, compile_statements, contract
 from repro.errors import MachineError
 from repro.runtime import (
     KERNEL_STATS,
-    default_engine,
+    PlanRunner,
     execute_interpreted,
     execute_loopnest,
     execute_vectorized,
     plan_fingerprint,
-    resolve_engine,
+    plan_kind,
     run_and_capture,
     statement_needs_copy,
 )
 from repro.runtime.kernels import statement_kernel, template_for
 from repro.zpl.statements import Assign
-from tests.conftest import record_tomcatv_block
+from tests.conftest import (
+    assert_bit_identical,
+    engine_matrix,
+    numpy_lowerings,
+    record_tomcatv_block,
+)
 
 
-def kernel_vs_interp(compiled, arrays):
-    """Both sequential engines from the same state; assert bit-identical."""
-    interp = run_and_capture(
-        lambda c: execute_vectorized(c, engine="interp"), compiled, arrays
-    )
-    kernel = run_and_capture(
-        lambda c: execute_vectorized(c, engine="kernel"), compiled, arrays
-    )
-    for name, i, k in zip((a.name for a in arrays), interp, kernel):
-        np.testing.assert_array_equal(k, i, err_msg=f"array {name}")
-    return interp
+def kernel_vs_oracle(compiled, arrays):
+    """The host's lowering and numpy's, from the same state: both
+    bit-identical to the loop-nest oracle."""
+    assert_bit_identical(engine_matrix(compiled, arrays), arrays)
+
+
+def _tomcatv(n=10):
+    block, arrays = record_tomcatv_block(n)
+    return compile_scan(block), arrays
 
 
 class TestEngineSelection:
-    def test_default_is_kernel(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        assert default_engine() == "kernel"
-        assert resolve_engine(None) == "kernel"
+    def test_default_is_kernel(self):
+        compiled, arrays = _tomcatv()
+        default = run_and_capture(execute_vectorized, compiled, arrays)
+        kernel = run_and_capture(
+            lambda c: execute_vectorized(c, engine="kernel"), compiled, arrays
+        )
+        assert plan_kind(compiled) == plan_kind(compiled, "kernel") == "flat"
+        for d, k in zip(default, kernel):
+            np.testing.assert_array_equal(k, d)
 
     @pytest.mark.parametrize("value", ["0", "false", "off", "interp"])
     def test_env_escape_hatch(self, monkeypatch, value):
+        """The ``REPRO_ENGINE`` escape hatch is closed: setting it changes
+        neither the plan family nor the kernel that runs."""
+        compiled, _ = _tomcatv()
+        kind = plan_kind(compiled)
+        execute_vectorized(compiled)
+        plans = dict(template_for(compiled).plans)
         monkeypatch.setenv("REPRO_ENGINE", value)
-        assert default_engine() == "interp"
+        KERNEL_STATS.reset()
+        execute_vectorized(compiled)
+        assert plan_kind(compiled) == PlanRunner(compiled).kind == kind
+        assert template_for(compiled).plans == plans
+        assert (KERNEL_STATS.plan_hits, KERNEL_STATS.plan_builds) == (1, 0)
 
     @pytest.mark.parametrize("value", ["0", "interp", "flat"])
     def test_removed_alias_is_ignored(self, monkeypatch, value):
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
         monkeypatch.setenv("REPRO_KERNELS", value)
-        assert default_engine() == "kernel"
-
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "0")
-        assert resolve_engine("kernel") == "kernel"
+        compiled, _ = _tomcatv(8)
+        assert PlanRunner(compiled).kind == "flat"
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(MachineError, match="unknown engine"):
-            resolve_engine("jit")
+        """Only ``None`` and ``"kernel"`` pass, and a refusal binds nothing."""
+        compiled, _ = _tomcatv(8)
+        for engine in ("interp", "flat", "jit"):
+            with pytest.raises(MachineError, match=f"unknown engine {engine!r}"):
+                execute_vectorized(compiled, engine=engine)
+            with pytest.raises(MachineError, match="unknown engine"):
+                plan_kind(compiled, engine)
+        assert not template_for(compiled).plans
 
     def test_env_off_still_correct(self, monkeypatch):
         block, arrays = record_tomcatv_block(10)
@@ -76,7 +96,7 @@ class TestEngineSelection:
 class TestEquivalence:
     def test_tomcatv_bit_identical(self):
         block, arrays = record_tomcatv_block(12)
-        kernel_vs_interp(compile_scan(block), arrays)
+        kernel_vs_oracle(compile_scan(block), arrays)
 
     def test_matches_loopnest_oracle(self):
         block, arrays = record_tomcatv_block(10)
@@ -91,7 +111,7 @@ class TestEquivalence:
     def test_contracted_block(self):
         block, (aa, d, dd, rx, ry, r) = record_tomcatv_block(10)
         compiled = contract(compile_scan(block), [r])
-        kernel_vs_interp(compiled, (aa, d, dd, rx, ry, r))
+        kernel_vs_oracle(compiled, (aa, d, dd, rx, ry, r))
 
     def test_masked_scan(self):
         n = 8
@@ -103,7 +123,7 @@ class TestEquivalence:
         with zpl.covering(zpl.Region.of((2, n), (1, n))), zpl.masked(mask):
             with zpl.scan(execute=False) as block:
                 a[...] = (a.p @ zpl.NORTH) * 0.5 + 1.0
-        kernel_vs_interp(compile_scan(block), [a, mask])
+        kernel_vs_oracle(compile_scan(block), [a, mask])
 
     def test_index_expr(self):
         n = 7
@@ -111,7 +131,7 @@ class TestEquivalence:
         with zpl.covering(zpl.Region.of((2, n), (1, n))):
             with zpl.scan(execute=False) as block:
                 a[...] = (a.p @ zpl.NORTH) + zpl.index(0) * 10.0 + zpl.index(1)
-        kernel_vs_interp(compile_scan(block), [a])
+        kernel_vs_oracle(compile_scan(block), [a])
 
     def test_rank1(self):
         n = 9
@@ -119,7 +139,7 @@ class TestEquivalence:
         with zpl.covering(zpl.Region.of((2, n))):
             with zpl.scan(execute=False) as block:
                 a[...] = (a.p @ (-1,)) * 1.5
-        kernel_vs_interp(compile_scan(block), [a])
+        kernel_vs_oracle(compile_scan(block), [a])
 
     def test_backward_wavefront(self):
         n = 8
@@ -128,22 +148,21 @@ class TestEquivalence:
         with zpl.covering(zpl.Region.of((1, n - 1), (1, n))):
             with zpl.scan(execute=False) as block:
                 a[...] = (a.p @ zpl.SOUTH) * 0.5 + 0.25
-        kernel_vs_interp(compile_scan(block), [a])
+        kernel_vs_oracle(compile_scan(block), [a])
 
     def test_within_restriction(self):
         block, arrays = record_tomcatv_block(10)
         compiled = compile_scan(block)
         sub = compiled.region.slab(1, 3, 6)
-        interp = run_and_capture(
-            lambda c: execute_vectorized(c, within=sub, engine="interp"),
-            compiled, arrays,
-        )
-        kernel = run_and_capture(
-            lambda c: execute_vectorized(c, within=sub, engine="kernel"),
-            compiled, arrays,
-        )
-        for i, k in zip(interp, kernel):
-            np.testing.assert_array_equal(k, i)
+
+        def run(c):
+            execute_vectorized(c, within=sub)
+
+        kernel = run_and_capture(run, compiled, arrays)
+        with numpy_lowerings():
+            numpy = run_and_capture(run, compiled, arrays)
+        for k, n in zip(kernel, numpy):
+            np.testing.assert_array_equal(k, n)
 
 
 class TestAliasing:
@@ -158,29 +177,46 @@ class TestAliasing:
         expected = values.copy()
         expected[:, : n - 1] = values[:, 1:]
 
-        for engine in ("kernel", "interp"):
-            a = zpl.from_numpy(values.copy(), base=1, name="a")
-            stmt = Assign(a, a @ zpl.EAST, R)
-            compiled = compile_statements([stmt])
-            assert statement_needs_copy(stmt, frozenset())
-            execute_vectorized(compiled, engine=engine)
-            np.testing.assert_array_equal(
-                a.to_numpy(), expected, err_msg=f"engine {engine}"
-            )
+        a = zpl.from_numpy(values.copy(), base=1, name="a")
+        stmt = Assign(a, a @ zpl.EAST, R)
+        compiled = compile_statements([stmt])
+        assert statement_needs_copy(stmt)
+        execute_vectorized(compiled)
+        np.testing.assert_array_equal(a.to_numpy(), expected)
 
     def test_independent_arrays_skip_copy(self):
         n = 6
         a = zpl.ones(zpl.Region.square(1, n), name="a")
         b = zpl.zeros(zpl.Region.square(1, n), name="b")
         stmt = Assign(b, a @ zpl.NORTH, zpl.Region.of((2, n), (1, n)))
-        assert not statement_needs_copy(stmt, frozenset())
+        assert not statement_needs_copy(stmt)
 
     def test_non_ref_root_skips_copy(self):
         n = 6
         a = zpl.ones(zpl.Region.square(1, n), name="a")
         stmt = Assign(a, (a @ zpl.EAST) * 1.0, zpl.Region.of((1, n), (1, n - 1)))
         # BinOp roots allocate; no copy needed even though source aliases.
-        assert not statement_needs_copy(stmt, frozenset())
+        assert not statement_needs_copy(stmt)
+
+    def test_contracted_source_stores_without_a_copy(self, no_compiler):
+        """A contracted temporary is a fresh local once defined, so storing
+        it into a target needs no ``.copy()``."""
+        n = 8
+        rng = np.random.default_rng(13)
+        a, t, x = (
+            zpl.from_numpy(rng.uniform(size=(n, n)), base=1, name=name)
+            for name in "atx"
+        )
+        with zpl.covering(zpl.Region.of((2, n), (1, n))):
+            with zpl.scan(execute=False) as block:
+                t[...] = a * 0.5
+                a[...] = (a.p @ zpl.NORTH) + t
+                x[...] = t.ref
+        compiled = contract(compile_scan(block), [t])
+        (store,) = [s for s in compiled.statements if s.target is x]
+        assert not statement_needs_copy(store)
+        assert ".copy()" not in template_for(compiled).source
+        kernel_vs_oracle(compiled, [a, t, x])
 
 
 class TestPlanCache:
@@ -276,11 +312,3 @@ class TestInterpFastPath:
         a = zpl.ones(zpl.Region.square(1, n), name="a")
         stmt = Assign(a, a.p @ zpl.NORTH, zpl.Region.of((2, n), (1, n)))
         assert statement_kernel(stmt) is None
-
-    def test_interp_engine_skips_kernels(self, monkeypatch):
-        n = 5
-        a = zpl.ones(zpl.Region.square(1, n), name="a")
-        stmt = Assign(a, (a @ zpl.NORTH) + 1.0, zpl.Region.of((2, n), (1, n)))
-        KERNEL_STATS.reset()
-        execute_interpreted([stmt], engine="interp")
-        assert KERNEL_STATS.snapshot()["plan_builds"] == 0

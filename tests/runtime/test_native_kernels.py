@@ -1,7 +1,7 @@
 """The native lowering: the C nest, its supported set, its cache, its fallbacks.
 
-Bit identity is checked against every numpy way to run the same block
-(``tests.conftest.engine_matrix``) and against the scalar loop-nest oracle,
+Bit identity is checked, with the numpy lowering of the same block
+(``tests.conftest.engine_matrix``), against the scalar loop-nest oracle,
 whose order the C nest reproduces — or sweeps plane by plane, where no
 dependence ties inside a plane of the block's skew.  Everything about *who
 compiles, and how often* runs in fresh interpreters on a private cache
@@ -26,16 +26,15 @@ from repro import zpl
 from repro.apps import sweep3d, tomcatv
 from repro.apps.alignment import _build_batch_plan, build_score_block
 from repro.compiler import compile_scan, contract
+from repro.errors import MachineError
 from repro.obs.trace import Tracer
 from repro.parallel.sharedmem import collect_arrays
 from repro.runtime import (
     KERNEL_STATS,
     PlanRunner,
-    execute_loopnest,
     execute_vectorized,
     native,
     plan_kind,
-    run_and_capture,
 )
 from repro.runtime.kernels import _CEmitter, native_obstacle, template_for
 from tests.conftest import (
@@ -65,16 +64,12 @@ def uniform(shape, seed, name, fluff=1):
 
 
 def assert_native_matches_everything(compiled, arrays):
-    """The block ran natively, and equals interp/flat/numpy-kernel/oracle."""
+    """The block ran natively, and equals its numpy lowering and the oracle."""
     template = template_for(compiled)
     assert template.native() is not None, template.native_error
     results = engine_matrix(compiled, arrays)
     assert (compiled.region.ranges, "native") in template.plans
     assert_bit_identical(results, arrays)
-    oracle = run_and_capture(execute_loopnest, compiled, arrays)
-    for array, got, want in zip(arrays, results["kernel"], oracle):
-        if not compiled.is_contracted(array):  # the oracle stores temporaries
-            assert got.tobytes() == want.tobytes(), f"{array.name} != oracle"
 
 
 def scan(region, body):
@@ -204,20 +199,25 @@ class TestDirectedBitIdentity:
         assert template_for(compiled).source.count("for (long long") == 3
 
     def test_sub_regions_share_one_object_and_engine_flat_stays_numpy(self):
+        """``engine="flat"`` is refused before anything binds; the numpy
+        flat plan exists only where the toolchain looks absent."""
         block, arrays = record_tomcatv_block(12)
         compiled = compile_scan(block)
         template = template_for(compiled)
         execute_vectorized(compiled)
         execute_vectorized(compiled, within=compiled.region.slab(1, 3, 5))
-        execute_vectorized(compiled, engine="flat")
+        with pytest.raises(MachineError, match="unknown engine 'flat'"):
+            execute_vectorized(compiled, engine="flat")
         native_plans = [p for k, p in template.plans.items() if k[1] == "native"]
         PlanRunner(compiled).run()  # the serving path shares the dispatch tail
         assert len(native_plans) == 2 and native_plans[0].fn is native_plans[1].fn
+        assert len(template.plans) == 2
+        with numpy_lowerings():
+            runner = PlanRunner(compiled)
+            runner.run()
         flat = template.plans[compiled.region.ranges, False]
         assert flat.fn.__code__.co_filename.startswith("<repro-kernel:")
-        runner = PlanRunner(compiled, "flat")
-        runner.run()
-        assert runner.kind == "flat" and len(native_plans) == 2
+        assert runner.kind == "flat" and len(template.plans) == 3
 
     def test_compile_span_says_native_and_how_it_was_obtained(self):
         block, _ = record_tomcatv_block(8)
@@ -559,7 +559,7 @@ class TestCacheAndToolchain:
             from repro.compiler import compile_scan
             from repro.obs import Tracer
             from repro.parallel import WorkerPool
-            from repro.runtime import ArraySnapshot, execute_vectorized
+            from repro.runtime import ArraySnapshot, execute_loopnest
             sys.path.insert(0, os.environ["REPO_ROOT"])
             from tests.conftest import record_tomcatv_block
 
@@ -571,7 +571,7 @@ class TestCacheAndToolchain:
                 pool.execute(compiled, block=6, timeout=60, tracer=tracer)
             got = snap.capture_current()
             snap.restore()
-            execute_vectorized(compiled, engine="interp")
+            execute_loopnest(compiled)
             assert all(np.array_equal(g, w) for g, w in zip(got, snap.capture_current()))
             spans = [s for s in tracer.spans if s.name == "kernel_compile"]
             workers = {s.proc for s in spans}

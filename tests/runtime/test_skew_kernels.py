@@ -1,10 +1,9 @@
-"""Tests for the skewed plan family: selection, counters, escape hatches."""
+"""Tests for the skewed plan family: selection, counters, bit identity."""
 
 import numpy as np
 
 from repro import zpl
 from repro.apps.alignment import (
-    build_score_block,
     needleman_wunsch,
     nw_score_oracle,
     smith_waterman_score,
@@ -14,16 +13,14 @@ from repro.obs.trace import Tracer
 from repro.runtime import (
     KERNEL_STATS,
     PlanRunner,
-    default_engine,
     execute_loopnest,
     execute_vectorized,
     plan_kind,
-    resolve_engine,
     run_and_capture,
 )
 from repro.runtime import kernels as kernels_mod
 from repro.runtime.kernels import template_for
-from repro.zpl.arrays import ZArray
+from tests.conftest import assert_bit_identical, engine_matrix, numpy_lowerings
 
 
 def dp_block(n=7, seed=0):
@@ -40,24 +37,12 @@ def dp_block(n=7, seed=0):
     return compile_scan(block), [a]
 
 
-def all_engines(compiled, arrays):
-    """Storage after skewed / flat / interp runs from identical state."""
-    return {
-        engine: run_and_capture(
-            lambda c, e=engine: execute_vectorized(c, engine=e),
-            compiled,
-            arrays,
-        )
-        for engine in ("kernel", "flat", "interp")
-    }
-
-
 class TestSkewSelection:
     def test_dp_block_selects_skewed(self):
         compiled, _ = dp_block()
-        assert plan_kind(compiled) == "skewed"
-        assert plan_kind(compiled, engine="flat") == "flat"
-        assert plan_kind(compiled, engine="interp") == "interp"
+        assert plan_kind(compiled) == plan_kind(compiled, "kernel") == "skewed"
+        with numpy_lowerings():  # the family is the block's, not the host's
+            assert plan_kind(compiled) == "skewed"
 
     def test_single_looped_dim_stays_flat(self):
         n = 8
@@ -90,33 +75,22 @@ class TestSkewSelection:
         assert counters["skew_plan_hits"] == 1
 
     def test_plan_runner_shares_the_dispatch_tail(self):
-        """``PlanRunner.run`` counts what ``try_execute_kernels`` counts."""
+        """``PlanRunner.run`` counts what ``execute_vectorized`` counts."""
         compiled, _ = dp_block()
         direct, batched = Tracer(proc=0), Tracer(proc=0)
         execute_vectorized(compiled, engine="kernel", tracer=direct)
-        runner = PlanRunner(compiled, "kernel")
+        runner = PlanRunner(compiled)
         assert runner.kind == plan_kind(compiled, "kernel") == "skewed"
         runner.run(items=3, tracer=batched)
         key = (0, "hyperplanes")
         assert batched.counters[key] == direct.counters[key] > 0
         assert batched.counters[0, "skew_plan_hits"] == 1
-        assert PlanRunner(compiled, "flat").kind == "flat"
-        assert PlanRunner(compiled, "interp").kind == "interp"
-
-    def test_skewed_and_flat_plans_coexist(self):
-        compiled, _ = dp_block()
-        execute_vectorized(compiled, engine="kernel")
-        execute_vectorized(compiled, engine="flat")
-        assert len(template_for(compiled).plans) == 2
 
 
 class TestSkewEquivalence:
     def test_dp_block_bit_identical(self):
         compiled, arrays = dp_block()
-        results = all_engines(compiled, arrays)
-        for engine in ("flat", "interp"):
-            for s, o in zip(results["kernel"], results[engine]):
-                np.testing.assert_array_equal(s, o, err_msg=f"vs {engine}")
+        assert_bit_identical(engine_matrix(compiled, arrays), arrays)
 
     def test_matches_loopnest_oracle(self):
         compiled, arrays = dp_block()
@@ -129,72 +103,43 @@ class TestSkewEquivalence:
 
     def test_alignment_matches_python_oracle(self):
         a, b = "GATTACAGGT", "GCATGCUTAC"
-        result = needleman_wunsch(a, b, engine="kernel")
+        result = needleman_wunsch(a, b)
         assert result.score == nw_score_oracle(a, b)
 
     def test_alignment_engines_agree(self):
+        """The native plane nest and the numpy shear give one score (the
+        cached batch runner keeps its lowering, so numpy runs through a
+        fresh ``execute_vectorized`` call)."""
         a, b = "ACGTACGTAC", "TACGATCGAT"
-        scores = {
-            engine: smith_waterman_score(a, b, engine=engine)
-            for engine in ("kernel", "flat", "interp")
-        }
-        assert scores["kernel"] == scores["flat"] == scores["interp"]
+        native = smith_waterman_score(a, b)
+        with numpy_lowerings():
+            numpy = smith_waterman_score(a, b, engine=lambda c: execute_vectorized(c))
+        assert native == numpy
 
     def test_within_restriction(self):
         compiled, arrays = dp_block(n=9)
         sub = compiled.region.slab(1, 3, 6)
-        skewed = run_and_capture(
-            lambda c: execute_vectorized(c, within=sub, engine="kernel"),
-            compiled, arrays,
-        )
-        interp = run_and_capture(
-            lambda c: execute_vectorized(c, within=sub, engine="interp"),
-            compiled, arrays,
-        )
-        for s, i in zip(skewed, interp):
-            np.testing.assert_array_equal(s, i)
 
+        def run(c):
+            execute_vectorized(c, within=sub)
 
-class TestEscapeHatches:
-    def test_repro_engine_flat_runs_flat(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "flat")
-        compiled, arrays = dp_block()
-        assert plan_kind(compiled) == "flat"
-        KERNEL_STATS.reset()
-        execute_vectorized(compiled)
-        assert KERNEL_STATS.snapshot()["skew_plan_builds"] == 0
-
-    def test_flat_engine_never_skews(self):
-        compiled, _ = dp_block()
-        KERNEL_STATS.reset()
-        execute_vectorized(compiled, engine="flat")
-        snap = KERNEL_STATS.snapshot()
-        assert snap["skew_plan_builds"] == 0
-        assert snap["plan_builds"] == 1
+        skewed = run_and_capture(run, compiled, arrays)
+        with numpy_lowerings():
+            numpy = run_and_capture(run, compiled, arrays)
+        for s, n in zip(skewed, numpy):
+            np.testing.assert_array_equal(s, n)
 
 
 class TestEngineResolver:
-    def test_repro_engine_values(self, monkeypatch):
-        for value, expected in (
-            ("kernel", "kernel"),
-            ("flat", "flat"),
-            ("interp", "interp"),
-            ("0", "interp"),
-            ("off", "interp"),
-        ):
-            monkeypatch.setenv("REPRO_ENGINE", value)
-            assert default_engine() == expected, value
-
-    def test_repro_engine_beats_legacy(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "flat")
-        monkeypatch.setenv("REPRO_KERNELS", "0")
-        assert default_engine() == "flat"
-
     def test_legacy_alias_is_ignored(self, monkeypatch, recwarn):
-        """``REPRO_KERNELS`` is gone: no effect on resolution, no warning."""
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        """``REPRO_KERNELS`` and ``REPRO_ENGINE`` are gone: no effect on
+        the plan family, no warning, no knob left in the module."""
         monkeypatch.setenv("REPRO_KERNELS", "0")
-        assert default_engine() == "kernel"
-        assert resolve_engine(None) == "kernel"
+        monkeypatch.setenv("REPRO_ENGINE", "flat")
+        compiled, _ = dp_block()
+        assert plan_kind(compiled) == PlanRunner(compiled).kind == "skewed"
         assert not recwarn.list
-        assert not hasattr(kernels_mod, "LEGACY_ENGINE_ENV")
+        assert not any(
+            hasattr(kernels_mod, name)
+            for name in ("LEGACY_ENGINE_ENV", "ENGINE_ENV", "resolve_engine")
+        )

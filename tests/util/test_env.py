@@ -9,7 +9,6 @@ from repro.errors import MachineError
 from repro.obs.live.flight import flight_enabled
 from repro.obs.trace import tracing_enabled
 from repro.parallel.plan import default_grid, preflight, resolve_knobs, resolve_run
-from repro.runtime.kernels import ENGINES, default_engine, resolve_engine
 from repro.util.env import OFF, ON
 from tests.conftest import record_tomcatv_block
 
@@ -53,16 +52,6 @@ def test_every_switch_reads_one_grammar(monkeypatch, name, read, default):
     monkeypatch.setenv(name, "maybe")
     with pytest.raises(MachineError, match=name):
         read(monkeypatch)
-
-
-def test_unknown_repro_engine_is_refused_like_engine_argument(monkeypatch):
-    monkeypatch.setenv("REPRO_ENGINE", "interpp")
-    with pytest.raises(MachineError, match="unknown engine") as err:
-        default_engine()
-    assert "REPRO_ENGINE" in str(err.value)
-    assert str(ENGINES) in str(err.value)
-    with pytest.raises(MachineError, match="unknown engine"):
-        resolve_engine("interpp")
 
 
 def test_malformed_max_procs_is_a_typed_error(monkeypatch):

@@ -6,7 +6,13 @@ import pytest
 from repro import zpl
 from repro.compiler import compile_scan
 from repro.errors import ExpressionError
-from repro.runtime import execute_loopnest, execute_vectorized, run_and_capture
+from repro.runtime import (
+    PlanRunner,
+    execute_loopnest,
+    execute_vectorized,
+    run_and_capture,
+)
+from repro.runtime.kernels import template_for
 
 
 class TestIndexEvaluation:
@@ -58,6 +64,21 @@ class TestIndexInScanBlocks:
         execute_vectorized(compiled)
         # Column sums of row indices: a[i] = 2 + 3 + ... + i.
         assert float(a[(4, 1)]) == 2.0 + 3.0 + 4.0
+
+    def test_bad_dim_in_scan_block_is_refused_by_the_template(self):
+        """No kernel expresses an index past the block's rank: the template
+        raises the tree walk's ``ExpressionError`` before anything runs."""
+        n = 6
+        a = zpl.zeros(zpl.Region.square(1, n), name="a")
+        with zpl.covering(zpl.Region.of((2, n), (1, n))):
+            with zpl.scan(execute=False) as block:
+                a[...] = (a.p @ zpl.NORTH) + zpl.index(2)
+        compiled = compile_scan(block)
+        match = "index dimension 2 out of range for rank 2"
+        for run in (template_for, PlanRunner, execute_vectorized):
+            with pytest.raises(ExpressionError, match=match):
+                run(compiled)
+        assert a.to_numpy().max() == 0.0
 
     def test_triangular_mask_pattern(self):
         # where(index(0) >= index(1), ...) carves a lower triangle.
